@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .constructions import (
     Certificate,
@@ -24,7 +24,7 @@ from .constructions import (
     emit_plot_data,
     verify_certificate,
 )
-from .errors import BudgetError, DomainError, MajorantError, ResolutionError
+from .errors import BudgetError, DomainError, MajorantError
 from .exact_lattice import FrequencySet
 from .lp_engine import EvalConfig
 from .moment_curve import weak_majorant_bound, weak_majorant_ratio
@@ -43,21 +43,18 @@ def _load_json(path: str) -> Any:
         ) from exc
 
 
+# flag: (EvalConfig field, type, help); every subcommand takes these
+_EVAL_FLAGS = {
+    "grid": ("grid_points_per_axis", int, "quadrature grid points per axis"),
+    "tol": ("backend_agreement_tol", float, "backend agreement tolerance"),
+    "safety": ("margin_safety_factor", float, "margin safety factor"),
+}
+
+
 def _eval_config(args: argparse.Namespace) -> EvalConfig:
-    kwargs: dict[str, Any] = {}
-    if args.grid is not None:
-        kwargs["grid_points_per_axis"] = args.grid
-    if args.cutoff is not None:
-        kwargs["series_total_degree_cutoff"] = args.cutoff
-    if args.tol is not None:
-        kwargs["backend_agreement_tol"] = args.tol
-    if args.safety is not None:
-        kwargs["margin_safety_factor"] = args.safety
-    return EvalConfig(**kwargs)
-
-
-def _has_eval_overrides(args: argparse.Namespace) -> bool:
-    return any(x is not None for x in (args.grid, args.cutoff, args.tol, args.safety))
+    """Defaults overridden by whichever evaluation flags were given."""
+    given = {field: getattr(args, flag) for flag, (field, _, _) in _EVAL_FLAGS.items()}
+    return EvalConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _emit(doc: Any) -> None:
@@ -66,11 +63,15 @@ def _emit(doc: Any) -> None:
 
 
 def _write_plot(path: str, cert: Certificate, samples: int, cfg: EvalConfig) -> None:
+    """Write the plot CSV; callers do this before printing, so a rejected plot prints nothing."""
     rows = emit_plot_data(cert, samples, cfg)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["p", "lhs", "rhs", "difference"])
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["p", "lhs", "rhs", "difference"])
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {len(rows)} plot rows to {path}", file=sys.stderr)
 
 
@@ -92,20 +93,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             scan_budget=args.scan_budget,
             stream_budget=args.stream_budget,
         )
-        _emit([c.to_json() for c in certs])
+        doc: Any = [c.to_json() for c in certs]
         lead = certs[0]
     else:
         lead = construct_independent(g, cfg)
-        _emit(lead.to_json())
+        doc = lead.to_json()
     if args.plot:
         _write_plot(args.plot, lead, args.plot_samples, cfg)
+    _emit(doc)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cert = Certificate.from_json(_load_json(args.input))
-    cfg = _eval_config(args) if _has_eval_overrides(args) else None
-    result = verify_certificate(cert, cfg)
+    result = verify_certificate(cert, _eval_config(args))
     _emit(result.to_json())
     if result.verdict is True:
         return 0
@@ -119,17 +120,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_moment(args: argparse.Namespace) -> int:
     cfg = _eval_config(args)
     cert = construct_moment(args.d, args.p, cfg)
-    _emit(cert.to_json())
     if args.plot:
         _write_plot(args.plot, cert, args.plot_samples, cfg)
+    _emit(cert.to_json())
     return 0
+
+
+# key: (JSON entry types, whether the value is a list of such entries)
+_WEAK_FIELDS = {
+    "d": (int, False),
+    "p": ((int, float), False),
+    "support": (int, True),
+    "coefficients": ((int, float), True),
+    "majorant": ((int, float), True),
+}
+
+
+def _typed(value: Any, kinds: Any, is_list: bool) -> bool:
+    """Whether value has one of `kinds` (a list of such when is_list); bools never do."""
+    if is_list:
+        return isinstance(value, list) and all(_typed(x, kinds, False) for x in value)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _cmd_weak_majorant(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
-    for key in ("d", "p", "support", "coefficients", "majorant"):
+    if not isinstance(data, dict):
+        raise DomainError("weak-majorant input must be a JSON object")
+    for key, (kinds, is_list) in _WEAK_FIELDS.items():
         if key not in data:
             raise DomainError(f"weak-majorant input is missing the key '{key}'")
+        if not _typed(data[key], kinds, is_list):
+            raise DomainError(f"weak-majorant key '{key}' has the wrong type")
     ratio = weak_majorant_ratio(
         data["d"],
         data["p"],
@@ -151,20 +173,6 @@ def _cmd_weak_majorant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_eval_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid", type=int, help="quadrature grid points per axis")
-    sub.add_argument("--cutoff", type=int, help="series total degree cutoff")
-    sub.add_argument("--tol", type=float, help="backend agreement tolerance")
-    sub.add_argument("--safety", type=float, help="margin safety factor")
-
-
-def _add_plot_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--plot", metavar="FILE", help="write (p, lhs, rhs, difference) CSV")
-    sub.add_argument(
-        "--plot-samples", type=int, default=9, help="interior sample count for --plot"
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="majorant",
@@ -173,48 +181,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="structural report for a frequency set")
-    p_classify.add_argument("--input", required=True, help="frequency set JSON file")
-    p_classify.add_argument("--scan-budget", type=int, default=64)
-    _add_eval_flags(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
+    def command(
+        name: str, func: Callable[[argparse.Namespace], int], help_text: str, input_help: str = ""
+    ) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
+        if input_help:
+            cmd.add_argument("--input", required=True, help=input_help)
+        return cmd
 
-    p_construct = sub.add_parser("construct", help="build and certify counterexamples")
-    p_construct.add_argument("--input", required=True, help="frequency set JSON file")
+    sets = "frequency set JSON file"
+    p_classify = command("classify", _cmd_classify, "structural report for a frequency set", sets)
+    p_classify.add_argument("--scan-budget", type=int, default=64)
+
+    p_construct = command("construct", _cmd_construct, "build and certify counterexamples", sets)
     p_construct.add_argument(
         "--count", type=int, default=1, help="certificates to emit for generator sets"
     )
     p_construct.add_argument("--scan-budget", type=int, default=64)
     p_construct.add_argument("--stream-budget", type=int, default=400)
-    _add_eval_flags(p_construct)
-    _add_plot_flags(p_construct)
-    p_construct.set_defaults(func=_cmd_construct)
 
-    p_verify = sub.add_parser("verify", help="recompute a certificate's margin")
-    p_verify.add_argument("--input", required=True, help="certificate JSON file")
-    _add_eval_flags(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    command("verify", _cmd_verify, "recompute a certificate's margin", "certificate JSON file")
 
-    p_moment = sub.add_parser(
-        "moment", help="counterexample on the moment curve at a given exponent"
+    p_moment = command(
+        "moment", _cmd_moment, "counterexample on the moment curve at a given exponent"
     )
     p_moment.add_argument("--d", type=int, required=True, help="ambient dimension")
     p_moment.add_argument("--p", type=float, required=True, help="target exponent")
-    _add_eval_flags(p_moment)
-    _add_plot_flags(p_moment)
-    p_moment.set_defaults(func=_cmd_moment)
 
-    p_weak = sub.add_parser(
-        "weak-majorant", help="norm ratio against a majorant on moment-curve points"
+    command(
+        "weak-majorant",
+        _cmd_weak_majorant,
+        "norm ratio against a majorant on moment-curve points",
+        "JSON file with d, p, support, coefficients, majorant",
     )
-    p_weak.add_argument(
-        "--input",
-        required=True,
-        help="JSON file with d, p, support, coefficients, majorant",
-    )
-    _add_eval_flags(p_weak)
-    p_weak.set_defaults(func=_cmd_weak_majorant)
 
+    for cmd in sub.choices.values():
+        for flag, (_, kind, text) in _EVAL_FLAGS.items():
+            cmd.add_argument(f"--{flag}", type=kind, help=text)
+    for cmd in (p_construct, p_moment):
+        cmd.add_argument("--plot", metavar="FILE", help="write (p, lhs, rhs, difference) CSV")
+        cmd.add_argument(
+            "--plot-samples", type=int, default=9, help="interior sample count for --plot"
+        )
     return parser
 
 
@@ -222,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetError, ResolutionError) as exc:
+    except BudgetError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
     except MajorantError as exc:

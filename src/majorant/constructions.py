@@ -16,7 +16,7 @@ vectors with entries in the hundreds) from triggering hopeless quadrature.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isfinite, log2
 from typing import Any, NamedTuple, Sequence
@@ -45,6 +45,7 @@ from .exact_lattice import (
 )
 from .lp_engine import (
     EvalConfig,
+    PairedDifference,
     SmpDifference,
     leading_coefficient,
     paired_difference,
@@ -131,24 +132,27 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Certificate":
-        return cls(
-            theorem_tag=data["theorem_tag"],
-            dim=data["dim"],
-            frequencies=tuple(tuple(int(x) for x in f) for f in data["frequencies"]),
-            coefficients=tuple(float(x) for x in data["coefficients"]),
-            cvector=CVector.from_json(data["cvector"]),
-            p_interval=OpenInterval(*data["p_interval"]),
-            p_tested=data["p_tested"],
-            verified=bool(data["verified"]),
-            lhs=data["lhs"],
-            rhs=data["rhs"],
-            margin=data["margin"],
-            error_estimate=data["error_estimate"],
-            grid_points_per_axis=data["grid_points_per_axis"],
-            eval_config=EvalConfig(**data["eval_config"]),
-            note=data.get("note", ""),
-            reduction=data.get("reduction"),
-        )
+        try:
+            return cls(
+                theorem_tag=data["theorem_tag"],
+                dim=data["dim"],
+                frequencies=tuple(tuple(int(x) for x in f) for f in data["frequencies"]),
+                coefficients=tuple(float(x) for x in data["coefficients"]),
+                cvector=CVector.from_json(data["cvector"]),
+                p_interval=OpenInterval(*data["p_interval"]),
+                p_tested=float(data["p_tested"]),
+                verified=bool(data["verified"]),
+                lhs=data["lhs"],
+                rhs=data["rhs"],
+                margin=data["margin"],
+                error_estimate=data["error_estimate"],
+                grid_points_per_axis=data["grid_points_per_axis"],
+                eval_config=EvalConfig(**data["eval_config"]),
+                note=data.get("note", ""),
+                reduction=data.get("reduction"),
+            )
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed certificate: {exc!r}") from exc
 
 
 def _log2_leading(p: Real, cv: CVector) -> float:
@@ -158,54 +162,12 @@ def _log2_leading(p: Real, cv: CVector) -> float:
     return log2(abs(coef.numerator)) - log2(coef.denominator)
 
 
-class _Attempt(NamedTuple):
-    verified: bool
-    coefficients: tuple[float, ...]
-    result: SmpDifference | None
-    note: str
+def _threshold(res: SmpDifference | PairedDifference, cfg: EvalConfig) -> float:
+    """Smallest margin that certifies: the safety multiple of the error, floored."""
+    return max(cfg.margin_safety_factor * res.error_estimate, MARGIN_FLOOR)
 
 
-def _certify(freqs: Sequence[Vec], cv: CVector, p: Real, cfg: EvalConfig) -> _Attempt:
-    """Walk the magnitude schedule until a margin certifies or none can."""
-    coeffs = assign_signs(cv, MAGNITUDE_START)
-    if float(p) > P_TESTED_MAX:
-        return _Attempt(
-            False,
-            coeffs,
-            None,
-            f"exponent {float(p):g} is beyond floating-point evaluation range",
-        )
-    log2_coef = _log2_leading(p, cv)
-    floor_log2 = log2(MARGIN_FLOOR)
-    magnitude = MAGNITUDE_START
-    result: SmpDifference | None = None
-    while magnitude >= MAGNITUDE_FLOOR:
-        predicted_log2 = log2_coef + 1.0 + cv.total_order * log2(magnitude)
-        if predicted_log2 < floor_log2 - 2.0:
-            return _Attempt(
-                False,
-                coeffs,
-                result,
-                "leading term is below numerical resolution at every usable scale",
-            )
-        coeffs = assign_signs(cv, magnitude)
-        result = smp_difference(freqs, coeffs, p, cfg)
-        threshold = max(cfg.margin_safety_factor * result.error_estimate, MARGIN_FLOOR)
-        if result.difference > threshold:
-            return _Attempt(True, coeffs, result, "")
-        if 0.0 < result.difference and result.error_estimate <= cfg.backend_agreement_tol:
-            # Converged but unresolvable; shrinking only makes it smaller.
-            return _Attempt(
-                False,
-                coeffs,
-                result,
-                "positive difference stays below the certification threshold",
-            )
-        magnitude /= 2.0
-    return _Attempt(False, coeffs, result, "magnitude schedule exhausted without certification")
-
-
-def _finish(
+def _certify(
     theorem_tag: str,
     freqs: Sequence[Vec],
     cv: CVector,
@@ -213,26 +175,51 @@ def _finish(
     p: Real,
     cfg: EvalConfig,
     reduction: dict[str, Any] | None = None,
+    note_prefix: str = "",
 ) -> Certificate:
-    attempt = _certify(freqs, cv, p, cfg)
+    """Walk the magnitude schedule until a margin certifies or none can."""
+    coeffs = assign_signs(cv, MAGNITUDE_START)
+    res: SmpDifference | None = None
+    verified = False
+    if float(p) > P_TESTED_MAX:
+        note = f"exponent {float(p):g} is beyond floating-point evaluation range"
+    else:
+        log2_coef = _log2_leading(p, cv)
+        magnitude = MAGNITUDE_START
+        while magnitude >= MAGNITUDE_FLOOR:
+            predicted_log2 = log2_coef + 1.0 + cv.total_order * log2(magnitude)
+            if predicted_log2 < log2(MARGIN_FLOOR) - 2.0:
+                note = "leading term is below numerical resolution at every usable scale"
+                break
+            coeffs = assign_signs(cv, magnitude)
+            res = smp_difference(freqs, coeffs, p, cfg)
+            if res.difference > _threshold(res, cfg):
+                verified, note = True, ""
+                break
+            if 0.0 < res.difference and res.error_estimate <= cfg.backend_agreement_tol:
+                # Converged but unresolvable; shrinking only makes it smaller.
+                note = "positive difference stays below the certification threshold"
+                break
+            magnitude /= 2.0
+        else:
+            note = "magnitude schedule exhausted without certification"
     dim = len(freqs[0])
-    res = attempt.result
     return Certificate(
         theorem_tag=theorem_tag,
         dim=dim,
         frequencies=((0,) * dim, *freqs),
-        coefficients=(1.0, *attempt.coefficients),
+        coefficients=(1.0, *coeffs),
         cvector=cv,
         p_interval=interval,
         p_tested=float(p),
-        verified=attempt.verified,
+        verified=verified,
         lhs=None if res is None else res.lhs,
         rhs=None if res is None else res.rhs,
         margin=None if res is None else res.difference,
         error_estimate=None if res is None else res.error_estimate,
         grid_points_per_axis=None if res is None else res.grid_points_per_axis,
         eval_config=cfg,
-        note=attempt.note,
+        note="; ".join(x for x in (note_prefix, note) if x),
         reduction=reduction,
     )
 
@@ -286,9 +273,8 @@ def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Cer
         raise HypothesisError("no point leaves behind a full-dimensional subset")
     translated = tuple(tuple(x - y for x, y in zip(q, bullet)) for q in chosen)
     cv = build_c(build_v(translated))
-    interval = p_interval(cv)
     p_star = 2 * cv.m_plus - 3
-    return _finish("independent", translated, cv, interval, p_star, cfg, reduction_rec)
+    return _certify("independent", translated, cv, p_interval(cv), p_star, cfg, reduction_rec)
 
 
 def construct_abundant(
@@ -333,9 +319,7 @@ def construct_abundant(
         cv = build_c(v)
         if cv.m_plus <= last_m or cv.m_plus == cv.m_minus or cv.m_plus < 2:
             continue
-        interval = p_interval(cv)
-        p_star = 2 * cv.m_plus - 3
-        certs.append(_finish("abundant", freqs, cv, interval, p_star, cfg))
+        certs.append(_certify("abundant", freqs, cv, p_interval(cv), 2 * cv.m_plus - 3, cfg))
         last_m = cv.m_plus
         if len(certs) == how_many:
             return certs
@@ -352,8 +336,8 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
     whole even-to-even gap around p.
     """
     cfg = cfg or EvalConfig()
-    if Fraction(p) <= 0:
-        raise DomainError("exponent must be positive")
+    if not isfinite(p) or p <= 0:
+        raise DomainError("exponent must be positive and finite")
     if is_even_exponent(p):
         raise DomainError("even integer exponents admit no strict violation")
     k, cv = smallest_admissible_k(d, p)
@@ -362,11 +346,7 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
     half = Fraction(p) // 2
     interval = OpenInterval(2 * half, 2 * half + 2)
     freqs = tuple(gamma_point(d, k + i) for i in range(d + 1))
-    cert = _finish("moment_curve", freqs, cv, interval, p, cfg)
-    note = f"curve offset k={k}"
-    if cert.note:
-        note = f"{note}; {cert.note}"
-    return replace(cert, note=note)
+    return _certify("moment_curve", freqs, cv, interval, p, cfg, note_prefix=f"curve offset k={k}")
 
 
 class VerifyResult(NamedTuple):
@@ -401,18 +381,16 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     Trusts nothing but the stored frequencies, coefficients, and exponent;
     in particular a tampered certificate whose coefficients are all
     positive re-verifies False because both rows then agree identically.
+    The grid, tolerance and safety factor are the verifier's `cfg`
+    (defaults when omitted), never the settings recorded in the certificate.
     """
-    cfg = cfg or cert.eval_config
+    cfg = cfg or EvalConfig()
     res = paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, cfg)
     converged = res.error_estimate <= cfg.backend_agreement_tol
     finite = isfinite(res.difference) and isfinite(res.error_estimate)
-    threshold = max(cfg.margin_safety_factor * res.error_estimate, MARGIN_FLOOR)
-    if not finite or not converged:
-        verdict: bool | str = "inconclusive"
-    elif res.difference > threshold:
-        verdict = True
-    else:
-        verdict = False
+    verdict: bool | str = "inconclusive"
+    if finite and converged:
+        verdict = res.difference > _threshold(res, cfg)
     return VerifyResult(
         verdict=verdict,
         margin=res.difference,
@@ -428,11 +406,12 @@ def emit_plot_data(
 ) -> list[dict[str, float]]:
     """Evaluate both sides at evenly spaced interior points of the interval.
 
-    A request for zero samples returns an empty table.
+    A request for zero samples returns an empty table.  Like verification,
+    the evaluation settings are `cfg` or the defaults, not the certificate's.
     """
     if p_samples < 0:
         raise DomainError("p_samples must be nonnegative")
-    cfg = cfg or cert.eval_config
+    cfg = cfg or EvalConfig()
     lo, hi = cert.p_interval
     span = hi - lo
     rows = []

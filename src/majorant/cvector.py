@@ -9,7 +9,6 @@ sign flip raise the L^p norm, and by how much at leading order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from typing import NamedTuple, Sequence, Union
@@ -17,23 +16,7 @@ from typing import NamedTuple, Sequence, Union
 from .errors import DimensionError, DomainError, HypothesisError
 from .exact_lattice import IntMatrix, Vec, det_exact
 
-Rational = Union[int, Fraction]
 Real = Union[int, float, Fraction]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Tuple of nonnegative integer exponents."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.entries):
-            raise DomainError("multi-index entries must be nonnegative")
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
 
 
 def multinomial(entries: Sequence[int]) -> int:
@@ -139,14 +122,9 @@ def build_c(v: Sequence[int]) -> CVector:
     )
 
 
-def _exact(p: Real) -> Fraction:
-    # binary floats are exact rationals, so the rational path covers all inputs
-    return Fraction(p)
-
-
 def is_even_exponent(p: Real) -> bool:
     """Whether p is a positive even integer (where every sign pattern ties)."""
-    q = _exact(p)
+    q = Fraction(p)  # exact for floats too: binary floats are rationals
     return q > 0 and q.denominator == 1 and q.numerator % 2 == 0
 
 
@@ -159,7 +137,7 @@ def gen_binom(p: Real, j: int) -> Real:
     """
     if j < 0:
         raise DomainError("index must be nonnegative")
-    q = _exact(p)
+    q = Fraction(p)
     if q <= 0:
         raise DomainError("exponent must be positive")
     num = Fraction(1)
@@ -179,7 +157,7 @@ def sign_condition(p: Real, cv: CVector) -> bool:
     """
     if is_even_exponent(p):
         raise DomainError("even integer exponents admit no strict violation")
-    product = gen_binom(_exact(p), cv.m_minus) * gen_binom(_exact(p), cv.m_plus)
+    product = gen_binom(Fraction(p), cv.m_minus) * gen_binom(Fraction(p), cv.m_plus)
     return -product > 0
 
 

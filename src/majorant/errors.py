@@ -1,8 +1,8 @@
 """Shared exception types.
 
-The split matters for the CLI exit codes: hypothesis/domain problems are
-user-input errors (exit 1), budget and resolution problems mean the answer
-is numerically out of reach at desk scale (exit 2).
+The split matters for the CLI exit codes: hypothesis, domain, dimension and
+convergence problems are user-input errors (exit 1); an exhausted budget
+means the answer is out of reach at desk scale (exit 2).
 """
 
 
@@ -28,7 +28,3 @@ class BudgetError(MajorantError, RuntimeError):
 
 class ConvergenceError(MajorantError, ValueError):
     """Series input outside the open domain of convergence."""
-
-
-class ResolutionError(MajorantError, RuntimeError):
-    """A quantity is real but below what the numerics can resolve."""

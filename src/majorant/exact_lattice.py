@@ -1,22 +1,20 @@
 """Exact integer linear algebra over frequency sets.
 
 Everything in this module is computed with arbitrary-precision Python
-integers (Fractions only inside the lattice-coordinate solver); nothing here
-rounds.  Determinants use fraction-free Bareiss elimination, the triangular
-factorization uses a Euclidean sweep driven by row swaps and row additions,
-and affine data of a frequency set is read off the lattice generated by the
-difference vectors.
+integers; nothing here rounds.  Determinants use fraction-free Bareiss
+elimination, the triangular factorization uses a Euclidean sweep driven by
+row swaps and row additions, and affine data of a frequency set is read off
+the lattice generated by the difference vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DimensionError, DomainError, HypothesisError
+from .errors import DimensionError, DomainError
 
 Vec = tuple[int, ...]
 
@@ -229,12 +227,19 @@ class PointGenerator:
         if self.kind not in _GENERATOR_KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}")
         if self.kind == "arith_progression":
-            if "start" not in self.params or "step" not in self.params:
+            vectors = [self.params.get(key) for key in ("start", "step")]
+            if not all(isinstance(v, (list, tuple)) for v in vectors):
                 raise DomainError("arith_progression needs 'start' and 'step' vectors")
+            for v in vectors:
+                _as_vec(v)
+        else:
+            t_start = self.params.get("t_start", 1)
+            if isinstance(t_start, bool) or not isinstance(t_start, int):
+                raise DomainError(f"t_start must be an integer, got {t_start!r}")
 
     def iter_points(self, dim: int) -> Iterator[Vec]:
         if self.kind == "moment_curve":
-            t = int(self.params.get("t_start", 1))
+            t = self.params.get("t_start", 1)
             while True:
                 yield tuple(t**i for i in range(1, dim + 1))
                 t += 1
@@ -282,20 +287,23 @@ class FrequencySet:
     def from_json(cls, obj: dict) -> "FrequencySet":
         if not isinstance(obj, dict):
             raise DomainError("frequency set JSON must be an object")
-        try:
-            dim = int(obj["dim"])
-            points = [tuple(int(x) for x in p) for p in obj.get("points", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed frequency set: {exc}") from exc
-        if dim < 1:
-            raise DomainError("dim must be >= 1")
+        dim = obj.get("dim")
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
+        points = obj.get("points", [])
+        if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
+            raise DomainError("points must be a list of integer vectors")
         gen = None
         if obj.get("generator") is not None:
             g = obj["generator"]
             if not isinstance(g, dict) or "kind" not in g:
                 raise DomainError("generator must be an object with a 'kind'")
-            gen = PointGenerator(kind=g["kind"], params=dict(g.get("params", {})))
-        return cls(dim=dim, points=tuple(points), generator=gen)
+            params = g.get("params", {})
+            if not isinstance(params, dict):
+                raise DomainError("generator params must be an object")
+            gen = PointGenerator(kind=g["kind"], params=dict(params))
+        # entries are checked, never coerced, by the constructor
+        return cls(dim=dim, points=tuple(tuple(p) for p in points), generator=gen)
 
     def to_json(self) -> dict:
         out: dict = {"dim": self.dim, "points": [list(p) for p in self.points]}
@@ -336,58 +344,40 @@ def difference_matrix(points: Sequence[Vec], base: Vec) -> Optional[IntMatrix]:
     return IntMatrix.from_columns(cols)
 
 
-def affine_dimension(g: FrequencySet, prefix_len: Optional[int] = None) -> int:
-    """Affine dimension of the first prefix_len points (all points by default).
+def affine_dimension(g: FrequencySet) -> int:
+    """Affine dimension of the listed points.
 
     This is the rank of the lattice generated by the differences from any one
     of the points; translation and the choice of base point do not change it.
     """
-    count = len(g.points) if prefix_len is None else prefix_len
-    if count < 1 or count > len(g.points):
-        raise DimensionError("prefix length out of range")
-    pts = g.points[:count]
-    diff = difference_matrix(pts, pts[0])
+    if not g.points:
+        raise DimensionError("affine dimension needs at least one listed point")
+    diff = difference_matrix(g.points, g.points[0])
     if diff is None:
         return 0
     return rank_exact(diff)
 
 
-def is_affinely_independent(g: FrequencySet, prefix_len: Optional[int] = None) -> bool:
-    count = len(g.points) if prefix_len is None else prefix_len
-    return count == affine_dimension(g, prefix_len) + 1
+def is_affinely_independent(g: FrequencySet) -> bool:
+    return len(g.points) == affine_dimension(g) + 1
 
 
-def _solve_integer_columns(basis: IntMatrix, target: Vec) -> Vec:
-    """Solve basis @ y = target exactly; entries are asserted integral."""
-    rows = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(basis.entries, target)]
-    k = basis.cols
-    pivots: list[int] = []
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    # consistency: rows beyond the pivots must have zero right-hand side
-    for i in range(r, len(rows)):
-        if rows[i][k] != 0:
-            raise HypothesisError("vector lies outside the lattice spanned by the basis")
-    y = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        y[col] = rows[i][k]
-    out = []
-    for x in y:
-        if x.denominator != 1:
-            raise HypothesisError("lattice coordinates are not integral")
-        out.append(int(x))
-    return tuple(out)
+def _echelon_coordinates(rows: Sequence[Vec], target: Vec) -> Vec:
+    """Integer y with sum_i y_i rows[i] = target, for echelon rows.
+
+    Each row's leading entry sits right of the previous row's, so the
+    coordinates follow by forward substitution on the pivot columns; every
+    division is exact because target lies in the lattice the rows generate.
+    """
+    residual = list(target)
+    coords = []
+    for row in rows:
+        col = next(j for j, x in enumerate(row) if x != 0)
+        y = residual[col] // row[col]
+        residual = [r - y * x for r, x in zip(residual, row)]
+        coords.append(y)
+    assert not any(residual), "target lies outside the lattice of the rows"
+    return tuple(coords)
 
 
 class Reduction(NamedTuple):
@@ -413,13 +403,11 @@ def reduce_full_dim(g: FrequencySet) -> Reduction:
         reduced = FrequencySet(dim=0, points=((),))
         return Reduction(n_star, None, reduced)
     _, echelon = hnf(diff.transpose())
+    # distinct points give a nonzero difference, so at least one row survives
     basis_rows = [row for row in echelon.entries if any(x != 0 for x in row)]
-    if not basis_rows:
-        reduced = FrequencySet(dim=0, points=((),))
-        return Reduction(n_star, None, reduced)
     basis = IntMatrix.from_columns(basis_rows)
     coords = tuple(
-        _solve_integer_columns(basis, tuple(a - b for a, b in zip(p, n_star))) for p in g.points
+        _echelon_coordinates(basis_rows, tuple(a - b for a, b in zip(p, n_star))) for p in g.points
     )
     reduced = FrequencySet(dim=basis.cols, points=coords)
     return Reduction(n_star, basis, reduced)

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -136,41 +136,52 @@ class QuadResult(NamedTuple):
     grid_points_per_axis: int
 
 
-def _start_grid(requested: int, d: int) -> int:
-    n = max(8, requested)
+def _refine(
+    freqs: Sequence[Vec], coeffs: Sequence[Real], p: Real, cfg: EvalConfig, paired: bool
+) -> tuple[list[float], float, int]:
+    """Means of |sum|^p on doubling grids until the tracked quantity settles.
+
+    One row (the coefficients) tracks its own mean; a paired run adds the
+    absolute-value row and tracks signed minus majorant.  Doubling stops when
+    two successive values agree within the configured tolerance or the point
+    budget runs out; the last successive difference is returned as the error
+    estimate, never silently dropped.  Returns (means, error, grid).
+    """
+    d = _check_freqs(freqs)
+    _check_real_coeffs(coeffs, len(freqs))
+    pf = float(p)
+    if not 0 < pf < math.inf:
+        raise DomainError("exponent must be positive and finite")
+    if d > QUAD_MAX_DIM:
+        raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
+    row = [float(x) for x in coeffs]
+    rows = [row, [abs(x) for x in row]] if paired else [row]
+
+    def tracked(means: list[float]) -> float:
+        return means[0] - means[1] if paired else means[0]
+
+    n = max(8, cfg.grid_points_per_axis)
     while n**d > QUAD_POINT_BUDGET and n > 8:
         n //= 2
-    return n
+    prev = tracked(_mean_abs_powers(freqs, rows, pf, max(4, n // 2)))
+    means = _mean_abs_powers(freqs, rows, pf, n)
+    err = abs(tracked(means) - prev)
+    for _ in range(QUAD_MAX_DOUBLINGS):
+        if err <= cfg.backend_agreement_tol or (2 * n) ** d > QUAD_POINT_BUDGET:
+            break
+        n *= 2
+        prev = tracked(means)
+        means = _mean_abs_powers(freqs, rows, pf, n)
+        err = abs(tracked(means) - prev)
+    return means, err, n
 
 
 def lp_norm_quadrature(
     freqs: Sequence[Vec], coeffs: Sequence[Real], p: Real, cfg: EvalConfig
 ) -> QuadResult:
-    """p-th power of the L^p norm of sum_j coeffs[j] e(freqs[j] . x).
-
-    Doubles the per-axis grid until two successive values agree within the
-    configured tolerance or the point budget runs out; the last successive
-    difference is reported as the error estimate, never silently dropped.
-    """
-    d = _check_freqs(freqs)
-    _check_real_coeffs(coeffs, len(freqs))
-    pf = float(p)
-    if not pf > 0:
-        raise DomainError("exponent must be positive")
-    if d > QUAD_MAX_DIM:
-        raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
-    row = [float(x) for x in coeffs]
-    n = _start_grid(cfg.grid_points_per_axis, d)
-    prev = _mean_abs_powers(freqs, [row], pf, max(4, n // 2))[0]
-    value = _mean_abs_powers(freqs, [row], pf, n)[0]
-    err = abs(value - prev)
-    for _ in range(QUAD_MAX_DOUBLINGS):
-        if err <= cfg.backend_agreement_tol or (2 * n) ** d > QUAD_POINT_BUDGET:
-            break
-        n *= 2
-        prev, value = value, _mean_abs_powers(freqs, [row], pf, n)[0]
-        err = abs(value - prev)
-    return QuadResult(value, err, n)
+    """p-th power of the L^p norm of sum_j coeffs[j] e(freqs[j] . x)."""
+    means, err, n = _refine(freqs, coeffs, p, cfg, paired=False)
+    return QuadResult(means[0], err, n)
 
 
 class PairedDifference(NamedTuple):
@@ -182,38 +193,11 @@ class PairedDifference(NamedTuple):
 
 
 def paired_difference(
-    freqs: Sequence[Vec],
-    signed: Sequence[Real],
-    p: Real,
-    cfg: EvalConfig,
+    freqs: Sequence[Vec], signed: Sequence[Real], p: Real, cfg: EvalConfig
 ) -> PairedDifference:
     """Signed minus absolute-value norm powers, evaluated on shared grids."""
-    d = _check_freqs(freqs)
-    _check_real_coeffs(signed, len(freqs))
-    pf = float(p)
-    if not pf > 0:
-        raise DomainError("exponent must be positive")
-    if d > QUAD_MAX_DIM:
-        raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
-    srow = [float(x) for x in signed]
-    arow = [abs(x) for x in srow]
-
-    def at(n: int) -> tuple[float, float]:
-        signed_mean, abs_mean = _mean_abs_powers(freqs, [srow, arow], pf, n)
-        return abs_mean, signed_mean
-
-    n = _start_grid(cfg.grid_points_per_axis, d)
-    lhs_p, rhs_p = at(max(4, n // 2))
-    lhs_c, rhs_c = at(n)
-    err = abs((rhs_c - lhs_c) - (rhs_p - lhs_p))
-    for _ in range(QUAD_MAX_DOUBLINGS):
-        if err <= cfg.backend_agreement_tol or (2 * n) ** d > QUAD_POINT_BUDGET:
-            break
-        n *= 2
-        prev_diff = rhs_c - lhs_c
-        lhs_c, rhs_c = at(n)
-        err = abs((rhs_c - lhs_c) - prev_diff)
-    return PairedDifference(lhs_c, rhs_c, rhs_c - lhs_c, err, n)
+    (rhs, lhs), err, n = _refine(freqs, signed, p, cfg, paired=True)
+    return PairedDifference(lhs, rhs, rhs - lhs, err, n)
 
 
 def lp_norm_even_exact(
@@ -310,15 +294,10 @@ def lp_norm_taylor(
         raise ConvergenceError("series requires every |b_i| < 1")
     exact_mode = not isinstance(p, float) and all(not isinstance(x, float) for x in b)
     k_max = cfg.series_total_degree_cutoff
-    gb_exact = [gen_binom(Fraction(p), j) for j in range(k_max + 1)]
-    if exact_mode:
-        gb = gb_exact
-        bvals = [Fraction(x) for x in b]
-        zero = Fraction(0)
-    else:
-        gb = [float(x) for x in gb_exact]
-        bvals = [float(x) for x in b]
-        zero = 0.0
+    num = Fraction if exact_mode else float
+    gb = [num(gen_binom(Fraction(p), j)) for j in range(k_max + 1)]
+    bvals = [num(x) for x in b]
+    zero = num(0)
 
     cv: Optional[CVector] = None
     if m == d + 1:
@@ -440,14 +419,7 @@ def smp_difference(
     ext_freqs = [(0,) * d, *freqs]
     signed = [1.0, *[float(x) for x in a]]
     pd = paired_difference(ext_freqs, signed, p, cfg)
-    return SmpDifference(
-        difference=pd.difference,
-        main_term=main_term(p, cv, a),
-        lhs=pd.lhs,
-        rhs=pd.rhs,
-        error_estimate=pd.error_estimate,
-        grid_points_per_axis=pd.grid_points_per_axis,
-    )
+    return SmpDifference(main_term=main_term(p, cv, a), **pd._asdict())
 
 
 def g_function(r: Real, p: Real, cfg: EvalConfig) -> float:

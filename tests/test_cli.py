@@ -6,12 +6,17 @@ is spawned, so the suite stays fast and failures carry tracebacks.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from majorant.cli import main
+from majorant.constructions import construct_independent
+from majorant.exact_lattice import FrequencySet
 
 LINE_SET = {"dim": 1, "points": [[0], [1], [2]]}
 INDEPENDENT_SET = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}
@@ -19,6 +24,13 @@ MOMENT_GEN_SET = {
     "dim": 2,
     "points": [],
     "generator": {"kind": "moment_curve", "params": {}},
+}
+WEAK_QUERY = {
+    "d": 2,
+    "p": 3,
+    "support": [1, 2],
+    "coefficients": [0.5, -0.4],
+    "majorant": [0.5, 0.4],
 }
 
 
@@ -178,3 +190,177 @@ class TestDiagnostics:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+FORGED_SETTINGS = {
+    "grid_points_per_axis": 16,
+    "series_total_degree_cutoff": 12,
+    "backend_agreement_tol": 1e300,
+    "margin_safety_factor": 1.0000001,
+}
+
+
+def line_certificate(tmp_path, capsys):
+    inp = write_json(tmp_path / "g.json", LINE_SET)
+    code, out, _ = run(capsys, "construct", "--input", inp)
+    assert code == 0
+    return json.loads(out)
+
+
+class TestVerifierSettings:
+    def test_forged_certificate_exits_one(self, tmp_path, capsys):
+        # {(0,0),(1,0),(2,16)} is affinely independent; the stated grid of 16
+        # aliases it onto {0, 1, 2} and the stated tolerance accepts anything.
+        doc = line_certificate(tmp_path, capsys)
+        doc.update(
+            dim=2,
+            frequencies=[[0, 0], [1, 0], [2, 16]],
+            eval_config=FORGED_SETTINGS,
+        )
+        cert_path = write_json(tmp_path / "forged.json", doc)
+        code, out, err = run(capsys, "verify", "--input", cert_path)
+        assert code == 1
+        assert json.loads(out)["verdict"] is False
+        assert "failed" in err
+
+
+class TestRejections:
+    """Malformed requests end with exit 1 and one line on stderr."""
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    def test_non_finite_moment_exponent(self, capsys, p):
+        code, out, err = run(capsys, "moment", "--d", "2", f"--p={p}")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_certificate_missing_keys(self, tmp_path, capsys):
+        doc = line_certificate(tmp_path, capsys)
+        del doc["coefficients"]
+        code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
+        assert (code, out) == (1, "")
+        assert "coefficients" in err and err.count("\n") == 1
+
+    def test_weak_majorant_exponent_not_a_number(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "w.json", {**WEAK_QUERY, "p": "abc"})
+        code, out, err = run(capsys, "weak-majorant", "--input", inp)
+        assert (code, out) == (1, "")
+        assert "'p'" in err
+
+    def test_negative_plot_samples_prints_nothing(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", LINE_SET)
+        plot = tmp_path / "rows.csv"
+        code, out, err = run(
+            capsys, "construct", "--input", inp, "--plot", str(plot), "--plot-samples", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert not plot.exists()
+
+    def test_half_integer_point(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", {"dim": 1, "points": [[0], [1.5], [2]]})
+        code, out, err = run(capsys, "classify", "--input", inp)
+        assert (code, out) == (1, "")
+        assert "1.5" in err
+
+    def test_cutoff_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moment", "--d", "2", "--p", "3", "--cutoff", "4"])
+        assert exc.value.code == 2
+
+
+# Flag values that are all out of range or not numbers, so that no request
+# below can start an expensive evaluation.
+BAD_VALUES = {
+    "--d": ["0", "-1", "x", "1.5", ""],
+    "--p": ["nan", "inf", "-inf", "abc", "0", "-2", "4"],
+    "--grid": ["3", "0", "-8", "x", "2.5"],
+    "--tol": ["0", "-1", "nan", "x"],
+    "--safety": ["1", "0.5", "nan", "x"],
+    "--plot-samples": ["-1", "-7", "x"],
+    "--scan-budget": ["0", "-3", "x"],
+    "--count": ["0", "-1", "x"],
+    "--stream-budget": ["x", "1.5"],
+}
+COMMANDS = ["classify", "construct", "verify", "moment", "weak-majorant", "frobnicate"]
+# Junk JSON values.  Bare floats are all non-finite or negative: a finite
+# positive one could make a valid but slow request instead of a malformed one.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0]),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.text(max_size=2), st.floats(0.1, 0.9)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+# the documents the JSON fuzzing damages, one per subcommand
+FUZZ_BASES = {
+    "classify": {
+        **LINE_SET,
+        "generator": {"kind": "arith_progression", "params": {"start": [3], "step": [0]}},
+    },
+    "construct": {**LINE_SET, "generator": {"kind": "moment_curve", "params": {"t_start": 1}}},
+    "verify": construct_independent(FrequencySet(1, ((0,), (1,), (2,)))).to_json(),
+    "weak-majorant": WEAK_QUERY,
+}
+FIXTURE_EXAMPLES = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def assert_clean_exit(capsys, argv):
+    """main(argv) returns 0, 1 or 2, and a failure ends in one message line."""
+    try:
+        code = main(argv)
+        from_argparse = False
+    except SystemExit as exc:  # argparse's own usage errors
+        code, from_argparse = exc.code, True
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        lines = err.splitlines()
+        if from_argparse:  # usage text, then the one error line
+            assert "error:" in lines[-1]
+        else:
+            assert len(lines) == 1
+            assert any(word in lines[0] for word in ("error", "inconclusive", "failed"))
+
+
+class TestMalformedRequests:
+    @given(data=st.data())
+    @FIXTURE_EXAMPLES
+    def test_argv(self, tmp_path, capsys, data):
+        command = data.draw(st.sampled_from(COMMANDS))
+        argv = [command]
+        if command != "moment":
+            inp = data.draw(st.sampled_from([LINE_SET, INDEPENDENT_SET]))
+            argv += ["--input", write_json(tmp_path / "in.json", inp)]
+        flags = data.draw(st.lists(st.sampled_from(sorted(BAD_VALUES)), unique=True, max_size=3))
+        for flag in flags:
+            argv += [flag, data.draw(st.sampled_from(BAD_VALUES[flag]))]
+        if command == "moment" and "--p" not in flags:
+            argv += ["--p", data.draw(st.sampled_from(BAD_VALUES["--p"]))]
+        if data.draw(st.booleans()):
+            argv += ["--plot", str(tmp_path / "missing-dir" / "rows.csv")]
+        assert_clean_exit(capsys, argv)
+
+    @given(data=st.data())
+    @FIXTURE_EXAMPLES
+    def test_json(self, tmp_path, capsys, data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+        doc = copy.deepcopy(FUZZ_BASES[command])
+        key = data.draw(st.sampled_from(sorted(doc)))
+        action = data.draw(st.sampled_from(["delete", "replace", "replace_entry"]))
+        inner = doc[key]
+        if action == "delete":
+            del doc[key]
+        elif action == "replace_entry" and isinstance(inner, (list, dict)) and inner:
+            slots = sorted(inner) if isinstance(inner, dict) else range(len(inner))
+            inner[data.draw(st.sampled_from(slots))] = data.draw(JUNK)
+        else:
+            doc[key] = data.draw(JUNK)
+        if data.draw(st.booleans()):
+            doc = data.draw(st.sampled_from([[doc], "text", 3, None]))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert_clean_exit(capsys, [command, "--input", str(path)])

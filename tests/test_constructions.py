@@ -259,3 +259,64 @@ class TestJsonContracts:
         schema = json.loads((DOCS / "frequency_set.schema.json").read_text())
         jsonschema.validate(MOMENT_GEN.to_json(), schema)
         jsonschema.validate(FrequencySet(1, ((0,), (1,), (2,))).to_json(), schema)
+
+
+class TestVerifierSettings:
+    """verify_certificate judges with its own settings, not the certificate's."""
+
+    def forged(self, cert):
+        # {(0,0),(1,0),(2,16)} is affinely independent, so the majorant
+        # property holds at every p.  On a 16-point grid the frequency 16
+        # aliases to 0 and the set looks like the dependent {0, 1, 2}; the
+        # forged settings also make any error estimate pass.
+        return replace(
+            cert,
+            dim=2,
+            frequencies=((0, 0), (1, 0), (2, 16)),
+            eval_config=EvalConfig(
+                grid_points_per_axis=16,
+                backend_agreement_tol=1e300,
+                margin_safety_factor=1.0000001,
+            ),
+        )
+
+    def test_forged_settings_would_pass(self, cert):
+        forged = self.forged(cert)
+        assert verify_certificate(forged, forged.eval_config).verdict is True
+
+    def test_forged_certificate_does_not_verify(self, cert):
+        forged = self.forged(cert)
+        res = verify_certificate(forged)
+        assert res.verdict is not True
+        assert res.grid_points_per_axis >= EvalConfig().grid_points_per_axis
+        assert verify_certificate(Certificate.from_json(forged.to_json())).verdict is not True
+
+    def test_plot_uses_default_settings(self, cert):
+        forged = self.forged(cert)
+        for row in emit_plot_data(forged, 3):
+            assert row["difference"] <= 1e-12
+
+
+class TestCertificateJson:
+    @pytest.mark.parametrize("key", ["frequencies", "coefficients", "p_tested", "eval_config"])
+    def test_missing_key_is_a_domain_error(self, cert, key):
+        doc = cert.to_json()
+        del doc[key]
+        with pytest.raises(DomainError, match=key):
+            Certificate.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("frequencies", [["a"]]), ("coefficients", 3), ("cvector", None), ("eval_config", [])],
+    )
+    def test_malformed_value_is_a_domain_error(self, cert, key, value):
+        doc = dict(cert.to_json(), **{key: value})
+        with pytest.raises(DomainError):
+            Certificate.from_json(doc)
+
+
+class TestConstructMomentExponent:
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(DomainError):
+            construct_moment(2, p)

@@ -393,3 +393,37 @@ class TestAbundance:
         assert scan.status is Abundance.YES
         assert scan.dtuple is not None
         assert (0, 1) in scan.dtuple
+
+
+class TestJsonRejectsCoercion:
+    """JSON input is checked, never rounded or parsed into integers."""
+
+    @pytest.mark.parametrize("bad", [1.5, "2", True, None])
+    def test_non_integer_point_entry(self, bad):
+        # {0, 1.5, 2} used to be read as the dependent set {0, 1, 2}
+        with pytest.raises(DomainError, match="exact integer"):
+            FrequencySet.from_json({"dim": 1, "points": [[0], [bad], [2]]})
+
+    @pytest.mark.parametrize("bad", [1.5, "2", True, None, [1]])
+    def test_non_integer_dim(self, bad):
+        with pytest.raises(DomainError):
+            FrequencySet.from_json({"dim": bad, "points": [[0], [1]]})
+
+    @pytest.mark.parametrize("points", ["[[0]]", [0, 1], [[0], "1"], {"0": [0]}])
+    def test_points_must_be_a_list_of_lists(self, points):
+        with pytest.raises(DomainError):
+            FrequencySet.from_json({"dim": 1, "points": points})
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"kind": "moment_curve", "params": {"t_start": 1.5}},
+            {"kind": "moment_curve", "params": {"t_start": "2"}},
+            {"kind": "moment_curve", "params": "t_start"},
+            {"kind": "arith_progression", "params": {"start": [0], "step": 1}},
+            {"kind": "arith_progression", "params": {"start": [0.5], "step": [1]}},
+        ],
+    )
+    def test_malformed_generator(self, generator):
+        with pytest.raises(DomainError):
+            FrequencySet.from_json({"dim": 1, "points": [], "generator": generator})
