@@ -1,24 +1,25 @@
 """Counterexample construction and certification.
 
 Each constructor picks a frequency tuple, derives its certificate vector,
-chooses signed coefficients whose majorant comparison fails on an explicit
-open exponent interval, and then certifies the failure numerically: the
-mean of |signed sum|^p must exceed the mean of |majorant sum|^p by a margin
-safely above the quadrature error estimate.
+chooses signed coefficients of one magnitude whose majorant comparison
+fails on an explicit open exponent interval, and certifies the failure with
+one quadrature evaluation of the margin: mean |signed sum|^p minus mean
+|majorant sum|^p.
 
-Certification uses a shrinking magnitude schedule.  Large magnitudes risk
-the higher-order remainder swamping the leading term; tiny magnitudes push
-the leading term itself (proportional to magnitude^|c|) below floating-
-point resolution.  A log-scale feasibility gate skips magnitudes that
-cannot possibly resolve, which also keeps pathological inputs (certificate
-vectors with entries in the hundreds) from triggering hopeless quadrature.
+Construction and verification judge the margin by one rule: it must exceed
+the safety multiple of the error estimate and lie within a factor 10 of the
+exact leading coupled term, which depends only on the certificate vector,
+the magnitude and p.  Roundoff and aliased grid modes give margins
+unrelated to that term, so they cannot pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from contextlib import suppress
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from math import isfinite, log2
+from math import inf, isfinite, log2
+from sys import float_info
 from typing import Any, NamedTuple, Sequence
 
 from .cvector import (
@@ -28,6 +29,7 @@ from .cvector import (
     build_c,
     build_v,
     is_even_exponent,
+    log2_leading_term,
     p_interval,
     sign_condition,
 )
@@ -36,6 +38,7 @@ from .exact_lattice import (
     Abundance,
     FrequencySet,
     Vec,
+    _as_vec,
     abundance_scan,
     affine_dimension,
     is_affinely_independent,
@@ -44,23 +47,21 @@ from .exact_lattice import (
     reduce_full_dim,
 )
 from .lp_engine import (
+    QUAD_POINT_BUDGET,
     EvalConfig,
     PairedDifference,
     SmpDifference,
-    leading_coefficient,
     paired_difference,
     smp_difference,
 )
 from .moment_curve import gamma_point, smallest_admissible_k
 
-MAGNITUDE_START = 0.25
-MAGNITUDE_FLOOR = 1e-4
-# Margins at or below this are indistinguishable from accumulated roundoff
-# in a paired grid evaluation, independent of the error estimate.
-MARGIN_FLOOR = 2e-14
-# Largest exponent for which |sum|^p stays inside double range for the
-# coefficient scales used here.
-P_TESTED_MAX = 600.0
+MAGNITUDE = 0.25
+# Leading terms below this are indistinguishable from accumulated roundoff
+# in a paired grid evaluation, so construction does not evaluate them.
+LEAD_FLOOR = 5e-15
+# A certifying margin lies within this factor of the exact leading term.
+LEAD_AGREEMENT = 10.0
 
 SCHEMA_VERSION = 1
 
@@ -87,9 +88,8 @@ class Certificate:
     the remaining coefficients are the signed small ones.  `lhs` is the
     majorant (absolute-value) side, `rhs` the signed side, and `margin` is
     rhs - lhs in the p-th power scale (means of |sum|^p, not norms), so a
-    positive margin exhibits the violation.  `verified` is False when no
-    magnitude in the schedule produced a margin above threshold; `note`
-    then says why.
+    positive margin exhibits the violation.  `verified` is False when the
+    margin was not evaluated or does not certify; `note` then says why.
     """
 
     theorem_tag: str
@@ -110,42 +110,40 @@ class Certificate:
     reduction: dict[str, Any] | None = None
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "theorem_tag": self.theorem_tag,
-            "dim": self.dim,
-            "frequencies": [list(f) for f in self.frequencies],
-            "coefficients": list(self.coefficients),
-            "cvector": self.cvector.to_json(),
-            "p_interval": [self.p_interval.lo, self.p_interval.hi],
-            "p_tested": self.p_tested,
-            "verified": self.verified,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "error_estimate": self.error_estimate,
-            "grid_points_per_axis": self.grid_points_per_axis,
-            "eval_config": asdict(self.eval_config),
-            "note": self.note,
-            "reduction": self.reduction,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            frequencies=[list(f) for f in self.frequencies],
+            coefficients=list(self.coefficients),
+            cvector=self.cvector.to_json(),
+            p_interval=list(self.p_interval),
+            eval_config=asdict(self.eval_config),
+        )
+        return {"schema_version": SCHEMA_VERSION, **out}
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Certificate":
+        """Read a certificate, rejecting (never coercing) entries of the wrong type."""
         try:
+            measured = [data[k] for k in ("lhs", "rhs", "margin", "error_estimate")]
+            given = [x for x in measured if x is not None]  # unevaluated margins are null
+            for x in (*data["coefficients"], *data["p_interval"], data["p_tested"], *given):
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise DomainError(f"expected a number, got {x!r}")
+            if not isinstance(data["verified"], bool):
+                raise DomainError(f"verified must be true or false, got {data['verified']!r}")
             return cls(
                 theorem_tag=data["theorem_tag"],
-                dim=data["dim"],
-                frequencies=tuple(tuple(int(x) for x in f) for f in data["frequencies"]),
+                dim=_as_vec([data["dim"]])[0],
+                frequencies=tuple(_as_vec(f) for f in data["frequencies"]),
                 coefficients=tuple(float(x) for x in data["coefficients"]),
                 cvector=CVector.from_json(data["cvector"]),
                 p_interval=OpenInterval(*data["p_interval"]),
                 p_tested=float(data["p_tested"]),
-                verified=bool(data["verified"]),
-                lhs=data["lhs"],
-                rhs=data["rhs"],
-                margin=data["margin"],
-                error_estimate=data["error_estimate"],
+                verified=data["verified"],
+                lhs=measured[0],
+                rhs=measured[1],
+                margin=measured[2],
+                error_estimate=measured[3],
                 grid_points_per_axis=data["grid_points_per_axis"],
                 eval_config=EvalConfig(**data["eval_config"]),
                 note=data.get("note", ""),
@@ -155,16 +153,19 @@ class Certificate:
             raise DomainError(f"malformed certificate: {exc!r}") from exc
 
 
-def _log2_leading(p: Real, cv: CVector) -> float:
-    coef = leading_coefficient(p, cv)
-    if coef == 0:
-        return float("-inf")
-    return log2(abs(coef.numerator)) - log2(coef.denominator)
+def _certifies(res: SmpDifference | PairedDifference, log2_lead: float, cfg: EvalConfig) -> bool:
+    """The one rule by which construction and verification judge a margin.
 
-
-def _threshold(res: SmpDifference | PairedDifference, cfg: EvalConfig) -> float:
-    """Smallest margin that certifies: the safety multiple of the error, floored."""
-    return max(cfg.margin_safety_factor * res.error_estimate, MARGIN_FLOOR)
+    The margin must be finite, exceed the safety multiple of the error
+    estimate, and lie within a factor LEAD_AGREEMENT of the leading term
+    2^log2_lead; a term that is not positive (-inf) admits no margin.
+    """
+    margin = res.difference
+    return (
+        isfinite(margin)
+        and margin > cfg.margin_safety_factor * res.error_estimate
+        and abs(log2(margin) - log2_lead) <= log2(LEAD_AGREEMENT)
+    )
 
 
 def _certify(
@@ -177,32 +178,24 @@ def _certify(
     reduction: dict[str, Any] | None = None,
     note_prefix: str = "",
 ) -> Certificate:
-    """Walk the magnitude schedule until a margin certifies or none can."""
-    coeffs = assign_signs(cv, MAGNITUDE_START)
+    """Evaluate once at MAGNITUDE and judge the margin by `_certifies`.
+
+    No evaluation happens when |sum|^p could overflow while the grid mean
+    is summed (each point is at most (1 + sum |a_i|)^p, on at most
+    QUAD_POINT_BUDGET points), or when the leading term is below LEAD_FLOOR.
+    """
+    coeffs = assign_signs(cv, MAGNITUDE)
+    log2_lead = log2_leading_term(p, cv, coeffs)
     res: SmpDifference | None = None
-    verified = False
-    if float(p) > P_TESTED_MAX:
+    if float(p) * log2(1 + sum(map(abs, coeffs))) + log2(QUAD_POINT_BUDGET) >= float_info.max_exp:
         note = f"exponent {float(p):g} is beyond floating-point evaluation range"
+    elif log2_lead < log2(LEAD_FLOOR):
+        note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
     else:
-        log2_coef = _log2_leading(p, cv)
-        magnitude = MAGNITUDE_START
-        while magnitude >= MAGNITUDE_FLOOR:
-            predicted_log2 = log2_coef + 1.0 + cv.total_order * log2(magnitude)
-            if predicted_log2 < log2(MARGIN_FLOOR) - 2.0:
-                note = "leading term is below numerical resolution at every usable scale"
-                break
-            coeffs = assign_signs(cv, magnitude)
-            res = smp_difference(freqs, coeffs, p, cfg)
-            if res.difference > _threshold(res, cfg):
-                verified, note = True, ""
-                break
-            if 0.0 < res.difference and res.error_estimate <= cfg.backend_agreement_tol:
-                # Converged but unresolvable; shrinking only makes it smaller.
-                note = "positive difference stays below the certification threshold"
-                break
-            magnitude /= 2.0
-        else:
-            note = "magnitude schedule exhausted without certification"
+        res = smp_difference(freqs, coeffs, p, cfg)
+        note = f"margin {res.difference:.3g} does not certify against error "
+        note += f"{res.error_estimate:.3g} and leading term 2^{log2_lead:.1f}"
+    verified = res is not None and _certifies(res, log2_lead, cfg)
     dim = len(freqs[0])
     return Certificate(
         theorem_tag=theorem_tag,
@@ -219,7 +212,7 @@ def _certify(
         error_estimate=None if res is None else res.error_estimate,
         grid_points_per_axis=None if res is None else res.grid_points_per_axis,
         eval_config=cfg,
-        note="; ".join(x for x in (note_prefix, note) if x),
+        note="; ".join(x for x in (note_prefix, "" if verified else note) if x),
         reduction=reduction,
     )
 
@@ -365,24 +358,20 @@ class VerifyResult(NamedTuple):
     rhs: float
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "error_estimate": self.error_estimate,
-            "grid_points_per_axis": self.grid_points_per_axis,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return self._asdict()
 
 
 def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> VerifyResult:
-    """Recompute both sides on a paired grid and judge the margin.
+    """Recompute both sides on a paired grid and judge the margin by `_certifies`.
 
-    Trusts nothing but the stored frequencies, coefficients, and exponent;
-    in particular a tampered certificate whose coefficients are all
-    positive re-verifies False because both rows then agree identically.
-    The grid, tolerance and safety factor are the verifier's `cfg`
-    (defaults when omitted), never the settings recorded in the certificate.
+    Trusts nothing but the stored frequencies, coefficients, and exponent.
+    The leading term is re-derived from them, with c from `frequencies[1:]`
+    and never from the stored `cvector`; it is -inf, so nothing verifies,
+    unless the origin with coefficient 1 comes first and the rest determine
+    c.  A certificate with its signs stripped, or with frequencies that alias
+    on the grid, therefore re-verifies False.  The grid, tolerance and
+    safety factor are the verifier's `cfg` (defaults when omitted), never
+    the settings recorded in the certificate.
     """
     cfg = cfg or EvalConfig()
     res = paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, cfg)
@@ -390,7 +379,12 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     finite = isfinite(res.difference) and isfinite(res.error_estimate)
     verdict: bool | str = "inconclusive"
     if finite and converged:
-        verdict = res.difference > _threshold(res, cfg)
+        log2_lead = -inf
+        if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
+            with suppress(MajorantError):  # the frequencies determine no c
+                cv = build_c(build_v(cert.frequencies[1:]))
+                log2_lead = log2_leading_term(cert.p_tested, cv, cert.coefficients[1:])
+        verdict = _certifies(res, log2_lead, cfg)
     return VerifyResult(
         verdict=verdict,
         margin=res.difference,

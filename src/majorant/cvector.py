@@ -10,11 +10,11 @@ sign flip raise the L^p norm, and by how much at leading order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, inf, lgamma, log, log2
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionError, DomainError, HypothesisError
-from .exact_lattice import IntMatrix, Vec, det_exact
+from .exact_lattice import IntMatrix, Vec, _as_vec, det_exact
 
 Real = Union[int, float, Fraction]
 
@@ -88,14 +88,16 @@ class CVector(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CVector":
+        """Read the stored entries, which must all be exact integers (never coerced)."""
+        d_gcd, m_plus, m_minus = _as_vec([obj["D"], obj["m_plus"], obj["m_minus"]])
         return cls(
-            v=tuple(int(x) for x in obj["v"]),
-            d_gcd=int(obj["D"]),
-            c=tuple(int(x) for x in obj["c"]),
-            c_plus=tuple(int(x) for x in obj["c_plus"]),
-            c_minus=tuple(int(x) for x in obj["c_minus"]),
-            m_plus=int(obj["m_plus"]),
-            m_minus=int(obj["m_minus"]),
+            v=_as_vec(obj["v"]),
+            d_gcd=d_gcd,
+            c=_as_vec(obj["c"]),
+            c_plus=_as_vec(obj["c_plus"]),
+            c_minus=_as_vec(obj["c_minus"]),
+            m_plus=m_plus,
+            m_minus=m_minus,
         )
 
 
@@ -147,18 +149,56 @@ def gen_binom(p: Real, j: int) -> Real:
     return float(value) if isinstance(p, float) else value
 
 
+def _negative_factors(p: Real, j: int) -> int:
+    """How many factors p/2 - l (l < j) of (p/2 choose j) are negative, for non-even p > 0."""
+    return max(0, j - Fraction(p) // 2 - 1)
+
+
 def sign_condition(p: Real, cv: CVector) -> bool:
     """Whether -(p/2 choose |c_minus|)(p/2 choose |c_plus|) > 0.
 
-    This is the exact sign test for the leading coupled term; it is decided
-    in rational arithmetic, so the answer carries no floating-point doubt.
+    This is the exact sign test for the leading coupled term.  It counts the
+    negative factors of both binomials instead of forming them, so it is
+    exact and takes constant time however large the entries of c are.
     Even integer p is rejected: there every sign pattern gives the same norm
     and the product above is never probative.
     """
     if is_even_exponent(p):
         raise DomainError("even integer exponents admit no strict violation")
-    product = gen_binom(Fraction(p), cv.m_minus) * gen_binom(Fraction(p), cv.m_plus)
-    return -product > 0
+    if not p > 0:
+        raise DomainError("exponent must be positive")
+    return (_negative_factors(p, cv.m_minus) + _negative_factors(p, cv.m_plus)) % 2 == 1
+
+
+def log2_leading_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
+    """log2 of the leading coupled term, or -inf unless that term is positive.
+
+    The term is -2 (p/2 choose |c-|)(p/2 choose |c+|) (|c-| choose c-)
+    (|c+| choose c+) (|a^|c|| - a^|c|), the value of `lp_engine.main_term`
+    for the coefficients `a` (the origin's coefficient is 1).  Only its sign
+    and log-size are formed, in O(len c) time whatever the size of the
+    entries: for each part e of c, (p/2 choose |e|)(|e| choose e) has log
+    size lgamma(p/2+1) - lgamma(p/2-|e|+1) - sum lgamma(e_i+1).  The term is
+    positive exactly when p is not even, the sign condition holds and a^|c|
+    is negative (a zero coefficient makes it vanish).  Entries too large for
+    float arithmetic also give -inf: no float margin can be compared with
+    such a term.
+    """
+    if is_even_exponent(p) or not sign_condition(p, cv):
+        return -inf
+    w = [x + y for x, y in zip(cv.c_plus, cv.c_minus)]
+    if sum(e for x, e in zip(a, w) if x < 0) % 2 == 0:
+        return -inf
+    half = float(p) / 2
+    try:
+        log_coef = sum(
+            lgamma(half + 1) - lgamma(half - sum(e) + 1) - sum(lgamma(x + 1) for x in e)
+            for e in (cv.c_minus, cv.c_plus)
+        )
+        # the factor 4 is the -2 above times |a^|c|| - a^|c| = 2 |a^|c||
+        return 2.0 + log_coef / log(2) + sum(e * log2(abs(float(x))) for x, e in zip(a, w) if e)
+    except (OverflowError, ValueError):  # entries beyond float range; log2(0)
+        return -inf
 
 
 class OpenInterval(NamedTuple):

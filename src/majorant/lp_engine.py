@@ -93,13 +93,21 @@ def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def _phase_factor(freq: Vec, t: np.ndarray, d: int) -> np.ndarray:
-    """exp(2 pi i freq.x) on the tensor grid, built axis by axis."""
+    """exp(2 pi i freq.x) on the tensor grid, built axis by axis.
+
+    On n points e(k j/n) depends only on k mod n, so an entry larger than
+    n/2 in size is first reduced to its centered residue: exact integers of
+    any size then give a finite phase, and smaller entries are used unchanged.
+    """
+    n = t.size
     out: Optional[np.ndarray] = None
     for axis, k in enumerate(freq):
+        if abs(k) > n // 2:
+            k = (k + n // 2) % n - n // 2
         if k == 0:
             continue
         shape = [1] * d
-        shape[axis] = t.size
+        shape[axis] = n
         factor = np.exp((2j * np.pi * k) * t).reshape(shape)
         out = factor if out is None else out * factor
     if out is None:
@@ -389,10 +397,11 @@ def leading_coefficient(p: Real, cv: CVector) -> Fraction:
 def main_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
     """Predicted leading value of the signed-minus-majorant difference."""
     w = tuple(x + y for x, y in zip(cv.c_plus, cv.c_minus))
-    a_pow = 1.0
+    a_pow = Fraction(1)
     for x, e in zip(a, w):
-        a_pow *= float(x) ** e
-    return float(leading_coefficient(p, cv)) * (abs(a_pow) - a_pow)
+        a_pow *= Fraction(x) ** e
+    # exact until the end: the coefficient alone can exceed float range
+    return float(leading_coefficient(p, cv) * (abs(a_pow) - a_pow))
 
 
 def smp_difference(

@@ -72,18 +72,21 @@ def c_closed_form(d: int, k: int) -> CVector:
 def smallest_admissible_k(d: int, p: Real) -> tuple[int, CVector]:
     """Smallest k >= 1 with every |c_i(k)| > p/2, plus its certificate vector.
 
-    Exists because the smallest entry grows like k^d; the scan is bounded
-    accordingly.
+    No entry shrinks as k grows and every |c_i(k)| >= k, so k = floor(p/2) + 1
+    always qualifies and a bisection on [1, floor(p/2) + 1] finds the
+    smallest k in O(log p) closed-form evaluations.
     """
     pf = Fraction(p)
     if pf <= 0:
         raise DomainError("exponent must be positive")
-    k = 1
-    while True:
-        cv = c_closed_form(d, k)
-        if all(2 * abs(x) > pf for x in cv.c):
-            return k, cv
-        k += 1
+    lo, hi = 1, pf // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if all(2 * abs(x) > pf for x in c_closed_form(d, mid).c):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, c_closed_form(d, lo)
 
 
 def vandermonde_check(d: int, k: int) -> bool:

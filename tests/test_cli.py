@@ -134,6 +134,14 @@ class TestVerify:
 
 
 class TestMoment:
+    def test_huge_odd_exponent_answers_quickly(self, capsys, time_limit):
+        with time_limit(5):
+            code, out, _ = run(capsys, "moment", "--d", "2", "--p", "1000000000000001")
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["verified"] is False and cert["margin"] is None
+        assert all(2 * abs(x) > 10**15 + 1 for x in cert["cvector"]["c"])
+
     def test_plane_cubic(self, capsys):
         code, out, _ = run(capsys, "moment", "--d", "2", "--p", "3")
         assert code == 0
@@ -261,6 +269,29 @@ class TestRejections:
         code, out, err = run(capsys, "classify", "--input", inp)
         assert (code, out) == (1, "")
         assert "1.5" in err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"frequencies": [[0], [1.9], [2.2]], "verified": "no"},
+            {"verified": "no"},
+            {"coefficients": [1.0, "0.25", -0.25]},
+            {"p_tested": True},
+        ],
+    )
+    def test_certificate_values_are_not_coerced(self, tmp_path, capsys, changes):
+        doc = {**line_certificate(tmp_path, capsys), **changes}
+        code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_frequency_beyond_float_range(self, tmp_path, capsys):
+        doc = line_certificate(tmp_path, capsys)
+        doc["frequencies"][2] = [10**400]
+        code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
+        assert code == 1
+        assert json.loads(out)["verdict"] is False
+        assert err.count("\n") == 1 and "failed" in err
 
     def test_cutoff_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

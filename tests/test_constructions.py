@@ -24,7 +24,7 @@ from majorant.constructions import (
     emit_plot_data,
     verify_certificate,
 )
-from majorant.cvector import OpenInterval, build_c
+from majorant.cvector import OpenInterval, build_c, build_v
 from majorant.errors import DomainError, HypothesisError
 from majorant.exact_lattice import FrequencySet
 from majorant.lp_engine import EvalConfig
@@ -281,8 +281,11 @@ class TestVerifierSettings:
         )
 
     def test_forged_settings_would_pass(self, cert):
+        # The set is affinely independent, so a True verdict would be false
+        # at every p.  Its two nonzero frequencies determine no relation c,
+        # so no leading term exists and not even the forged settings pass it.
         forged = self.forged(cert)
-        assert verify_certificate(forged, forged.eval_config).verdict is True
+        assert verify_certificate(forged, forged.eval_config).verdict is not True
 
     def test_forged_certificate_does_not_verify(self, cert):
         forged = self.forged(cert)
@@ -297,7 +300,138 @@ class TestVerifierSettings:
             assert row["difference"] <= 1e-12
 
 
+def family(params, count):
+    """The first `count` members of construct_abundant on a generated plane set."""
+    kind = "arith_progression" if "step" in params else "moment_curve"
+    params = dict(params)
+    points = params.pop("points", [])
+    g = FrequencySet.from_json(
+        {"dim": 2, "points": points, "generator": {"kind": kind, "params": params}}
+    )
+    return construct_abundant(g, count)
+
+
+class TestLeadingTermRule:
+    """A margin certifies only within a factor 10 of the exact leading term."""
+
+    @pytest.mark.parametrize(
+        "params, count, p, c",
+        [
+            # margin 0.1875 on lhs 1.6e14: a few ulps, the leading term is 5e-14
+            ({"t_start": 1}, 6, 69, (-1, 15, 21)),
+            ({"t_start": 25}, 4, 47, (-1, 10, 15)),
+            # margin 0.0312 on lhs 5.46e13
+            (
+                {"points": [[-2, 2], [0, -1], [3, -1]], "start": [0, 0], "step": [0, 2]},
+                3,
+                67,
+                (-9, 21, 14),
+            ),
+        ],
+    )
+    def test_roundoff_margins_stay_unverified(self, params, count, p, c):
+        member = next(m for m in family(params, count) if m.p_tested == p)
+        assert member.cvector.c == c
+        assert not member.verified
+        assert verify_certificate(member).verdict is not True
+        assert verify_certificate(replace(member, verified=True)).verdict is not True
+
+    @pytest.mark.parametrize(
+        "others, p",
+        [
+            # the sign condition is false, yet the 512-point grid shows 3.1e-8
+            (((-38,), (-46,)), 5),
+            # the 256-point grid shows 2.6e-9; a 65536-point grid shows -1.8e-15
+            (((-22,), (-29,)), 11),
+        ],
+    )
+    def test_aliased_margins_do_not_verify(self, cert, others, p):
+        cv = build_c(build_v(others))
+        aliased = replace(
+            cert,
+            frequencies=((0,), *others),
+            coefficients=(1.0, *assign_signs(cv, 0.25)),
+            cvector=cv,
+            p_tested=float(p),
+        )
+        res = verify_certificate(aliased)
+        assert res.margin > 0
+        assert res.verdict is False
+
+    def test_aliased_independent_set_does_not_verify(self, cert):
+        # {(0,0),(1,0),(2,256)} is affinely independent; 256 aliases to 0 on
+        # both compared grids, so the set looks like {0, 1, 2}
+        forged = replace(cert, dim=2, frequencies=((0, 0), (1, 0), (2, 256)))
+        assert verify_certificate(forged).verdict is False
+
+    def test_huge_relation_entry_is_judged_quickly(self, cert, time_limit):
+        # 2 + 256 k aliases to 2 on the compared grids, but c = (2 + 256 k, -1)
+        # has an entry near 10^12 and a leading term of size 4^-(10^12)
+        forged = replace(cert, frequencies=((0,), (1,), (2 + 256 * 3_906_250_000,)))
+        with time_limit(2):
+            res = verify_certificate(forged)
+        assert res.margin > 0
+        assert res.verdict is False
+
+    def test_stored_cvector_is_not_read(self, cert):
+        # a stored relation that matches nothing is ignored: verify derives c
+        tampered = replace(cert, cvector=build_c((5, -3)))
+        assert verify_certificate(tampered).verdict is True
+
+    def test_leading_term_needs_the_origin_with_coefficient_one(self, cert):
+        rescaled = replace(cert, coefficients=(0.5, *cert.coefficients[1:]))
+        assert verify_certificate(rescaled).verdict is False
+        shifted = replace(cert, frequencies=((1,), (2,), (3,)))
+        assert verify_certificate(shifted).verdict is False
+
+    def test_huge_odd_exponent_is_refused_without_evaluation(self, time_limit):
+        with time_limit(5):
+            cert = construct_moment(2, 10**15 + 1)
+        assert not cert.verified and cert.margin is None
+        assert "floating-point evaluation range" in cert.note
+
+
 class TestCertificateJson:
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [
+            ("frequencies", (1, 0), 1.5),
+            ("frequencies", (1, 0), "1"),
+            ("frequencies", (1, 0), True),
+            ("coefficients", (1,), "0.25"),
+            ("coefficients", (1,), True),
+            ("p_tested", (), "1"),
+            ("p_tested", (), True),
+            ("margin", (), "0.1"),
+            ("lhs", (), False),
+            ("verified", (), "no"),
+            ("verified", (), 1),
+            ("verified", (), None),
+            ("dim", (), "1"),
+            ("p_interval", (0,), None),
+        ],
+    )
+    def test_wrong_types_are_rejected_not_coerced(self, cert, key, index, value):
+        doc = cert.to_json()
+        if index:
+            slot = doc[key]
+            for i in index[:-1]:
+                slot = slot[i]
+            slot[index[-1]] = value
+        else:
+            doc[key] = value
+        with pytest.raises(DomainError, match=repr(value)):
+            Certificate.from_json(doc)
+
+    @pytest.mark.parametrize("key", ["v", "c", "c_plus", "c_minus", "D", "m_plus"])
+    @pytest.mark.parametrize("value", [1.5, "2", True])
+    def test_cvector_entries_must_be_integers(self, cert, key, value):
+        doc = cert.to_json()
+        entry = doc["cvector"][key]
+        doc["cvector"][key] = [value, *entry[1:]] if isinstance(entry, list) else value
+        with pytest.raises(DomainError, match=repr(value)):
+            Certificate.from_json(doc)
+
     @pytest.mark.parametrize("key", ["frequencies", "coefficients", "p_tested", "eval_config"])
     def test_missing_key_is_a_domain_error(self, cert, key):
         doc = cert.to_json()

@@ -7,7 +7,7 @@ lifted determinants; binomial values against hand-reduced fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, inf, log2
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +20,14 @@ from majorant.cvector import (
     build_v,
     gen_binom,
     is_even_exponent,
+    log2_leading_term,
     multinomial,
     p_interval,
     sign_condition,
 )
 from majorant.errors import DimensionError, DomainError, HypothesisError
 from majorant.exact_lattice import det_exact, lifted_matrix, rank_exact
+from majorant.lp_engine import leading_coefficient
 
 
 class TestMultinomial:
@@ -190,6 +192,70 @@ class TestSignCondition:
         # product of binomial signs no longer certifies.
         cv = build_c((2, -1))
         assert not sign_condition(3, cv)
+
+    @given(
+        v=st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(any),
+        p=st.fractions(Fraction(1, 8), 30).filter(lambda q: not is_even_exponent(q)),
+    )
+    @settings(max_examples=200)
+    def test_agrees_with_the_exact_product(self, v, p):
+        cv = build_c(tuple(v))
+        product = gen_binom(p, cv.m_minus) * gen_binom(p, cv.m_plus)
+        assert sign_condition(p, cv) == (-product > 0)
+
+    def test_huge_entries_are_decided_by_counting(self, time_limit):
+        # At p = 3, (3/2 choose j) has j - 2 negative factors for j >= 2, so
+        # the condition holds exactly when |c+| and |c-| differ in parity.
+        with time_limit(2):
+            assert sign_condition(3, build_c((10**12, 1 - 10**12)))
+            assert not sign_condition(3, build_c((10**12 + 1, 1 - 10**12)))
+
+
+def exact_main_term(p, cv, a):
+    """-2 C(p/2,|c-|) C(p/2,|c+|) multinom(c-) multinom(c+) (|a^|c|| - a^|c|), in Fraction."""
+    a_pow = Fraction(1)
+    for x, e in zip(a, (x + y for x, y in zip(cv.c_plus, cv.c_minus))):
+        a_pow *= Fraction(x) ** e
+    return leading_coefficient(p, cv) * (abs(a_pow) - a_pow)
+
+
+class TestLog2LeadingTerm:
+    @given(
+        v=st.lists(st.integers(-40, 40), min_size=2, max_size=5).filter(any),
+        p=st.fractions(Fraction(1, 8), 90).filter(lambda q: not is_even_exponent(q)),
+        flip=st.integers(0, 4),
+        magnitude=st.sampled_from([0.25, 0.125, 0.3]),
+    )
+    @settings(max_examples=300)
+    def test_log2_of_the_exact_term(self, v, p, flip, magnitude):
+        cv = build_c(tuple(v))
+        a = [magnitude] * len(v)
+        a[flip % len(v)] = -magnitude
+        exact = exact_main_term(p, cv, a)
+        got = log2_leading_term(p, cv, a)
+        if exact > 0:
+            want = log2(exact.numerator) - log2(exact.denominator)
+            assert got == pytest.approx(want, abs=1e-9)
+        else:
+            assert got == -inf
+
+    def test_hand_value(self):
+        # c = (2, -1), p = 1: the coefficient is 1/8 and |a^|c|| - a^|c| = 2 * 0.25^3
+        assert log2_leading_term(1, build_c((2, -1)), (0.25, -0.25)) == pytest.approx(-8)
+
+    def test_even_exponent_and_positive_signs_give_minus_inf(self):
+        cv = build_c((2, -1))
+        assert log2_leading_term(2, cv, (0.25, -0.25)) == -inf
+        assert log2_leading_term(4.0, cv, (0.25, -0.25)) == -inf
+        assert log2_leading_term(1, cv, (0.25, 0.25)) == -inf
+        assert log2_leading_term(3, cv, (0.25, -0.25)) == -inf  # sign condition fails
+
+    def test_huge_entries_take_constant_time(self, time_limit):
+        cv = build_c((10**12 + 1, -(10**12)))
+        with time_limit(2):
+            lead = log2_leading_term(1.5, cv, (-0.25, 0.25))
+        # about (2 * 10^12) * log2(1/4) = -4e12, far below any float margin
+        assert -4.1e12 < lead < -3.9e12
 
 
 class TestPInterval:

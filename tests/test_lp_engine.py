@@ -99,6 +99,11 @@ class TestQuadrature:
         with pytest.raises(DimensionError):
             lp_norm_quadrature(((1,), (2,)), (0.5,), 2, TIGHT)
 
+    def test_huge_frequency_reduces_to_its_residue(self):
+        # 10^400 + 1 is 1 mod every power-of-two grid; as a float it overflows
+        huge = lp_norm_quadrature(((0,), (10**400 + 1,)), (1.0, 0.5), 3, EvalConfig())
+        assert huge == lp_norm_quadrature(((0,), (1,)), (1.0, 0.5), 3, EvalConfig())
+
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(DomainError):
             lp_norm_quadrature(((1,), (1,)), (0.5, 0.5), 2, TIGHT)
@@ -230,6 +235,14 @@ class TestSmpDifference:
 
     def test_main_term_zero_for_positive_signs(self):
         assert main_term(1, build_c((2, -1)), (0.1, 0.1)) == 0.0
+
+    def test_main_term_beyond_float_range_coefficient(self):
+        # (1200 choose 600) alone exceeds float range; the product does not
+        freqs = ((1, 0), (0, 1), (600, 600))
+        res = smp_difference(freqs, (0.25, 0.25, -0.25), 3, EvalConfig())
+        cv = build_c((-600, -600, 1))
+        exact = leading_coefficient(3, cv) * 2 * Fraction(1, 4) ** 1201
+        assert res.main_term == float(exact) == 0.0
 
     def test_dependent_tuple_rejected(self):
         with pytest.raises(HypothesisError):

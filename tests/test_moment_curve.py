@@ -7,6 +7,7 @@ derivations); diagonal solution counts run against brute-force search.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -93,6 +94,14 @@ class TestSmallestAdmissibleK:
     def test_invalid_exponent(self):
         with pytest.raises(DomainError):
             smallest_admissible_k(2, 0)
+
+    @pytest.mark.parametrize("d, p", [(2, 10**15 + 1), (3, Fraction(2 * 10**18 + 1, 2))])
+    def test_huge_exponent_is_found_by_bisection(self, time_limit, d, p):
+        with time_limit(2):
+            k, cv = smallest_admissible_k(d, p)
+            assert cv == c_closed_form(d, k)
+            assert all(2 * abs(x) > p for x in cv.c)
+            assert k == 1 or any(2 * abs(x) <= p for x in c_closed_form(d, k - 1).c)
 
 
 class TestVandermonde:
