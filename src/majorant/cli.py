@@ -2,8 +2,8 @@
 
 One subcommand per process; the JSON result goes to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 for hypothesis or domain failures (the
-mathematics rules the request out, or a verification came back false), 2
-when numerics were inconclusive within the configured budgets.
+mathematics rules the request out, or a verification came back false), 2 when
+numerics were inconclusive (`verify`: no certifying margin, error above tol).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .constructions import (
     verify_certificate,
 )
 from .errors import BudgetError, DomainError, MajorantError
-from .exact_lattice import FrequencySet
+from .exact_lattice import FrequencySet, _typed
 from .lp_engine import EvalConfig
 from .moment_curve import weak_majorant_bound, weak_majorant_ratio
 
@@ -113,7 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if result.verdict is False:
         print("verification failed: margin does not certify", file=sys.stderr)
         return 1
-    print("verification inconclusive at the configured grid budget", file=sys.stderr)
+    print("verification inconclusive: no certifying margin, error above --tol", file=sys.stderr)
     return 2
 
 
@@ -134,13 +134,6 @@ _WEAK_FIELDS = {
     "coefficients": ((int, float), True),
     "majorant": ((int, float), True),
 }
-
-
-def _typed(value: Any, kinds: Any, is_list: bool) -> bool:
-    """Whether value has one of `kinds` (a list of such when is_list); bools never do."""
-    if is_list:
-        return isinstance(value, list) and all(_typed(x, kinds, False) for x in value)
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _cmd_weak_majorant(args: argparse.Namespace) -> int:

@@ -2,21 +2,23 @@
 
 Each constructor picks a frequency tuple, derives its certificate vector,
 chooses signed coefficients of one magnitude whose majorant comparison
-fails on an explicit open exponent interval, and certifies the failure with
-one quadrature evaluation of the margin: mean |signed sum|^p minus mean
-|majorant sum|^p.
+fails on an explicit open exponent interval, and certifies the failure by
+calling `verify_certificate` on the candidate certificate: one quadrature
+evaluation of the margin, mean |signed sum|^p minus mean |majorant sum|^p.
 
-Construction and verification judge the margin by one rule: it must exceed
-the safety multiple of the error estimate and lie within a factor 10 of the
-exact leading coupled term, which depends only on the certificate vector,
-the magnitude and p.  Roundoff and aliased grid modes give margins
-unrelated to that term, so they cannot pass.
+`verify_certificate` is the only code that evaluates and judges a margin.
+It certifies when the margin is finite, exceeds the safety multiple of the
+error estimate and lies within a factor 10 of the exact leading coupled
+term, which depends only on the certificate vector, the magnitude and p.
+Roundoff and aliased grid modes give margins unrelated to that term, so
+they cannot pass.  A constructed certificate is `verified` exactly when
+`verify_certificate` with the same settings returns True.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from math import inf, isfinite, log2
 from sys import float_info
@@ -39,6 +41,7 @@ from .exact_lattice import (
     FrequencySet,
     Vec,
     _as_vec,
+    _typed,
     abundance_scan,
     affine_dimension,
     is_affinely_independent,
@@ -46,14 +49,7 @@ from .exact_lattice import (
     rank_exact,
     reduce_full_dim,
 )
-from .lp_engine import (
-    QUAD_POINT_BUDGET,
-    EvalConfig,
-    PairedDifference,
-    SmpDifference,
-    paired_difference,
-    smp_difference,
-)
+from .lp_engine import QUAD_POINT_BUDGET, EvalConfig, paired_difference
 from .moment_curve import gamma_point, smallest_admissible_k
 
 MAGNITUDE = 0.25
@@ -64,6 +60,20 @@ LEAD_FLOOR = 5e-15
 LEAD_AGREEMENT = 10.0
 
 SCHEMA_VERSION = 1
+# JSON types of a certificate's single entries, as docs/certificate.schema.json
+# states them (EvalConfig checks its own); a null margin was never evaluated
+_NUMBER = (int, float)
+_ENTRY_TYPES = {
+    "schema_version": int,
+    "theorem_tag": str,
+    "dim": int,
+    "p_tested": _NUMBER,
+    "verified": bool,
+    **dict.fromkeys(("lhs", "rhs", "margin", "error_estimate"), (*_NUMBER, type(None))),
+    "grid_points_per_axis": (int, type(None)),
+    "note": str,
+    "reduction": (dict, type(None)),
+}
 
 
 def assign_signs(cv: CVector, magnitude: float) -> tuple[float, ...]:
@@ -122,50 +132,57 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Certificate":
-        """Read a certificate, rejecting (never coercing) entries of the wrong type."""
+        """Read a certificate, rejecting (never coercing) what its schema rejects.
+
+        As in docs/certificate.schema.json, unknown keys, an incomplete
+        eval_config, a schema version other than SCHEMA_VERSION, an unknown
+        theorem tag and entries of the wrong JSON type raise DomainError.
+        """
         try:
-            measured = [data[k] for k in ("lhs", "rhs", "margin", "error_estimate")]
-            given = [x for x in measured if x is not None]  # unevaluated margins are null
-            for x in (*data["coefficients"], *data["p_interval"], data["p_tested"], *given):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
+            data = {"note": "", "reduction": None, **data}
+            for key, kinds in _ENTRY_TYPES.items():
+                if not _typed(data[key], kinds):
+                    raise DomainError(f"entry {key!r} has the wrong type: {data[key]!r}")
+            for x in (*data["coefficients"], *data["p_interval"]):
+                if not _typed(x, _NUMBER):
                     raise DomainError(f"expected a number, got {x!r}")
-            if not isinstance(data["verified"], bool):
-                raise DomainError(f"verified must be true or false, got {data['verified']!r}")
+            if set(data) - {"schema_version", *(f.name for f in fields(cls))}:
+                raise DomainError(f"unknown certificate keys in {sorted(data)}")
+            if set(data["eval_config"]) != {f.name for f in fields(EvalConfig)}:
+                raise DomainError(f"bad eval_config keys {sorted(data['eval_config'])}")
+            if data["schema_version"] != SCHEMA_VERSION:
+                raise DomainError(f"unsupported schema version {data['schema_version']}")
+            if data["theorem_tag"] not in ("independent", "abundant", "moment_curve"):
+                raise DomainError(f"unknown theorem tag {data['theorem_tag']!r}")
+            red = data["reduction"]
+            if red is not None and set(red) != {"origin", "basis_columns"}:
+                raise DomainError(f"reduction needs origin and basis_columns, got {sorted(red)}")
+            for vec in [] if red is None else [red["origin"], *red["basis_columns"]]:
+                _as_vec(vec)
+            cv = CVector.from_json(data["cvector"])
+            counts = len(data["frequencies"]), len(data["coefficients"])
+            if data["dim"] < 1 or min(counts) < 3 or cv.m_plus < 2 or not data["p_tested"] > 0:
+                raise DomainError(f"out of range: dim, counts {counts}, m_plus or p_tested")
             return cls(
                 theorem_tag=data["theorem_tag"],
-                dim=_as_vec([data["dim"]])[0],
+                dim=data["dim"],
                 frequencies=tuple(_as_vec(f) for f in data["frequencies"]),
                 coefficients=tuple(float(x) for x in data["coefficients"]),
-                cvector=CVector.from_json(data["cvector"]),
+                cvector=cv,
                 p_interval=OpenInterval(*data["p_interval"]),
                 p_tested=float(data["p_tested"]),
                 verified=data["verified"],
-                lhs=measured[0],
-                rhs=measured[1],
-                margin=measured[2],
-                error_estimate=measured[3],
+                lhs=data["lhs"],
+                rhs=data["rhs"],
+                margin=data["margin"],
+                error_estimate=data["error_estimate"],
                 grid_points_per_axis=data["grid_points_per_axis"],
                 eval_config=EvalConfig(**data["eval_config"]),
-                note=data.get("note", ""),
-                reduction=data.get("reduction"),
+                note=data["note"],
+                reduction=red,
             )
         except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate: {exc!r}") from exc
-
-
-def _certifies(res: SmpDifference | PairedDifference, log2_lead: float, cfg: EvalConfig) -> bool:
-    """The one rule by which construction and verification judge a margin.
-
-    The margin must be finite, exceed the safety multiple of the error
-    estimate, and lie within a factor LEAD_AGREEMENT of the leading term
-    2^log2_lead; a term that is not positive (-inf) admits no margin.
-    """
-    margin = res.difference
-    return (
-        isfinite(margin)
-        and margin > cfg.margin_safety_factor * res.error_estimate
-        and abs(log2(margin) - log2_lead) <= log2(LEAD_AGREEMENT)
-    )
 
 
 def _certify(
@@ -178,26 +195,18 @@ def _certify(
     reduction: dict[str, Any] | None = None,
     note_prefix: str = "",
 ) -> Certificate:
-    """Evaluate once at MAGNITUDE and judge the margin by `_certifies`.
+    """Certificate at MAGNITUDE, verified exactly when `verify_certificate` says True.
 
     No evaluation happens when |sum|^p could overflow while the grid mean
     is summed (each point is at most (1 + sum |a_i|)^p, on at most
     QUAD_POINT_BUDGET points), or when the leading term is below LEAD_FLOOR.
+    Otherwise the candidate is verified with `cfg`, the settings it records,
+    and takes its measured fields from the result.
     """
     coeffs = assign_signs(cv, MAGNITUDE)
     log2_lead = log2_leading_term(p, cv, coeffs)
-    res: SmpDifference | None = None
-    if float(p) * log2(1 + sum(map(abs, coeffs))) + log2(QUAD_POINT_BUDGET) >= float_info.max_exp:
-        note = f"exponent {float(p):g} is beyond floating-point evaluation range"
-    elif log2_lead < log2(LEAD_FLOOR):
-        note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
-    else:
-        res = smp_difference(freqs, coeffs, p, cfg)
-        note = f"margin {res.difference:.3g} does not certify against error "
-        note += f"{res.error_estimate:.3g} and leading term 2^{log2_lead:.1f}"
-    verified = res is not None and _certifies(res, log2_lead, cfg)
     dim = len(freqs[0])
-    return Certificate(
+    cert = Certificate(
         theorem_tag=theorem_tag,
         dim=dim,
         frequencies=((0,) * dim, *freqs),
@@ -205,16 +214,27 @@ def _certify(
         cvector=cv,
         p_interval=interval,
         p_tested=float(p),
-        verified=verified,
-        lhs=None if res is None else res.lhs,
-        rhs=None if res is None else res.rhs,
-        margin=None if res is None else res.difference,
-        error_estimate=None if res is None else res.error_estimate,
-        grid_points_per_axis=None if res is None else res.grid_points_per_axis,
+        verified=False,
+        lhs=None,
+        rhs=None,
+        margin=None,
+        error_estimate=None,
+        grid_points_per_axis=None,
         eval_config=cfg,
-        note="; ".join(x for x in (note_prefix, "" if verified else note) if x),
         reduction=reduction,
     )
+    if float(p) * log2(1 + sum(map(abs, coeffs))) + log2(QUAD_POINT_BUDGET) >= float_info.max_exp:
+        note = f"exponent {float(p):g} is beyond floating-point evaluation range"
+    elif log2_lead < log2(LEAD_FLOOR):
+        note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
+    else:
+        res = verify_certificate(cert, cfg)
+        measured = {k: v for k, v in res._asdict().items() if k != "verdict"}  # Certificate names
+        cert = replace(cert, verified=res.verdict is True, **measured)
+        note = f"margin {res.margin:.3g} does not certify against error "
+        note += f"{res.error_estimate:.3g} and leading term 2^{log2_lead:.1f}"
+    note = "" if cert.verified else note
+    return replace(cert, note="; ".join(x for x in (note_prefix, note) if x))
 
 
 def _greedy_affine_basis(points: Sequence[Vec], d: int) -> list[Vec] | None:
@@ -345,9 +365,11 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
 class VerifyResult(NamedTuple):
     """Outcome of re-deriving a certificate's margin from scratch.
 
-    verdict is True (margin certifies), False (evaluation converged but the
-    margin does not certify), or the string "inconclusive" (evaluation did
-    not converge at the configured grid budget).
+    verdict is True when the margin certifies (finite, above the safety
+    multiple of the error estimate, within a factor LEAD_AGREEMENT of the
+    leading term), else False when the margin is finite and the error
+    estimate is within the tolerance, else the string "inconclusive": the
+    margin did not certify and the error stayed above the tolerance.
     """
 
     verdict: bool | str
@@ -362,37 +384,36 @@ class VerifyResult(NamedTuple):
 
 
 def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> VerifyResult:
-    """Recompute both sides on a paired grid and judge the margin by `_certifies`.
+    """Recompute both sides on a paired grid and judge the margin; see VerifyResult.
+
+    This is the one evaluation and the one rule behind every certificate:
+    construction calls it too, so a constructed certificate's `verified`
+    is True exactly when this returns True with the same settings.
 
     Trusts nothing but the stored frequencies, coefficients, and exponent.
     The leading term is re-derived from them, with c from `frequencies[1:]`
     and never from the stored `cvector`; it is -inf, so nothing verifies,
     unless the origin with coefficient 1 comes first and the rest determine
     c.  A certificate with its signs stripped, or with frequencies that alias
-    on the grid, therefore re-verifies False.  The grid, tolerance and
+    on the grid, therefore does not verify.  The grid, tolerance and
     safety factor are the verifier's `cfg` (defaults when omitted), never
     the settings recorded in the certificate.
     """
     cfg = cfg or EvalConfig()
     res = paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, cfg)
-    converged = res.error_estimate <= cfg.backend_agreement_tol
-    finite = isfinite(res.difference) and isfinite(res.error_estimate)
+    log2_lead = -inf
+    if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
+        with suppress(MajorantError):  # the frequencies determine no c
+            cv = build_c(build_v(cert.frequencies[1:]))
+            log2_lead = log2_leading_term(cert.p_tested, cv, cert.coefficients[1:])
+    margin, err = res.difference, res.error_estimate
     verdict: bool | str = "inconclusive"
-    if finite and converged:
-        log2_lead = -inf
-        if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
-            with suppress(MajorantError):  # the frequencies determine no c
-                cv = build_c(build_v(cert.frequencies[1:]))
-                log2_lead = log2_leading_term(cert.p_tested, cv, cert.coefficients[1:])
-        verdict = _certifies(res, log2_lead, cfg)
-    return VerifyResult(
-        verdict=verdict,
-        margin=res.difference,
-        error_estimate=res.error_estimate,
-        grid_points_per_axis=res.grid_points_per_axis,
-        lhs=res.lhs,
-        rhs=res.rhs,
-    )
+    above_error = isfinite(margin) and margin > cfg.margin_safety_factor * err
+    if above_error and abs(log2(margin) - log2_lead) <= log2(LEAD_AGREEMENT):
+        verdict = True
+    elif isfinite(margin) and err <= cfg.backend_agreement_tol:
+        verdict = False
+    return VerifyResult(verdict, margin, err, res.grid_points_per_axis, res.lhs, res.rhs)
 
 
 def emit_plot_data(

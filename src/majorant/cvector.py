@@ -88,17 +88,14 @@ class CVector(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CVector":
-        """Read the stored entries, which must all be exact integers (never coerced)."""
-        d_gcd, m_plus, m_minus = _as_vec([obj["D"], obj["m_plus"], obj["m_minus"]])
-        return cls(
-            v=_as_vec(obj["v"]),
-            d_gcd=d_gcd,
-            c=_as_vec(obj["c"]),
-            c_plus=_as_vec(obj["c_plus"]),
-            c_minus=_as_vec(obj["c_minus"]),
-            m_plus=m_plus,
-            m_minus=m_minus,
-        )
+        """Read stored entries: exact integers (never coerced), exactly as build_c derives them."""
+        v = _as_vec(obj["v"])
+        _as_vec([obj["D"], obj["m_plus"], obj["m_minus"], *obj["c"], *obj["c_plus"]])
+        _as_vec(obj["c_minus"])
+        cv = build_c(v) if any(v) else None
+        if cv is None or cv.to_json() != obj:
+            raise DomainError(f"cvector {obj} is not the one build_c derives from its v")
+        return cv
 
 
 def build_c(v: Sequence[int]) -> CVector:
@@ -174,11 +171,11 @@ def log2_leading_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
     """log2 of the leading coupled term, or -inf unless that term is positive.
 
     The term is -2 (p/2 choose |c-|)(p/2 choose |c+|) (|c-| choose c-)
-    (|c+| choose c+) (|a^|c|| - a^|c|), the value of `lp_engine.main_term`
-    for the coefficients `a` (the origin's coefficient is 1).  Only its sign
-    and log-size are formed, in O(len c) time whatever the size of the
-    entries: for each part e of c, (p/2 choose |e|)(|e| choose e) has log
-    size lgamma(p/2+1) - lgamma(p/2-|e|+1) - sum lgamma(e_i+1).  The term is
+    (|c+| choose c+) (|a^|c|| - a^|c|) for the coefficients `a` (the
+    origin's coefficient is 1).  Only its sign and log-size are formed, in
+    O(len c) time whatever the size of the entries: for each part e of c,
+    (p/2 choose |e|)(|e| choose e) has log size lgamma(p/2+1) -
+    lgamma(p/2-|e|+1) - sum lgamma(e_i+1).  The term is
     positive exactly when p is not even, the sign condition holds and a^|c|
     is negative (a zero coefficient makes it vanish).  Entries too large for
     float arithmetic also give -inf: no float margin can be compared with

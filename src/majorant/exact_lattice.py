@@ -12,11 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, DomainError
 
 Vec = tuple[int, ...]
+
+
+def _typed(value: Any, kinds: Any, is_list: bool = False) -> bool:
+    """Whether value has one of `kinds` (a list of such when is_list).
+
+    A bool has a kind only when `kinds` is bool: it never counts as a number.
+    """
+    if is_list:
+        return isinstance(value, list) and all(_typed(x, kinds) for x in value)
+    return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
 
 
 def _as_vec(values: Sequence[int]) -> Vec:
@@ -480,8 +490,3 @@ def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
                 return AbundanceScan(Abundance.YES, tuple(independent), tp)
     witness = tuple(independent) if len(independent) == d + 1 else None
     return AbundanceScan(Abundance.INCONCLUSIVE, witness, None)
-
-
-def is_affinely_abundant(g: FrequencySet, scan_budget: int = 64) -> Abundance:
-    """Whether g is infinite with affine dimension d, decided within budget."""
-    return abundance_scan(g, scan_budget).status

@@ -29,9 +29,8 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
-    HypothesisError,
 )
-from .exact_lattice import Vec
+from .exact_lattice import Vec, _typed
 
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
@@ -49,14 +48,16 @@ class EvalConfig:
     margin_safety_factor: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.grid_points_per_axis < 4:
-            raise DomainError("grid must have at least 4 points per axis")
-        if self.series_total_degree_cutoff < 0:
-            raise DomainError("series cutoff must be nonnegative")
-        if not self.backend_agreement_tol > 0:
-            raise DomainError("tolerance must be positive")
-        if not self.margin_safety_factor > 1:
-            raise DomainError("safety factor must exceed 1")
+        """Reject values of the wrong type (a bool is no number) or range."""
+        if not _typed(self.grid_points_per_axis, int) or self.grid_points_per_axis < 4:
+            raise DomainError(f"grid must be an integer >= 4, got {self.grid_points_per_axis!r}")
+        if not _typed(self.series_total_degree_cutoff, int) or self.series_total_degree_cutoff < 0:
+            raise DomainError("series cutoff must be a nonnegative integer")
+        tol, safety = self.backend_agreement_tol, self.margin_safety_factor
+        if not (_typed(tol, (int, float)) and tol > 0):
+            raise DomainError("tolerance must be a positive number")
+        if not (_typed(safety, (int, float)) and safety > 1):
+            raise DomainError("safety factor must be a number above 1")
 
 
 def _check_freqs(freqs: Sequence[Vec]) -> int:
@@ -370,65 +371,6 @@ def lp_norm_taylor(
         return TaylorResult(value, True, 0.0)
     tail = 10.0 * max(degree_mag.get(k_max, 0.0), degree_mag.get(k_max - 1, 0.0))
     return TaylorResult(value, tail <= cfg.backend_agreement_tol, tail)
-
-
-class SmpDifference(NamedTuple):
-    difference: float  # signed norm power minus majorant norm power
-    main_term: float  # predicted leading contribution
-    lhs: float  # majorant side
-    rhs: float  # signed side
-    error_estimate: float
-    grid_points_per_axis: int
-
-
-def leading_coefficient(p: Real, cv: CVector) -> Fraction:
-    """Exact factor -2 (p/2 choose |c-|)(p/2 choose |c+|) (|c-| choose c-)(|c+| choose c+)."""
-    s_minus = sum(cv.c_minus)
-    s_plus = sum(cv.c_plus)
-    return (
-        -2
-        * gen_binom(Fraction(p), s_minus)
-        * gen_binom(Fraction(p), s_plus)
-        * multinomial(cv.c_minus)
-        * multinomial(cv.c_plus)
-    )
-
-
-def main_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
-    """Predicted leading value of the signed-minus-majorant difference."""
-    w = tuple(x + y for x, y in zip(cv.c_plus, cv.c_minus))
-    a_pow = Fraction(1)
-    for x, e in zip(a, w):
-        a_pow *= Fraction(x) ** e
-    # exact until the end: the coefficient alone can exceed float range
-    return float(leading_coefficient(p, cv) * (abs(a_pow) - a_pow))
-
-
-def smp_difference(
-    freqs: Sequence[Vec], a: Sequence[Real], p: Real, cfg: EvalConfig
-) -> SmpDifference:
-    """Signed-versus-majorant norm power difference for 1 + sum a_i e(n_i . x).
-
-    freqs must be d+1 affinely independent vectors (nonzero lifted
-    determinant); the difference is quadrature, the main term is the closed
-    leading expression from the certificate vector.  A main term of zero
-    (e.g. all coefficients already nonnegative) signals a non-probative
-    coefficient choice; the difference is still returned.
-    """
-    d = _check_freqs(freqs)
-    if len(freqs) != d + 1:
-        raise DimensionError(f"need d+1 = {d + 1} frequency vectors")
-    _check_real_coeffs(a, len(freqs))
-    if max(abs(float(x)) for x in a) >= 1.0:
-        raise DomainError("coefficients must have absolute value below 1")
-    v = build_v(freqs)
-    if sum(v) == 0:
-        raise HypothesisError("frequency tuple is affinely dependent")
-    cv = build_c(v)
-    ext_freqs = [(0,) * d, *freqs]
-    signed = [1.0, *[float(x) for x in a]]
-    pd = paired_difference(ext_freqs, signed, p, cfg)
-    return SmpDifference(main_term=main_term(p, cv, a), **pd._asdict())
 
 
 def g_function(r: Real, p: Real, cfg: EvalConfig) -> float:

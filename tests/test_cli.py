@@ -20,6 +20,8 @@ from majorant.exact_lattice import FrequencySet
 
 LINE_SET = {"dim": 1, "points": [[0], [1], [2]]}
 INDEPENDENT_SET = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}
+# c = (2, 0, 0, -1): its margin certifies while the error estimate stays above --tol
+SPACE_SET = {"dim": 3, "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]]}
 MOMENT_GEN_SET = {
     "dim": 2,
     "points": [],
@@ -104,10 +106,12 @@ class TestConstruct:
 
 
 class TestVerify:
-    def test_pipeline_round_trip(self, tmp_path, capsys):
-        inp = write_json(tmp_path / "g.json", LINE_SET)
+    @pytest.mark.parametrize("points", [LINE_SET, SPACE_SET], ids=["line", "space"])
+    def test_pipeline_round_trip(self, tmp_path, capsys, points):
+        inp = write_json(tmp_path / "g.json", points)
         code, out, _ = run(capsys, "construct", "--input", inp)
         assert code == 0
+        assert json.loads(out)["verified"] is True
         cert_path = write_json(tmp_path / "cert.json", json.loads(out))
         code, out, _ = run(capsys, "verify", "--input", cert_path)
         assert code == 0
@@ -277,6 +281,10 @@ class TestRejections:
             {"verified": "no"},
             {"coefficients": [1.0, "0.25", -0.25]},
             {"p_tested": True},
+            {"grid_points_per_axis": "abc"},
+            {"schema_version": 99},
+            {"reduction": "none"},
+            {"eval_config": {**FORGED_SETTINGS, "grid_points_per_axis": 256.5}},
         ],
     )
     def test_certificate_values_are_not_coerced(self, tmp_path, capsys, changes):

@@ -8,7 +8,7 @@ pinned here; everything else checks structure and invariants.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -38,6 +38,10 @@ MOMENT_GEN = FrequencySet.from_json(
         "generator": {"kind": "moment_curve", "params": {}},
     }
 )
+
+# c = (2, 0, 0, -1) at p = 1: margin 4.7e-3, error estimate 3.7e-8 on the
+# 128-point grid the point budget allows, above the default tolerance 1e-9
+SPACE_SET = FrequencySet(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)))
 
 COLLINEAR_GEN = FrequencySet.from_json(
     {
@@ -190,6 +194,33 @@ class TestVerifyCertificate:
     def test_json_survives_verification(self, cert):
         res = verify_certificate(Certificate.from_json(cert.to_json()))
         assert res.verdict is True
+
+
+class TestOneRule:
+    """Construction's `verified` is verify_certificate's verdict with the same settings."""
+
+    def test_certifying_margin_above_the_tolerance_verifies(self):
+        cert = construct_independent(SPACE_SET)
+        assert cert.verified
+        assert cert.error_estimate > cert.eval_config.backend_agreement_tol
+        assert verify_certificate(cert).verdict is True
+
+    @pytest.mark.parametrize(
+        "cfg", [EvalConfig(), EvalConfig(grid_points_per_axis=64)], ids=["default", "grid64"]
+    )
+    def test_construction_agrees_with_verify(self, cfg):
+        certs = [
+            construct_independent(FrequencySet(1, ((0,), (1,), (2,))), cfg),
+            construct_independent(FrequencySet(2, ((0, 0), (1, 0), (0, 1), (1, 1))), cfg),
+            construct_independent(SPACE_SET, cfg),
+            construct_moment(2, 3, cfg),
+            *construct_abundant(MOMENT_GEN, 2, cfg),
+        ]
+        for cert in certs:
+            assert cert.margin is not None
+            res = verify_certificate(cert, cfg)
+            assert cert.verified is (res.verdict is True)
+            assert (cert.lhs, cert.rhs, cert.margin) == (res.lhs, res.rhs, res.margin)
 
 
 class TestEmitPlotData:
@@ -445,6 +476,42 @@ class TestCertificateJson:
     )
     def test_malformed_value_is_a_domain_error(self, cert, key, value):
         doc = dict(cert.to_json(), **{key: value})
+        with pytest.raises(DomainError):
+            Certificate.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid_points_per_axis": "abc"},
+            {"grid_points_per_axis": 1.5},
+            {"grid_points_per_axis": True},
+            {"theorem_tag": 3},
+            {"theorem_tag": "guessed"},
+            {"note": ["a"]},
+            {"reduction": "none"},
+            {"reduction": {"origin": [0]}},
+            {"reduction": {"origin": [0.5], "basis_columns": []}},
+            {"schema_version": 99},
+            {"schema_version": True},
+            {"unknown": 1},
+            {"eval_config": {"grid_points_per_axis": 256}},
+            {"eval_config": {**asdict(EvalConfig()), "grid_points_per_axis": 256.5}},
+            {"eval_config": {**asdict(EvalConfig()), "margin_safety_factor": True}},
+            {"eval_config": {**asdict(EvalConfig()), "extra": 1}},
+            {"dim": 0},
+            {"p_tested": -1.0},
+            {"frequencies": [[0], [1]], "coefficients": [1.0, 0.25]},
+            {"cvector": {**build_c((2, -1)).to_json(), "extra": 1}},
+            {"cvector": {**build_c((2, -1)).to_json(), "D": 0}},
+            {"cvector": {**build_c((2, -1)).to_json(), "c_plus": [-2, 0]}},
+            {"cvector": build_c((1, -1)).to_json()},
+        ],
+    )
+    def test_rejected_as_the_schema_rejects(self, cert, change):
+        schema = json.loads((DOCS / "certificate.schema.json").read_text())
+        doc = {**cert.to_json(), **change}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
         with pytest.raises(DomainError):
             Certificate.from_json(doc)
 

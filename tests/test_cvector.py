@@ -27,7 +27,6 @@ from majorant.cvector import (
 )
 from majorant.errors import DimensionError, DomainError, HypothesisError
 from majorant.exact_lattice import det_exact, lifted_matrix, rank_exact
-from majorant.lp_engine import leading_coefficient
 
 
 class TestMultinomial:
@@ -216,7 +215,19 @@ def exact_main_term(p, cv, a):
     a_pow = Fraction(1)
     for x, e in zip(a, (x + y for x, y in zip(cv.c_plus, cv.c_minus))):
         a_pow *= Fraction(x) ** e
-    return leading_coefficient(p, cv) * (abs(a_pow) - a_pow)
+    q = Fraction(p)
+    coef = -2 * gen_binom(q, sum(cv.c_minus)) * gen_binom(q, sum(cv.c_plus))
+    return coef * multinomial(cv.c_minus) * multinomial(cv.c_plus) * (abs(a_pow) - a_pow)
+
+
+def assert_log2_of_exact(p, cv, a):
+    exact = exact_main_term(p, cv, a)
+    got = log2_leading_term(p, cv, a)
+    if exact > 0:
+        want = log2(exact.numerator) - log2(exact.denominator)
+        assert got == pytest.approx(want, abs=1e-9)
+    else:
+        assert got == -inf
 
 
 class TestLog2LeadingTerm:
@@ -231,13 +242,21 @@ class TestLog2LeadingTerm:
         cv = build_c(tuple(v))
         a = [magnitude] * len(v)
         a[flip % len(v)] = -magnitude
-        exact = exact_main_term(p, cv, a)
-        got = log2_leading_term(p, cv, a)
-        if exact > 0:
-            want = log2(exact.numerator) - log2(exact.denominator)
-            assert got == pytest.approx(want, abs=1e-9)
-        else:
-            assert got == -inf
+        assert_log2_of_exact(p, cv, a)
+
+    @pytest.mark.parametrize(
+        "p, freqs, a",
+        [
+            # all signs positive: the term is 0
+            (1, ((1,), (2,)), (0.1, 0.1)),
+            # (1200 choose 600) alone exceeds float range: the term is positive
+            # at p = 1 and negative at p = 3
+            (1, ((1, 0), (0, 1), (600, 600)), (0.25, 0.25, -0.25)),
+            (3, ((1, 0), (0, 1), (600, 600)), (0.25, 0.25, -0.25)),
+        ],
+    )
+    def test_explicit_inputs(self, p, freqs, a):
+        assert_log2_of_exact(p, build_c(build_v(freqs)), a)
 
     def test_hand_value(self):
         # c = (2, -1), p = 1: the coefficient is 1/8 and |a^|c|| - a^|c| = 2 * 0.25^3

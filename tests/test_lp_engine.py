@@ -14,26 +14,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorant.cvector import build_c
+from majorant.cvector import build_c, build_v, log2_leading_term
 from majorant.errors import (
     BudgetError,
     ConvergenceError,
     DimensionError,
     DomainError,
-    HypothesisError,
 )
 from majorant.lp_engine import (
     ENUM_BUDGET,
     EvalConfig,
     g_function,
     i_indicator,
-    leading_coefficient,
     lp_norm_even_exact,
     lp_norm_quadrature,
     lp_norm_taylor,
-    main_term,
     paired_difference,
-    smp_difference,
 )
 
 TIGHT = EvalConfig(backend_agreement_tol=1e-12)
@@ -52,6 +48,11 @@ class TestEvalConfig:
             {"series_total_degree_cutoff": -1},
             {"backend_agreement_tol": 0.0},
             {"margin_safety_factor": 1.0},
+            {"grid_points_per_axis": 256.5},
+            {"grid_points_per_axis": True},
+            {"series_total_degree_cutoff": 1.5},
+            {"backend_agreement_tol": "1e-9"},
+            {"margin_safety_factor": True},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -224,40 +225,28 @@ class TestPairedDifference:
         assert res.difference == res.rhs - res.lhs > 0
 
 
-class TestSmpDifference:
-    def test_classical_margin_near_main_term(self):
-        res = smp_difference(((1,), (2,)), (0.1, -0.1), 1, EvalConfig(grid_points_per_axis=4096))
-        assert res.main_term == pytest.approx(2.5e-4, rel=1e-12)
-        assert res.difference == pytest.approx(res.main_term, rel=0.01)
+class TestPairedDifferenceLeadingTerm:
+    """Paired margins of 1 + a_1 e(x) + a_2 e(2x) against the exact leading term."""
 
-    def test_leading_coefficient_exact(self):
-        assert leading_coefficient(Fraction(1), build_c((2, -1))) == Fraction(1, 8)
+    FREQS = ((0,), (1,), (2,))
+    CV = build_c(build_v(((1,), (2,))))
 
-    def test_main_term_zero_for_positive_signs(self):
-        assert main_term(1, build_c((2, -1)), (0.1, 0.1)) == 0.0
-
-    def test_main_term_beyond_float_range_coefficient(self):
-        # (1200 choose 600) alone exceeds float range; the product does not
-        freqs = ((1, 0), (0, 1), (600, 600))
-        res = smp_difference(freqs, (0.25, 0.25, -0.25), 3, EvalConfig())
-        cv = build_c((-600, -600, 1))
-        exact = leading_coefficient(3, cv) * 2 * Fraction(1, 4) ** 1201
-        assert res.main_term == float(exact) == 0.0
-
-    def test_dependent_tuple_rejected(self):
-        with pytest.raises(HypothesisError):
-            smp_difference(((1, 0), (2, 0), (3, 0)), (0.1, 0.1, -0.1), 1, EvalConfig())
-
-    def test_large_coefficient_rejected(self):
-        with pytest.raises(DomainError):
-            smp_difference(((1,), (2,)), (1.0, -0.5), 1, EvalConfig())
+    def test_classical_margin_near_leading_term(self):
+        cfg = EvalConfig(grid_points_per_axis=4096)
+        res = paired_difference(self.FREQS, (1, 0.1, -0.1), 1, cfg)
+        term = 2 ** log2_leading_term(1, self.CV, (0.1, -0.1))
+        assert term == pytest.approx(2.5e-4, rel=1e-12)
+        assert res.difference == pytest.approx(term, rel=0.01)
 
     def test_even_exponent_difference_is_nonpositive(self):
         # At p = 2 both sides agree exactly; at p = 4 the signed side loses.
-        res2 = smp_difference(((1,), (2,)), (0.2, -0.2), 2, TIGHT)
+        # Neither has a positive leading term.
+        res2 = paired_difference(self.FREQS, (1, 0.2, -0.2), 2, TIGHT)
         assert abs(res2.difference) < 1e-13
-        res4 = smp_difference(((1,), (2,)), (0.2, -0.2), 4, TIGHT)
+        res4 = paired_difference(self.FREQS, (1, 0.2, -0.2), 4, TIGHT)
         assert res4.difference < 0
+        for p in (2, 4):
+            assert 2 ** log2_leading_term(p, self.CV, (0.2, -0.2)) == 0.0
 
 
 class TestGFunction:
