@@ -1,10 +1,10 @@
 """Counterexample construction and certification.
 
-Each constructor picks a frequency tuple, derives its certificate vector,
-chooses signed coefficients of one magnitude whose majorant comparison
-fails on an explicit open exponent interval, and certifies the failure by
-calling `verify_certificate` on the candidate certificate: one quadrature
-evaluation of the margin, mean |signed sum|^p minus mean |majorant sum|^p.
+Each constructor picks a frequency tuple, whose primitive relation c fixes
+the certificate vector and the open exponent interval (a `Certificate`
+derives both from its frequencies), chooses signed coefficients of one
+magnitude whose majorant comparison fails on that interval, and certifies
+the failure by one quadrature evaluation in `verify_certificate`.
 
 `verify_certificate` is the only code that evaluates and judges a margin.
 It certifies when the margin is finite, exceeds the safety multiple of the
@@ -17,9 +17,11 @@ they cannot pass.  A constructed certificate is `verified` exactly when
 
 from __future__ import annotations
 
+import json
 from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from math import inf, isfinite, log2
 from sys import float_info
 from typing import Any, NamedTuple, Sequence
@@ -49,7 +51,7 @@ from .exact_lattice import (
     rank_exact,
     reduce_full_dim,
 )
-from .lp_engine import QUAD_POINT_BUDGET, EvalConfig, paired_difference
+from .lp_engine import QUAD_POINT_BUDGET, EvalConfig, _check_freqs, paired_difference
 from .moment_curve import gamma_point, smallest_admissible_k
 
 MAGNITUDE = 0.25
@@ -66,7 +68,6 @@ _NUMBER = (int, float)
 _ENTRY_TYPES = {
     "schema_version": int,
     "theorem_tag": str,
-    "dim": int,
     "p_tested": _NUMBER,
     "verified": bool,
     **dict.fromkeys(("lhs", "rhs", "margin", "error_estimate"), (*_NUMBER, type(None))),
@@ -74,6 +75,8 @@ _ENTRY_TYPES = {
     "note": str,
     "reduction": (dict, type(None)),
 }
+# JSON entries that the frequencies determine; loading checks them against the derivation
+_DERIVED = ("dim", "cvector", "p_interval")
 
 
 def assign_signs(cv: CVector, magnitude: float) -> tuple[float, ...]:
@@ -100,14 +103,15 @@ class Certificate:
     rhs - lhs in the p-th power scale (means of |sum|^p, not norms), so a
     positive margin exhibits the violation.  `verified` is False when the
     margin was not evaluated or does not certify; `note` then says why.
+
+    `dim`, `cvector` and `p_interval` are not stored: the primitive relation
+    c of `frequencies[1:]` fixes all three.  Each raises MajorantError when
+    the frequencies determine no such c, and `p_interval` also when c has none.
     """
 
     theorem_tag: str
-    dim: int
     frequencies: tuple[Vec, ...]
     coefficients: tuple[float, ...]
-    cvector: CVector
-    p_interval: OpenInterval
     p_tested: float
     verified: bool
     lhs: float | None
@@ -119,16 +123,33 @@ class Certificate:
     note: str = ""
     reduction: dict[str, Any] | None = None
 
+    @cached_property
+    def cvector(self) -> CVector:
+        """The primitive relation of the frequencies after the origin (all distinct, one dim)."""
+        _check_freqs(self.frequencies)
+        return build_c(build_v(self.frequencies[1:]))
+
+    @property
+    def dim(self) -> int:
+        return len(self.cvector.c) - 1
+
+    @property
+    def p_interval(self) -> OpenInterval:
+        """The even-to-even gap around p_tested on the moment curve, else (2m+ - 4, 2m+ - 2)."""
+        cv = self.cvector
+        if self.theorem_tag != "moment_curve":
+            return p_interval(cv)
+        half = Fraction(self.p_tested) // 2
+        return OpenInterval(2 * half, 2 * half + 2)
+
     def to_json(self) -> dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(
-            frequencies=[list(f) for f in self.frequencies],
-            coefficients=list(self.coefficients),
-            cvector=self.cvector.to_json(),
-            p_interval=list(self.p_interval),
-            eval_config=asdict(self.eval_config),
-        )
-        return {"schema_version": SCHEMA_VERSION, **out}
+        out = {"schema_version": SCHEMA_VERSION, "theorem_tag": self.theorem_tag, "dim": self.dim}
+        out["frequencies"] = [list(f) for f in self.frequencies]
+        out["coefficients"] = list(self.coefficients)
+        out["cvector"] = self.cvector.to_json()
+        out["p_interval"] = list(self.p_interval)
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name not in out)
+        return {**out, "eval_config": asdict(self.eval_config)}
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Certificate":
@@ -137,16 +158,19 @@ class Certificate:
         As in docs/certificate.schema.json, unknown keys, an incomplete
         eval_config, a schema version other than SCHEMA_VERSION, an unknown
         theorem tag and entries of the wrong JSON type raise DomainError.
+        So do a stored dim, cvector or p_interval other than the one the
+        frequencies determine (compared as JSON, so 2.0 is not 2 and true is
+        not 1), and a p_tested outside that interval.
         """
         try:
             data = {"note": "", "reduction": None, **data}
             for key, kinds in _ENTRY_TYPES.items():
                 if not _typed(data[key], kinds):
                     raise DomainError(f"entry {key!r} has the wrong type: {data[key]!r}")
-            for x in (*data["coefficients"], *data["p_interval"]):
-                if not _typed(x, _NUMBER):
-                    raise DomainError(f"expected a number, got {x!r}")
-            if set(data) - {"schema_version", *(f.name for f in fields(cls))}:
+            for x in data["coefficients"]:
+                if not (_typed(x, _NUMBER) and isfinite(x)):
+                    raise DomainError(f"expected a finite number, got {x!r}")
+            if set(data) - {"schema_version", *_DERIVED, *(f.name for f in fields(cls))}:
                 raise DomainError(f"unknown certificate keys in {sorted(data)}")
             if set(data["eval_config"]) != {f.name for f in fields(EvalConfig)}:
                 raise DomainError(f"bad eval_config keys {sorted(data['eval_config'])}")
@@ -159,37 +183,39 @@ class Certificate:
                 raise DomainError(f"reduction needs origin and basis_columns, got {sorted(red)}")
             for vec in [] if red is None else [red["origin"], *red["basis_columns"]]:
                 _as_vec(vec)
-            cv = CVector.from_json(data["cvector"])
-            counts = len(data["frequencies"]), len(data["coefficients"])
-            if data["dim"] < 1 or min(counts) < 3 or cv.m_plus < 2 or not data["p_tested"] > 0:
-                raise DomainError(f"out of range: dim, counts {counts}, m_plus or p_tested")
-            return cls(
-                theorem_tag=data["theorem_tag"],
-                dim=data["dim"],
+            if len(data["frequencies"]) != len(data["coefficients"]):
+                raise DomainError("coefficient count differs from frequency count")
+            given = {f.name: data[f.name] for f in fields(cls)}
+            given.update(
                 frequencies=tuple(_as_vec(f) for f in data["frequencies"]),
                 coefficients=tuple(float(x) for x in data["coefficients"]),
-                cvector=cv,
-                p_interval=OpenInterval(*data["p_interval"]),
                 p_tested=float(data["p_tested"]),
-                verified=data["verified"],
-                lhs=data["lhs"],
-                rhs=data["rhs"],
-                margin=data["margin"],
-                error_estimate=data["error_estimate"],
-                grid_points_per_axis=data["grid_points_per_axis"],
                 eval_config=EvalConfig(**data["eval_config"]),
-                note=data["note"],
-                reduction=red,
             )
-        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            cert = cls(**given)
+            derived = cert.dim, cert.cvector.to_json(), list(cert.p_interval)
+            for key, value in zip(_DERIVED, derived):
+                if json.dumps(data[key], sort_keys=True) != json.dumps(value, sort_keys=True):
+                    raise DomainError(f"{key} {data[key]!r} is not the frequencies' {value!r}")
+            if not (cert.p_tested > 0 and cert.p_interval.contains(cert.p_tested)):
+                raise DomainError(f"p_tested {cert.p_tested:g} is not inside {derived[2]}")
+            return cert
+        except (LookupError, ArithmeticError, AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate: {exc!r}") from exc
+
+
+def _overflow_note(coefficients: Sequence[float], p: Real) -> str:
+    """Why a grid mean of |sum|^p <= max(1, sum |a_i|)^p could overflow, or ""."""
+    size = max(1.0, sum(map(abs, coefficients)))
+    if float(p) * log2(size) + log2(QUAD_POINT_BUDGET) < float_info.max_exp:
+        return ""
+    return f"exponent {float(p):g} is beyond floating-point evaluation range"
 
 
 def _certify(
     theorem_tag: str,
     freqs: Sequence[Vec],
     cv: CVector,
-    interval: OpenInterval,
     p: Real,
     cfg: EvalConfig,
     reduction: dict[str, Any] | None = None,
@@ -197,22 +223,16 @@ def _certify(
 ) -> Certificate:
     """Certificate at MAGNITUDE, verified exactly when `verify_certificate` says True.
 
-    No evaluation happens when |sum|^p could overflow while the grid mean
-    is summed (each point is at most (1 + sum |a_i|)^p, on at most
-    QUAD_POINT_BUDGET points), or when the leading term is below LEAD_FLOOR.
-    Otherwise the candidate is verified with `cfg`, the settings it records,
-    and takes its measured fields from the result.
+    No evaluation happens when |sum|^p could overflow or the leading term is
+    below LEAD_FLOOR; otherwise the candidate is verified with `cfg`, the
+    settings it records, and takes its measured fields from the result.
     """
     coeffs = assign_signs(cv, MAGNITUDE)
     log2_lead = log2_leading_term(p, cv, coeffs)
-    dim = len(freqs[0])
     cert = Certificate(
         theorem_tag=theorem_tag,
-        dim=dim,
-        frequencies=((0,) * dim, *freqs),
+        frequencies=((0,) * len(freqs[0]), *freqs),
         coefficients=(1.0, *coeffs),
-        cvector=cv,
-        p_interval=interval,
         p_tested=float(p),
         verified=False,
         lhs=None,
@@ -223,11 +243,10 @@ def _certify(
         eval_config=cfg,
         reduction=reduction,
     )
-    if float(p) * log2(1 + sum(map(abs, coeffs))) + log2(QUAD_POINT_BUDGET) >= float_info.max_exp:
-        note = f"exponent {float(p):g} is beyond floating-point evaluation range"
-    elif log2_lead < log2(LEAD_FLOOR):
+    note = _overflow_note(cert.coefficients, p)
+    if not note and log2_lead < log2(LEAD_FLOOR):
         note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
-    else:
+    elif not note:
         res = verify_certificate(cert, cfg)
         measured = {k: v for k, v in res._asdict().items() if k != "verdict"}  # Certificate names
         cert = replace(cert, verified=res.verdict is True, **measured)
@@ -286,8 +305,7 @@ def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Cer
         raise HypothesisError("no point leaves behind a full-dimensional subset")
     translated = tuple(tuple(x - y for x, y in zip(q, bullet)) for q in chosen)
     cv = build_c(build_v(translated))
-    p_star = 2 * cv.m_plus - 3
-    return _certify("independent", translated, cv, p_interval(cv), p_star, cfg, reduction_rec)
+    return _certify("independent", translated, cv, 2 * cv.m_plus - 3, cfg, reduction_rec)
 
 
 def construct_abundant(
@@ -332,7 +350,7 @@ def construct_abundant(
         cv = build_c(v)
         if cv.m_plus <= last_m or cv.m_plus == cv.m_minus or cv.m_plus < 2:
             continue
-        certs.append(_certify("abundant", freqs, cv, p_interval(cv), 2 * cv.m_plus - 3, cfg))
+        certs.append(_certify("abundant", freqs, cv, 2 * cv.m_plus - 3, cfg))
         last_m = cv.m_plus
         if len(certs) == how_many:
             return certs
@@ -356,10 +374,8 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
     k, cv = smallest_admissible_k(d, p)
     if not sign_condition(p, cv):
         raise HypothesisError("sign condition failed for the selected curve offset")
-    half = Fraction(p) // 2
-    interval = OpenInterval(2 * half, 2 * half + 2)
     freqs = tuple(gamma_point(d, k + i) for i in range(d + 1))
-    return _certify("moment_curve", freqs, cv, interval, p, cfg, note_prefix=f"curve offset k={k}")
+    return _certify("moment_curve", freqs, cv, p, cfg, note_prefix=f"curve offset k={k}")
 
 
 class VerifyResult(NamedTuple):
@@ -390,22 +406,23 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     construction calls it too, so a constructed certificate's `verified`
     is True exactly when this returns True with the same settings.
 
-    Trusts nothing but the stored frequencies, coefficients, and exponent.
-    The leading term is re-derived from them, with c from `frequencies[1:]`
-    and never from the stored `cvector`; it is -inf, so nothing verifies,
-    unless the origin with coefficient 1 comes first and the rest determine
-    c.  A certificate with its signs stripped, or with frequencies that alias
-    on the grid, therefore does not verify.  The grid, tolerance and
-    safety factor are the verifier's `cfg` (defaults when omitted), never
-    the settings recorded in the certificate.
+    Trusts nothing but the frequencies, coefficients, and exponent: the
+    leading term takes c from `cert.cvector`, which the frequencies fix, and
+    is -inf, so nothing verifies, unless the origin with coefficient 1 comes
+    first and the rest determine c.  A certificate with its signs stripped,
+    or with frequencies that alias on the grid, therefore does not verify.
+    The grid, tolerance and safety factor are `cfg` (defaults when omitted),
+    never the certificate's.  Raises BudgetError, before any evaluation,
+    when |sum|^p could overflow.
     """
     cfg = cfg or EvalConfig()
+    if note := _overflow_note(cert.coefficients, cert.p_tested):
+        raise BudgetError(note)
     res = paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, cfg)
     log2_lead = -inf
     if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
         with suppress(MajorantError):  # the frequencies determine no c
-            cv = build_c(build_v(cert.frequencies[1:]))
-            log2_lead = log2_leading_term(cert.p_tested, cv, cert.coefficients[1:])
+            log2_lead = log2_leading_term(cert.p_tested, cert.cvector, cert.coefficients[1:])
     margin, err = res.difference, res.error_estimate
     verdict: bool | str = "inconclusive"
     above_error = isfinite(margin) and margin > cfg.margin_safety_factor * err
@@ -421,13 +438,16 @@ def emit_plot_data(
 ) -> list[dict[str, float]]:
     """Evaluate both sides at evenly spaced interior points of the interval.
 
-    A request for zero samples returns an empty table.  Like verification,
-    the evaluation settings are `cfg` or the defaults, not the certificate's.
+    A request for zero samples returns an empty table.  As in verification,
+    the settings are `cfg` or the defaults, and BudgetError comes before any
+    evaluation when |sum|^p could overflow at the interval's upper end.
     """
     if p_samples < 0:
         raise DomainError("p_samples must be nonnegative")
     cfg = cfg or EvalConfig()
     lo, hi = cert.p_interval
+    if note := _overflow_note(cert.coefficients, hi):
+        raise BudgetError(note)
     span = hi - lo
     rows = []
     for i in range(p_samples):

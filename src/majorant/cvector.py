@@ -14,7 +14,7 @@ from math import factorial, gcd, inf, lgamma, log, log2
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionError, DomainError, HypothesisError
-from .exact_lattice import IntMatrix, Vec, _as_vec, det_exact
+from .exact_lattice import IntMatrix, Vec, det_exact
 
 Real = Union[int, float, Fraction]
 
@@ -85,17 +85,6 @@ class CVector(NamedTuple):
             "m_plus": self.m_plus,
             "m_minus": self.m_minus,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CVector":
-        """Read stored entries: exact integers (never coerced), exactly as build_c derives them."""
-        v = _as_vec(obj["v"])
-        _as_vec([obj["D"], obj["m_plus"], obj["m_minus"], *obj["c"], *obj["c_plus"]])
-        _as_vec(obj["c_minus"])
-        cv = build_c(v) if any(v) else None
-        if cv is None or cv.to_json() != obj:
-            raise DomainError(f"cvector {obj} is not the one build_c derives from its v")
-        return cv
 
 
 def build_c(v: Sequence[int]) -> CVector:
@@ -186,7 +175,7 @@ def log2_leading_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
     w = [x + y for x, y in zip(cv.c_plus, cv.c_minus)]
     if sum(e for x, e in zip(a, w) if x < 0) % 2 == 0:
         return -inf
-    half = float(p) / 2
+    half = Fraction(p) / 2  # exact, as p/2 - |e| + 1 may lie near a pole of lgamma
     try:
         log_coef = sum(
             lgamma(half + 1) - lgamma(half - sum(e) + 1) - sum(lgamma(x + 1) for x in e)
@@ -204,10 +193,6 @@ class OpenInterval(NamedTuple):
 
     def contains(self, x: Real) -> bool:
         return self.lo < x < self.hi
-
-    @property
-    def midpoint(self) -> Real:
-        return (self.lo + self.hi) / 2
 
 
 def p_interval(cv: CVector) -> OpenInterval:

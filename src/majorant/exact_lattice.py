@@ -95,11 +95,6 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
         )
 
-    def mul_vec(self, v: Sequence[int]) -> Vec:
-        if len(v) != self.cols:
-            raise DimensionError("vector length differs from column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
     def is_upper_triangular(self) -> bool:
         return all(
             self.entries[i][j] == 0 for i in range(self.rows) for j in range(min(i, self.cols))

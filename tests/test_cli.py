@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from majorant.cli import main
 from majorant.constructions import construct_independent
+from majorant.cvector import build_c
 from majorant.exact_lattice import FrequencySet
 
 LINE_SET = {"dim": 1, "points": [[0], [1], [2]]}
@@ -146,6 +147,21 @@ class TestMoment:
         assert cert["verified"] is False and cert["margin"] is None
         assert all(2 * abs(x) > 10**15 + 1 for x in cert["cvector"]["c"])
 
+    def test_beyond_float_range_is_not_evaluated(self, tmp_path, capsys, time_limit):
+        plot = tmp_path / "f.csv"
+        argv = ["moment", "--d", "2", "--p", "1000000000000001"]
+        with time_limit(5):
+            code, out, err = run(capsys, *argv, "--plot", str(plot))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "floating-point evaluation range" in err
+        assert not plot.exists()
+        _, out, _ = run(capsys, *argv)
+        with time_limit(5):
+            cert_path = write_json(tmp_path / "c.json", json.loads(out))
+            code, out, err = run(capsys, "verify", "--input", cert_path)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "floating-point evaluation range" in err
+
     def test_plane_cubic(self, capsys):
         code, out, _ = run(capsys, "moment", "--d", "2", "--p", "3")
         assert code == 0
@@ -223,6 +239,7 @@ class TestVerifierSettings:
     def test_forged_certificate_exits_one(self, tmp_path, capsys):
         # {(0,0),(1,0),(2,16)} is affinely independent; the stated grid of 16
         # aliases it onto {0, 1, 2} and the stated tolerance accepts anything.
+        # Its frequencies determine no relation, so the file is rejected at load.
         doc = line_certificate(tmp_path, capsys)
         doc.update(
             dim=2,
@@ -231,9 +248,8 @@ class TestVerifierSettings:
         )
         cert_path = write_json(tmp_path / "forged.json", doc)
         code, out, err = run(capsys, "verify", "--input", cert_path)
-        assert code == 1
-        assert json.loads(out)["verdict"] is False
-        assert "failed" in err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
 
 
 class TestRejections:
@@ -294,12 +310,28 @@ class TestRejections:
         assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_frequency_beyond_float_range(self, tmp_path, capsys):
+        # c = (10^400, -1) moves p_interval far from p_tested, so the file is
+        # rejected at load
         doc = line_certificate(tmp_path, capsys)
         doc["frequencies"][2] = [10**400]
         code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
-        assert code == 1
-        assert json.loads(out)["verdict"] is False
-        assert err.count("\n") == 1 and "failed" in err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"p_interval": [10, 12]},
+            {"dim": 5},
+            {"cvector": build_c((5, -3)).to_json()},
+            {"p_tested": 5},
+        ],
+    )
+    def test_stored_claims_must_match_the_frequencies(self, tmp_path, capsys, changes):
+        doc = {**line_certificate(tmp_path, capsys), **changes}
+        code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_cutoff_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,8 @@ pinned here; everything else checks structure and invariants.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from math import inf
 from pathlib import Path
 
 import jsonschema
@@ -25,7 +26,7 @@ from majorant.constructions import (
     verify_certificate,
 )
 from majorant.cvector import OpenInterval, build_c, build_v
-from majorant.errors import DomainError, HypothesisError
+from majorant.errors import BudgetError, DomainError, HypothesisError, MajorantError
 from majorant.exact_lattice import FrequencySet
 from majorant.lp_engine import EvalConfig
 
@@ -296,14 +297,16 @@ class TestVerifierSettings:
     """verify_certificate judges with its own settings, not the certificate's."""
 
     def forged(self, cert):
-        # {(0,0),(1,0),(2,16)} is affinely independent, so the majorant
-        # property holds at every p.  On a 16-point grid the frequency 16
-        # aliases to 0 and the set looks like the dependent {0, 1, 2}; the
-        # forged settings also make any error estimate pass.
+        # {(0,0),(1,0),(2,16),(0,1)} has c = (2, -1, 16), so its certificate
+        # claims p_interval (32, 34) and is tested at 33.  On a 16-point grid
+        # the frequency 16 aliases to 0, and the forged settings make any
+        # error estimate pass.
+        cv = build_c((2, -1, 16))
         return replace(
             cert,
-            dim=2,
-            frequencies=((0, 0), (1, 0), (2, 16)),
+            frequencies=((0, 0), (1, 0), (2, 16), (0, 1)),
+            coefficients=(1.0, *assign_signs(cv, 0.25)),
+            p_tested=33.0,
             eval_config=EvalConfig(
                 grid_points_per_axis=16,
                 backend_agreement_tol=1e300,
@@ -312,10 +315,10 @@ class TestVerifierSettings:
         )
 
     def test_forged_settings_would_pass(self, cert):
-        # The set is affinely independent, so a True verdict would be false
-        # at every p.  Its two nonzero frequencies determine no relation c,
-        # so no leading term exists and not even the forged settings pass it.
+        # On the 16-point grid the margin is the aliased set's, far from the
+        # leading term of c, so not even the forged settings pass it.
         forged = self.forged(cert)
+        assert forged.cvector.c == (2, -1, 16)
         assert verify_certificate(forged, forged.eval_config).verdict is not True
 
     def test_forged_certificate_does_not_verify(self, cert):
@@ -382,7 +385,6 @@ class TestLeadingTermRule:
             cert,
             frequencies=((0,), *others),
             coefficients=(1.0, *assign_signs(cv, 0.25)),
-            cvector=cv,
             p_tested=float(p),
         )
         res = verify_certificate(aliased)
@@ -392,7 +394,7 @@ class TestLeadingTermRule:
     def test_aliased_independent_set_does_not_verify(self, cert):
         # {(0,0),(1,0),(2,256)} is affinely independent; 256 aliases to 0 on
         # both compared grids, so the set looks like {0, 1, 2}
-        forged = replace(cert, dim=2, frequencies=((0, 0), (1, 0), (2, 256)))
+        forged = replace(cert, frequencies=((0, 0), (1, 0), (2, 256)))
         assert verify_certificate(forged).verdict is False
 
     def test_huge_relation_entry_is_judged_quickly(self, cert, time_limit):
@@ -404,10 +406,10 @@ class TestLeadingTermRule:
         assert res.margin > 0
         assert res.verdict is False
 
-    def test_stored_cvector_is_not_read(self, cert):
-        # a stored relation that matches nothing is ignored: verify derives c
-        tampered = replace(cert, cvector=build_c((5, -3)))
-        assert verify_certificate(tampered).verdict is True
+    def test_stored_cvector_must_be_the_frequencies_relation(self, cert):
+        doc = {**cert.to_json(), "cvector": build_c((5, -3)).to_json()}
+        with pytest.raises(DomainError, match="cvector"):
+            Certificate.from_json(doc)
 
     def test_leading_term_needs_the_origin_with_coefficient_one(self, cert):
         rescaled = replace(cert, coefficients=(0.5, *cert.coefficients[1:]))
@@ -419,7 +421,10 @@ class TestLeadingTermRule:
         with time_limit(5):
             cert = construct_moment(2, 10**15 + 1)
         assert not cert.verified and cert.margin is None
-        assert "floating-point evaluation range" in cert.note
+        assert cert.note.endswith("; exponent 1e+15 is beyond floating-point evaluation range")
+        for evaluate in (verify_certificate, emit_plot_data):
+            with time_limit(1), pytest.raises(BudgetError, match="evaluation range"):
+                evaluate(cert)
 
 
 class TestCertificateJson:
@@ -514,6 +519,79 @@ class TestCertificateJson:
             jsonschema.validate(doc, schema)
         with pytest.raises(DomainError):
             Certificate.from_json(doc)
+
+
+class TestDerivedEntries:
+    """dim, cvector and p_interval come from the frequencies, never from storage."""
+
+    def test_thirteen_stored_fields(self):
+        names = {f.name for f in fields(Certificate)}
+        assert len(names) == 13
+        assert not names & {"dim", "cvector", "p_interval"}
+
+    def test_derived_from_the_frequencies(self, cert):
+        assert (cert.dim, cert.cvector.c, cert.p_interval) == (1, (2, -1), OpenInterval(0, 2))
+        moved = replace(cert, frequencies=((0, 0), (1, 0), (0, 1), (1, 1)))
+        assert (moved.dim, moved.cvector.c, moved.p_interval) == (2, (-1, -1, 1), (0, 2))
+        moment = construct_moment(2, 5.5)
+        assert moment.p_interval == OpenInterval(4, 6)
+        assert replace(moment, p_tested=7.5).p_interval == OpenInterval(6, 8)
+
+    @pytest.mark.parametrize(
+        "frequencies",
+        [
+            ((0, 0), (1, 0), (2, 16)),
+            ((0,), (1,), (2,), (3,)),
+            ((0,), (1,), (1,)),
+            ((0, 0), (1,), (2,)),
+        ],
+        ids=["too-few", "too-many", "repeated", "mixed-dimension"],
+    )
+    def test_no_relation_raises(self, cert, frequencies):
+        bad = replace(cert, frequencies=frequencies)
+        for name in ("dim", "cvector", "p_interval"):
+            with pytest.raises(MajorantError):
+                getattr(bad, name)
+
+    def test_balanced_relation_has_no_interval(self, cert):
+        # c = (-1, -1, 2) sums to 0: m+ = m- = 2 gives no sign change
+        bad = replace(cert, frequencies=((0, 0), (2, 0), (0, 2), (1, 1)))
+        assert (bad.dim, bad.cvector.c) == (2, (-1, -1, 2))
+        with pytest.raises(MajorantError):
+            bad.p_interval
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"p_interval": [10, 12]},
+            {"p_interval": [0.0, 2]},
+            {"p_interval": [False, 2]},
+            {"dim": 5},
+            {"dim": 1.0},
+            {"dim": True},
+            {"cvector": build_c((5, -3)).to_json()},
+            {"cvector": {**build_c((2, -1)).to_json(), "m_minus": 1.0}},
+            {"p_tested": 5},
+            {"p_tested": 2.0},
+            {"p_tested": 3.0},
+            {"p_tested": inf},
+            {"p_tested": float("nan")},
+            {"coefficients": [1.0, 0.25, -0.25, 0.25]},
+            {"coefficients": [1.0, 0.25, inf]},
+            {"frequencies": [[0, 0], [1], [2]]},
+            {"frequencies": [[0], [1], [3]]},
+        ],
+    )
+    def test_load_rejects_what_the_frequencies_contradict(self, cert, change):
+        with pytest.raises(DomainError):
+            Certificate.from_json({**cert.to_json(), **change})
+
+    def test_moment_interval_follows_the_exponent(self):
+        doc = construct_moment(2, 5.5).to_json()
+        assert Certificate.from_json(doc).p_interval == OpenInterval(4, 6)
+        for p in (6.5, 4.0, -0.5, inf):
+            with pytest.raises(DomainError):
+                Certificate.from_json({**doc, "p_tested": p})
 
 
 class TestConstructMomentExponent:

@@ -10,11 +10,10 @@ from fractions import Fraction
 from math import ceil, comb, factorial, inf, log2
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majorant.cvector import (
-    CVector,
     OpenInterval,
     build_c,
     build_v,
@@ -97,10 +96,6 @@ class TestBuildC:
     def test_zero_vector_rejected(self):
         with pytest.raises(HypothesisError):
             build_c((0, 0, 0))
-
-    def test_json_round_trip(self):
-        cv = build_c((6, -6, 2))
-        assert CVector.from_json(cv.to_json()) == cv
 
     @given(
         v=st.lists(st.integers(-40, 40), min_size=2, max_size=5).filter(
@@ -238,6 +233,8 @@ class TestLog2LeadingTerm:
         magnitude=st.sampled_from([0.25, 0.125, 0.3]),
     )
     @settings(max_examples=300)
+    # p/2 - 46 + 1 = 4.3e-5: in float arithmetic log2 was off by 1.1e-9
+    @example(v=[0, 1, -6, -40], p=Fraction(29925088, 332501), flip=1, magnitude=0.25)
     def test_log2_of_the_exact_term(self, v, p, flip, magnitude):
         cv = build_c(tuple(v))
         a = [magnitude] * len(v)
@@ -306,12 +303,11 @@ class TestPInterval:
         for even in range(0, hi + 2, 2):
             assert not lo < even < hi
 
-    def test_contains_and_midpoint(self):
+    def test_contains(self):
         iv = OpenInterval(0, 2)
         assert iv.contains(1.0)
         assert not iv.contains(0)
         assert not iv.contains(2)
-        assert iv.midpoint == 1.0
 
 
 class TestOddEntryExists:

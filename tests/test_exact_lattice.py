@@ -102,10 +102,6 @@ class TestIntMatrix:
         m = IntMatrix.from_rows([[2, 1], [7, -3]])
         assert m.matmul(IntMatrix.identity(2)).entries == m.entries
 
-    def test_mul_vec(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert m.mul_vec((1, -1)) == (-1, -1)
-
 
 class TestDetRank:
     def test_det_known_values(self):
