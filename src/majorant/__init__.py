@@ -60,7 +60,6 @@ from .lp_engine import (
     QuadResult,
     TaylorResult,
     g_function,
-    i_indicator,
     lp_norm_even_exact,
     lp_norm_quadrature,
     lp_norm_taylor,
@@ -119,7 +118,6 @@ __all__ = [
     "gamma_point",
     "gen_binom",
     "hnf",
-    "i_indicator",
     "is_affinely_independent",
     "is_even_exponent",
     "lp_norm_even_exact",

@@ -106,7 +106,8 @@ class Certificate:
 
     `dim`, `cvector` and `p_interval` are not stored: the primitive relation
     c of `frequencies[1:]` fixes all three.  Each raises MajorantError when
-    the frequencies determine no such c, and `p_interval` also when c has none.
+    the frequencies determine no such c, and `p_interval` also when c has none
+    (on the moment curve: when the sign condition fails at p_tested).
     """
 
     theorem_tag: str
@@ -139,6 +140,8 @@ class Certificate:
         cv = self.cvector
         if self.theorem_tag != "moment_curve":
             return p_interval(cv)
+        if not sign_condition(self.p_tested, cv):  # floor(p/2) fixes it, so it holds on the gap
+            raise HypothesisError(f"the sign condition fails at p_tested {self.p_tested:g}")
         half = Fraction(self.p_tested) // 2
         return OpenInterval(2 * half, 2 * half + 2)
 
@@ -200,6 +203,8 @@ class Certificate:
             if not (cert.p_tested > 0 and cert.p_interval.contains(cert.p_tested)):
                 raise DomainError(f"p_tested {cert.p_tested:g} is not inside {derived[2]}")
             return cert
+        except MajorantError as exc:  # the package's own message, not wrapped again
+            raise DomainError(str(exc)) from exc
         except (LookupError, ArithmeticError, AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate: {exc!r}") from exc
 

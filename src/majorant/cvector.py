@@ -10,7 +10,7 @@ sign flip raise the L^p norm, and by how much at leading order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, inf, lgamma, log, log2
+from math import factorial, gcd, inf, lgamma, log, log2, pi, sin
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionError, DomainError, HypothesisError
@@ -69,11 +69,6 @@ class CVector(NamedTuple):
     c_minus: tuple[int, ...]
     m_plus: int
     m_minus: int
-
-    @property
-    def total_order(self) -> int:
-        """|c_plus| + |c_minus|, the degree of the leading coupled term."""
-        return self.m_plus + self.m_minus
 
     def to_json(self) -> dict:
         return {
@@ -156,6 +151,13 @@ def sign_condition(p: Real, cv: CVector) -> bool:
     return (_negative_factors(p, cv.m_minus) + _negative_factors(p, cv.m_plus)) % 2 == 1
 
 
+def _log_abs_gamma(x: Fraction) -> float:
+    """log |Gamma(x)|; below 1/2 by reflection, keeping the distance to a pole exact."""
+    if x >= Fraction(1, 2):
+        return lgamma(x)
+    return log(pi) - log(abs(sin(pi * (x - round(x))))) - lgamma(1 - x)
+
+
 def log2_leading_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
     """log2 of the leading coupled term, or -inf unless that term is positive.
 
@@ -175,10 +177,10 @@ def log2_leading_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
     w = [x + y for x, y in zip(cv.c_plus, cv.c_minus)]
     if sum(e for x, e in zip(a, w) if x < 0) % 2 == 0:
         return -inf
-    half = Fraction(p) / 2  # exact, as p/2 - |e| + 1 may lie near a pole of lgamma
+    half = Fraction(p) / 2  # exact, as p/2 - |e| + 1 may lie near a pole of Gamma
     try:
         log_coef = sum(
-            lgamma(half + 1) - lgamma(half - sum(e) + 1) - sum(lgamma(x + 1) for x in e)
+            lgamma(half + 1) - _log_abs_gamma(half - sum(e) + 1) - sum(lgamma(x + 1) for x in e)
             for e in (cv.c_minus, cv.c_plus)
         )
         # the factor 4 is the -2 above times |a^|c|| - a^|c| = 2 |a^|c||

@@ -1,11 +1,12 @@
 """L^p norms of trigonometric polynomials on the torus, three ways.
 
-Backends: tensor-grid quadrature (any p > 0, d <= 4), exact rational
-enumeration at even integer p, and a truncated series around a dominant
-constant term.  The quadrature rule is the rectangle rule per axis, which on
-the torus is the trapezoid rule and converges spectrally for smooth
-integrands; error estimates come from comparing two successive grid
-doublings.
+Backends: tensor-grid quadrature (any p > 0, d <= 4), exact rational values
+at even integer p, and a series truncated at a total order around a dominant
+constant term.  The two exact backends read one expansion, every multi-index
+up to an order grouped by its frequency, and share its budget check.  The
+quadrature rule is the rectangle rule per axis, which on the torus is the
+trapezoid rule and converges spectrally for smooth integrands; error
+estimates come from comparing two successive grid doublings.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -15,15 +16,16 @@ either integral's own error remain trustworthy.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cvector import CVector, Real, build_c, build_v, gen_binom, is_even_exponent, multinomial
+from .cvector import Real, gen_binom, is_even_exponent
 from .errors import (
     BudgetError,
     ConvergenceError,
@@ -209,71 +211,71 @@ def paired_difference(
     return PairedDifference(lhs, rhs, rhs - lhs, err, n)
 
 
+def _numerators(coeffs: Sequence[Real]) -> tuple[list[int], int]:
+    """Integers u and one denominator w with coeffs[j] = u[j] / w exactly (floats too)."""
+    exact = [Fraction(x) for x in coeffs]
+    w = math.lcm(*(x.denominator for x in exact))
+    return [x.numerator * (w // x.denominator) for x in exact], w
+
+
+def _frequency_groups(
+    freqs: Sequence[Vec], u: Sequence[int], max_order: int, budget: int
+) -> dict[Vec, dict[int, list[int]]]:
+    """Every multi-index beta with |beta| <= max_order, grouped by its frequency.
+
+    Maps each frequency F = sum_j beta_j n_j and order k to two sums over the
+    beta of order k reaching F: of the weights multinomial(beta) u^beta, which
+    is the coefficient of e(F . x) in (sum_j u_j e(n_j . x))^k, and of their
+    sizes.  Summed by order, the pairs formed at one F stay (max_order + 1)^2
+    however many beta reach it.  Raises BudgetError, before walking, when the
+    C(m + max_order, m) multi-indices exceed `budget`.
+    """
+    m = len(freqs)
+    if math.comb(m + max_order, m) > budget:
+        raise BudgetError(f"C({m} + {max_order}, {m}) multi-indices exceed the budget of {budget}")
+    groups: dict[Vec, dict[int, list[int]]] = {}
+    # (next index j, order, frequency and weight of the entries before j)
+    stack = [(0, 0, (0,) * len(freqs[0]), 1)]
+    while stack:
+        j, order, total, weight = stack.pop()
+        for e in range(max_order - order + 1):
+            if e:  # one more copy of index j: multinomial gains (order + e) / e
+                weight = weight * (order + e) * u[j] // e
+                total = tuple(map(add, total, freqs[j]))
+            if j + 1 < m:
+                stack.append((j + 1, order + e, total, weight))
+            else:
+                sums = groups.setdefault(total, {}).setdefault(order + e, [0, 0])
+                sums[0] += weight
+                sums[1] += abs(weight)
+    return groups
+
+
 def lp_norm_even_exact(
     freqs: Sequence[Vec], coeffs: Sequence[Real], s: int, budget: int = ENUM_BUDGET
 ) -> Fraction:
     """Exact rational value of the L^{2s} norm power for rational coefficients.
 
-    Expanding the 2s-th power pairs an s-fold product against its conjugate;
-    only index tuples whose frequency sums collide survive integration, so
-    the value is the sum over attained frequency sums of the squared grouped
-    coefficient products.
+    The 2s-th power is the s-th power times its conjugate, so the value is
+    the sum over frequencies F of the squared coefficient of e(F . x) in the
+    s-th power: of (sum of multinomial(beta) a^beta over the multi-indices of
+    order s reaching F)^2, read from the grouped expansion that the series
+    backend shares.  Raises BudgetError when C(m + s, m) exceeds `budget`.
     """
     _check_freqs(freqs)
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise DomainError("s must be a positive integer")
     _check_real_coeffs(coeffs, len(freqs))
-    m = len(freqs)
-    if m**s > budget:
-        raise BudgetError(f"{m}^{s} enumeration exceeds the budget of {budget}")
-    exact = [Fraction(x) for x in coeffs]
-    grouped: dict[Vec, Fraction] = {}
-    for combo in itertools.product(range(m), repeat=s):
-        total = tuple(sum(freqs[i][axis] for i in combo) for axis in range(len(freqs[0])))
-        prod = Fraction(1)
-        for i in combo:
-            prod *= exact[i]
-        grouped[total] = grouped.get(total, Fraction(0)) + prod
-    return sum((t * t for t in grouped.values()), Fraction(0))
-
-
-def i_indicator(u: Sequence[int], freqs: Sequence[Vec]) -> int:
-    """1 when sum_i u_i n_i = 0 in Z^d, else 0; exact integer arithmetic."""
-    d = _check_freqs(freqs)
-    if len(u) != len(freqs):
-        raise DimensionError("weight length differs from frequency count")
-    return int(all(sum(ui * f[axis] for ui, f in zip(u, freqs)) == 0 for axis in range(d)))
+    u, w = _numerators(coeffs)
+    groups = _frequency_groups(freqs, u, s, budget)
+    total = sum(orders[s][0] ** 2 for orders in groups.values() if s in orders)
+    return Fraction(total, w ** (2 * s))
 
 
 class TaylorResult(NamedTuple):
     value: Real
     converged: bool
     tail_estimate: float
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multi_indices(max_order: int, parts: int) -> list[tuple[int, ...]]:
-    out = []
-    for total in range(max_order + 1):
-        out.extend(_compositions(total, parts))
-    return out
-
-
-def _power(b: Sequence, idx: Sequence[int]):
-    out = b[0] ** idx[0]
-    for x, e in zip(b[1:], idx[1:]):
-        if e:
-            out = out * x**e
-    return out
 
 
 def lp_norm_taylor(
@@ -283,93 +285,46 @@ def lp_norm_taylor(
 
     Expands both conjugate factors of |1 + g|^p into generalized binomial
     series and keeps the multi-index pairs (beta, gamma) of total order up to
-    the configured cutoff whose frequency sums cancel exactly.  When the
-    frequency tuple is affinely independent the surviving pairs are the
-    diagonal plus integer multiples of the primitive null direction, which is
-    enumerated directly; otherwise all pairs are scanned against the exact
-    integer indicator.
+    the configured cutoff whose frequency sums agree, summed group by group
+    from the grouped expansion shared with lp_norm_even_exact, for dependent
+    and independent frequencies alike.  Raises BudgetError when
+    C(m + cutoff, m) exceeds ENUM_BUDGET.
 
-    With rational p and coefficients the computation is exact rational
-    arithmetic; otherwise floats.  The reported tail estimate is ten times
-    the largest included top-degree magnitude; converged means it is within
-    the configured backend tolerance.
+    The sum is exact for the inputs: a Fraction when p and every b_j are
+    rational (not float), else rounded to float.  The reported tail estimate
+    is ten times the larger |term| sum of the top two degrees; converged
+    means it is within the configured backend tolerance.
     """
-    d = _check_freqs(freqs)
-    m = len(freqs)
-    _check_real_coeffs(b, m)
+    _check_freqs(freqs)
+    _check_real_coeffs(b, len(freqs))
     if not float(p) > 0:
         raise DomainError("exponent must be positive")
     if max(abs(float(x)) for x in b) >= 1.0:
         raise ConvergenceError("series requires every |b_i| < 1")
-    exact_mode = not isinstance(p, float) and all(not isinstance(x, float) for x in b)
     k_max = cfg.series_total_degree_cutoff
-    num = Fraction if exact_mode else float
-    gb = [num(gen_binom(Fraction(p), j)) for j in range(k_max + 1)]
-    bvals = [num(x) for x in b]
-    zero = num(0)
-
-    cv: Optional[CVector] = None
-    if m == d + 1:
-        v = build_v(freqs)
-        if sum(v) != 0:
-            cv = build_c(v)
-
-    degree_mag: dict[int, float] = {}
-    value = zero
-
-    def add(term, degree: int) -> None:
-        nonlocal value
-        value = value + term
-        degree_mag[degree] = degree_mag.get(degree, 0.0) + abs(float(term))
-
-    if cv is not None:
-        # diagonal: beta = gamma, any multi-index
-        for beta in _multi_indices(k_max // 2, m):
-            t = gb[sum(beta)] * multinomial(beta) * _power(bvals, beta)
-            add(t * t, 2 * sum(beta))
-        # coupled: beta - gamma = k c, k != 0; symmetric in k <-> -k
-        span = cv.total_order
-        k = 1
-        while span * k <= k_max:
-            shift_p = tuple(k * x for x in cv.c_plus)
-            shift_m = tuple(k * x for x in cv.c_minus)
-            base = span * k
-            for delta in _multi_indices((k_max - base) // 2, m):
-                beta = tuple(a + b_ for a, b_ in zip(delta, shift_p))
-                gamma = tuple(a + b_ for a, b_ in zip(delta, shift_m))
-                term = (
-                    gb[sum(beta)]
-                    * gb[sum(gamma)]
-                    * multinomial(beta)
-                    * multinomial(gamma)
-                    * _power(bvals, beta)
-                    * _power(bvals, gamma)
-                )
-                add(2 * term, base + 2 * sum(delta))
-            k += 1
-    else:
-        indices = _multi_indices(k_max, m)
-        ind_cache: dict[tuple[int, ...], int] = {}
-        for beta in indices:
-            sb = sum(beta)
-            fb = gb[sb] * multinomial(beta) * _power(bvals, beta)
-            for gamma in indices:
-                if sb + sum(gamma) > k_max:
-                    continue
-                diff = tuple(x - y for x, y in zip(beta, gamma))
-                hit = ind_cache.get(diff)
-                if hit is None:
-                    hit = i_indicator(diff, freqs)
-                    ind_cache[diff] = hit
-                if hit:
-                    term = fb * gb[sum(gamma)] * multinomial(gamma) * _power(bvals, gamma)
-                    add(term, sb + sum(gamma))
-
+    u, w = _numerators(b)
+    # (p/2 choose k) / w^k = g[k] / den: every term becomes an integer over den^2
+    g, den = _numerators([gen_binom(Fraction(p), k) / w**k for k in range(k_max + 1)])
+    # sums of x y and of the size products over the pairs at one frequency, by orders
+    signed, size = Counter(), Counter()
+    for orders in _frequency_groups(freqs, u, k_max, ENUM_BUDGET).values():
+        for k, (x, x_size) in orders.items():
+            for l, (y, y_size) in orders.items():
+                if k + l <= k_max:
+                    signed[k, l] += x * y
+                    size[k, l] += x_size * y_size
+    value: Real = Fraction(sum(g[k] * g[l] * x for (k, l), x in signed.items()), den * den)
+    if isinstance(p, float) or any(isinstance(x, float) for x in b):
+        value = float(value)
     if is_even_exponent(p) and k_max >= float(p):
         # Every binomial factor beyond order p/2 vanishes, so the cutoff
         # already captured the whole (finite) series.
         return TaylorResult(value, True, 0.0)
-    tail = 10.0 * max(degree_mag.get(k_max, 0.0), degree_mag.get(k_max - 1, 0.0))
+    top = [
+        sum(abs(g[k] * g[l]) * x for (k, l), x in size.items() if k + l == n)
+        for n in (k_max - 1, k_max)
+    ]
+    tail = 10.0 * float(Fraction(max(top), den * den))
     return TaylorResult(value, tail <= cfg.backend_agreement_tol, tail)
 
 

@@ -325,6 +325,7 @@ class TestRejections:
             {"dim": 5},
             {"cvector": build_c((5, -3)).to_json()},
             {"p_tested": 5},
+            {"theorem_tag": "moment_curve", "p_tested": 3.0, "p_interval": [2, 4]},
         ],
     )
     def test_stored_claims_must_match_the_frequencies(self, tmp_path, capsys, changes):
@@ -332,6 +333,7 @@ class TestRejections:
         code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error:")
+        assert "Error(" not in err  # the loading message once, not wrapped in its repr
 
     def test_cutoff_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -164,7 +164,6 @@ class TestConstructMoment:
     def test_large_exponent_fails_honestly(self):
         cert = construct_moment(2, 9.5, EvalConfig(grid_points_per_axis=64))
         assert cert.cvector.c == (10, -15, 6)
-        assert cert.cvector.total_order == 31
         assert not cert.verified
         assert "resolution" in cert.note
         # the structural data is still usable even though numerics cannot
@@ -585,6 +584,22 @@ class TestDerivedEntries:
     def test_load_rejects_what_the_frequencies_contradict(self, cert, change):
         with pytest.raises(DomainError):
             Certificate.from_json({**cert.to_json(), **change})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"p_interval": [10, 12]}, "p_interval [10, 12] is not the frequencies' [0, 2]"),
+            # c = (2, -1) fails the sign condition at 3: the gap (2, 4) is no violation interval
+            (
+                {"theorem_tag": "moment_curve", "p_tested": 3.0, "p_interval": [2, 4]},
+                "the sign condition fails at p_tested 3",
+            ),
+        ],
+    )
+    def test_load_states_the_contradiction_once(self, cert, change, message):
+        with pytest.raises(DomainError) as exc:
+            Certificate.from_json({**cert.to_json(), **change})
+        assert str(exc.value) == message
 
     def test_moment_interval_follows_the_exponent(self):
         doc = construct_moment(2, 5.5).to_json()

@@ -91,7 +91,6 @@ class TestBuildC:
         assert cv.c_minus == (0, 3, 0)
         assert cv.m_plus == 4
         assert cv.m_minus == 3
-        assert cv.total_order == 7
 
     def test_zero_vector_rejected(self):
         with pytest.raises(HypothesisError):
@@ -235,6 +234,8 @@ class TestLog2LeadingTerm:
     @settings(max_examples=300)
     # p/2 - 46 + 1 = 4.3e-5: in float arithmetic log2 was off by 1.1e-9
     @example(v=[0, 1, -6, -40], p=Fraction(29925088, 332501), flip=1, magnitude=0.25)
+    # p/2 - 61 + 1 lies 8.9e-7 below the pole at -16: lgamma there was off by 2.7e-9
+    @example(v=[-29, -33], p=Fraction(8257985477, 91755396), flip=0, magnitude=0.25)
     def test_log2_of_the_exact_term(self, v, p, flip, magnitude):
         cv = build_c(tuple(v))
         a = [magnitude] * len(v)

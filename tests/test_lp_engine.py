@@ -7,6 +7,7 @@ three backends then cross-check each other on random instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorant.cvector import build_c, build_v, log2_leading_term
+from majorant.cvector import (
+    build_c,
+    build_v,
+    gen_binom,
+    is_even_exponent,
+    log2_leading_term,
+    multinomial,
+)
 from majorant.errors import (
     BudgetError,
     ConvergenceError,
@@ -25,7 +33,6 @@ from majorant.lp_engine import (
     ENUM_BUDGET,
     EvalConfig,
     g_function,
-    i_indicator,
     lp_norm_even_exact,
     lp_norm_quadrature,
     lp_norm_taylor,
@@ -33,6 +40,23 @@ from majorant.lp_engine import (
 )
 
 TIGHT = EvalConfig(backend_agreement_tol=1e-12)
+
+
+def frequency_lists(max_size):
+    """Distinct frequencies in Z or Z^2 with entries in [-3, 3]."""
+    return st.integers(1, 2).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=max_size, unique=True
+        )
+    )
+
+
+def frequency_sum(freqs, beta):
+    return tuple(sum(e * f[axis] for e, f in zip(beta, freqs)) for axis in range(len(freqs[0])))
+
+
+def power(b, beta):
+    return math.prod((x**e for x, e in zip(b, beta)), start=Fraction(1))
 
 
 class TestEvalConfig:
@@ -132,6 +156,20 @@ class TestEvenExact:
         quad = lp_norm_quadrature(freqs, [float(c) for c in coeffs], 6, TIGHT)
         assert quad.value == pytest.approx(float(exact), abs=1e-10)
 
+    @given(
+        freqs=frequency_lists(5),
+        nums=st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+        s=st.integers(1, 3),
+    )
+    @settings(max_examples=60)
+    def test_equals_ordered_tuple_enumeration(self, freqs, nums, s):
+        coeffs = [Fraction(x, 3) for x in nums[: len(freqs)]]
+        grouped = {}
+        for combo in itertools.product(range(len(freqs)), repeat=s):
+            total = frequency_sum(freqs, [combo.count(j) for j in range(len(freqs))])
+            grouped[total] = grouped.get(total, 0) + math.prod(coeffs[j] for j in combo)
+        assert lp_norm_even_exact(freqs, coeffs, s) == sum(t * t for t in grouped.values())
+
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             lp_norm_even_exact(((0,), (1,), (2,), (3,)), (1, 1, 1, 1), 3, budget=10)
@@ -170,14 +208,66 @@ class TestTaylor:
         assert res.converged
 
     def test_even_p_matches_enumeration_on_dependent_tuple(self):
-        # Three frequencies in Z force the full pair scan with the exact
-        # integer indicator; p = 4 closes at the cutoff.
+        # Three frequencies in Z: the groups of equal frequency hold pairs
+        # beyond the diagonal and the multiples of one relation; p = 4 closes
+        # at the cutoff.
         freqs = ((1,), (2,), (3,))
         b = (Fraction(1, 5), Fraction(-1, 6), Fraction(1, 9))
         cfg = EvalConfig(series_total_degree_cutoff=4)
         res = lp_norm_taylor(freqs, b, 4, cfg)
         exact = lp_norm_even_exact(((0,), *freqs), (1, *b), 2)
         assert res.value == exact
+
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            ((1,), (2,)),
+            ((1, 0), (0, 1), (2, 1)),
+            ((1,), (2,), (3,)),
+            ((1, 1), (2, 4), (3, 9), (1, 0)),
+        ],
+        ids=["independent-1d", "independent-2d", "dependent-1d", "dependent-2d"],
+    )
+    @pytest.mark.parametrize("s, extra", [(2, 1), (3, 0), (3, 2)])
+    def test_even_p_equals_the_even_backend(self, freqs, s, extra):
+        b = [Fraction((-1) ** j, 5 + j) for j in range(len(freqs))]
+        cfg = EvalConfig(series_total_degree_cutoff=2 * s + extra)
+        res = lp_norm_taylor(freqs, b, 2 * s, cfg)
+        assert res == (lp_norm_even_exact(((0,) * len(freqs[0]), *freqs), (1, *b), s), True, 0.0)
+
+    @given(
+        freqs=frequency_lists(4),
+        nums=st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+        p=st.fractions(Fraction(1, 8), 12, max_denominator=16).filter(
+            lambda q: not is_even_exponent(q)
+        ),
+        cutoff=st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_value_and_tail_equal_a_pair_scan(self, freqs, nums, p, cutoff):
+        # every (beta, gamma) of total order <= cutoff with equal frequency sums
+        b = [Fraction(x, 16) for x in nums[: len(freqs)]]
+        orders = itertools.product(range(cutoff + 1), repeat=len(freqs))
+        betas = [e for e in orders if sum(e) <= cutoff]
+        value, by_degree = Fraction(0), {}
+        for beta, gamma in itertools.product(betas, repeat=2):
+            degree = sum(beta) + sum(gamma)
+            if degree <= cutoff and frequency_sum(freqs, beta) == frequency_sum(freqs, gamma):
+                term = math.prod(
+                    gen_binom(p, sum(e)) * multinomial(e) * power(b, e) for e in (beta, gamma)
+                )
+                value += term
+                by_degree[degree] = by_degree.get(degree, 0) + abs(term)
+        res = lp_norm_taylor(freqs, b, p, EvalConfig(series_total_degree_cutoff=cutoff))
+        assert res.value == value and isinstance(res.value, Fraction)
+        top = max(by_degree.get(cutoff, 0), by_degree.get(cutoff - 1, 0))
+        assert res.tail_estimate == pytest.approx(10 * float(top), rel=1e-12, abs=0)
+
+    def test_budget_is_checked_before_enumerating(self, time_limit):
+        assert math.comb(20 + 12, 20) > ENUM_BUDGET  # about 2.3e8 multi-indices
+        freqs = tuple((j,) for j in range(1, 21))
+        with time_limit(1), pytest.raises(BudgetError):
+            lp_norm_taylor(freqs, [Fraction(1, 100)] * 20, Fraction(1, 2), EvalConfig())
 
     def test_float_path_tracks_quadrature(self):
         freqs = ((1,), (3,))
@@ -195,21 +285,6 @@ class TestTaylor:
         res = lp_norm_taylor(((1,),), (0.9,), 1.0, EvalConfig(series_total_degree_cutoff=4))
         assert not res.converged
         assert res.tail_estimate > EvalConfig().backend_agreement_tol
-
-
-class TestIndicator:
-    def test_null_direction_multiples(self):
-        freqs = ((1,), (2,))
-        assert i_indicator((0, 0), freqs) == 1
-        assert i_indicator((2, -1), freqs) == 1
-        assert i_indicator((-4, 2), freqs) == 1
-        assert i_indicator((1, 1), freqs) == 0
-
-    def test_two_dim(self):
-        freqs = ((1, 1), (2, 4), (3, 9))
-        cv = build_c((6, -6, 2))
-        assert i_indicator(cv.c, freqs) == 1
-        assert i_indicator((1, 0, 0), freqs) == 0
 
 
 class TestPairedDifference:
