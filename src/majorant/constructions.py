@@ -43,12 +43,11 @@ from .exact_lattice import (
     FrequencySet,
     Vec,
     _as_vec,
+    _eliminate,
     _typed,
     abundance_scan,
     affine_dimension,
     is_affinely_independent,
-    lifted_matrix,
-    rank_exact,
     reduce_full_dim,
 )
 from .lp_engine import QUAD_POINT_BUDGET, EvalConfig, _check_freqs, paired_difference
@@ -266,7 +265,7 @@ def _greedy_affine_basis(points: Sequence[Vec], d: int) -> list[Vec] | None:
     chosen: list[Vec] = []
     for pt in points:
         trial = chosen + [pt]
-        if rank_exact(lifted_matrix(trial)) == len(trial):
+        if _eliminate([(1, *q) for q in trial])[0] == len(trial):
             chosen = trial
             if len(chosen) == d + 1:
                 return chosen
@@ -331,6 +330,8 @@ def construct_abundant(
     cfg = cfg or EvalConfig()
     if how_many < 1:
         raise DomainError("how_many must be at least 1")
+    if stream_budget < 1:
+        raise DomainError("stream budget must be positive")
     scan = abundance_scan(g, scan_budget)
     if scan.status is Abundance.NO:
         raise HypothesisError("set is not affinely abundant; no escalating family exists")
@@ -350,7 +351,7 @@ def construct_abundant(
         t0 = tuple(x - y for x, y in zip(n0, bullet))
         freqs = (t0, *anchor)
         v = build_v(freqs)
-        if sum(v) == 0 or all(x == 0 for x in v):
+        if sum(v) == 0:
             continue
         cv = build_c(v)
         if cv.m_plus <= last_m or cv.m_plus == cv.m_minus or cv.m_plus < 2:

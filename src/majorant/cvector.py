@@ -14,7 +14,7 @@ from math import factorial, gcd, inf, lgamma, log, log2, pi, sin
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionError, DomainError, HypothesisError
-from .exact_lattice import IntMatrix, Vec, det_exact
+from .exact_lattice import Vec, _as_vec, _eliminate
 
 Real = Union[int, float, Fraction]
 
@@ -42,15 +42,12 @@ def build_v(freqs: Sequence[Vec]) -> Vec:
     d = len(freqs[0])
     if len(freqs) != d + 1:
         raise DimensionError(f"need d+1 = {d + 1} frequency vectors, got {len(freqs)}")
-    if any(len(f) != d for f in freqs):
+    if any(len(_as_vec(f)) != d for f in freqs):  # exact integers, each checked once
         raise DimensionError("frequency vectors of mixed dimension")
     if d == 0:
         raise DimensionError("dimension must be at least 1")
-    v = []
-    for i in range(d + 1):
-        minor = IntMatrix.from_columns([f for j, f in enumerate(freqs) if j != i])
-        v.append((-1) ** i * det_exact(minor))
-    return tuple(v)
+    # the minors are determinants of row slices: a transpose keeps each one
+    return tuple((-1) ** i * _eliminate([*freqs[:i], *freqs[i + 1 :]])[1] for i in range(d + 1))
 
 
 class CVector(NamedTuple):

@@ -1,17 +1,16 @@
 """Exact integer linear algebra over frequency sets.
 
 Everything in this module is computed with arbitrary-precision Python
-integers; nothing here rounds.  Determinants use fraction-free Bareiss
-elimination, the triangular factorization uses a Euclidean sweep driven by
-row swaps and row additions, and affine data of a frequency set is read off
-the lattice generated by the difference vectors.
+integers; nothing here rounds.  One fraction-free Bareiss elimination gives
+every rank and determinant, a Euclidean sweep of row swaps and row additions
+gives the triangular factorization, and affine data of a frequency set is
+read off its lifted points (1, n) and its difference vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, DomainError
@@ -101,56 +100,49 @@ class IntMatrix:
         )
 
 
-def det_exact(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination.
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, det) of integer rows by fraction-free Bareiss elimination.
 
-    Every intermediate quantity is an integer; the interior division is exact
-    by the Sylvester identity, so the result carries no rounding at any size.
+    Each pass takes the next column with a nonzero entry at or below the
+    current row (a lower row is swapped up only when the diagonal entry is
+    zero) and updates the entries right of it in each row below by a 2 x 2
+    cross product over the previous pivot.  Entries stay integer minors of
+    the input, so that division is exact (Sylvester's identity) and nothing
+    rounds.  det is 0 unless the rows form a square matrix of full rank.
     """
+    a = [list(row) for row in rows]
+    n, cols = len(a), len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(cols):
+        if a[rank][col] == 0:
+            pivot = next((i for i in range(rank + 1, n) if a[i][col] != 0), None)
+            if pivot is None:
+                continue
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        piv = top[col]
+        for row in a[rank + 1 :]:
+            f = row[col]
+            for j in range(col + 1, cols):
+                row[j] = (row[j] * piv - f * top[j]) // prev
+        prev = piv
+        rank += 1
+        if rank == n:
+            break
+    return rank, sign * prev if rank == n == cols else 0
+
+
+def det_exact(m: IntMatrix) -> int:
+    """Exact determinant of a square matrix; see _eliminate."""
     if m.rows != m.cols:
         raise DimensionError("determinant needs a square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _eliminate(m.entries)[1]
 
 
 def rank_exact(m: IntMatrix) -> int:
     """Rank over Q (equals the rank of the generated lattice)."""
-    rows = [list(r) for r in m.entries]
-    rank = 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        a = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            b = rows[i][col]
-            if b:
-                rows[i] = [a * x - b * y for x, y in zip(rows[i], rows[rank])]
-                g = 0
-                for x in rows[i]:
-                    g = gcd(g, x)
-                if g > 1:
-                    rows[i] = [x // g for x in rows[i]]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return _eliminate(m.entries)[0]
 
 
 class HnfResult(NamedTuple):
@@ -258,11 +250,6 @@ class PointGenerator:
                 yield tuple(s + k * d for s, d in zip(start, step))
                 k += 1
 
-    def yields_infinitely_many(self, dim: int) -> bool:
-        if self.kind == "moment_curve":
-            return True
-        return any(x != 0 for x in self.params["step"])
-
 
 @dataclass(frozen=True)
 class FrequencySet:
@@ -318,6 +305,8 @@ class FrequencySet:
 
     def stream(self, limit: int) -> Iterator[Vec]:
         """Yield up to `limit` distinct points: the prefix first, then the tail."""
+        if limit < 1:
+            return
         seen: set[Vec] = set()
         emitted = 0
         draws = 0
@@ -338,29 +327,19 @@ class FrequencySet:
                     return
 
     def is_structurally_infinite(self) -> bool:
-        return self.generator is not None and self.generator.yields_infinitely_many(self.dim)
-
-
-def difference_matrix(points: Sequence[Vec], base: Vec) -> Optional[IntMatrix]:
-    """Columns n - base for n in points, skipping base itself; None if empty."""
-    cols = [tuple(a - b for a, b in zip(p, base)) for p in points if p != base]
-    if not cols:
-        return None
-    return IntMatrix.from_columns(cols)
+        gen = self.generator
+        return gen is not None and (gen.kind == "moment_curve" or any(gen.params["step"]))
 
 
 def affine_dimension(g: FrequencySet) -> int:
     """Affine dimension of the listed points.
 
-    This is the rank of the lattice generated by the differences from any one
-    of the points; translation and the choice of base point do not change it.
+    This is the rank of the lifted points (1, n), less one; translation does
+    not change it.
     """
     if not g.points:
         raise DimensionError("affine dimension needs at least one listed point")
-    diff = difference_matrix(g.points, g.points[0])
-    if diff is None:
-        return 0
-    return rank_exact(diff)
+    return _eliminate([(1, *p) for p in g.points])[0] - 1
 
 
 def is_affinely_independent(g: FrequencySet) -> bool:
@@ -396,18 +375,18 @@ def reduce_full_dim(g: FrequencySet) -> Reduction:
 
     n_star is the first listed point.  The basis columns generate the lattice
     spanned by the difference vectors (read off the nonzero rows of the
-    triangular factor of the transposed difference matrix), and g' collects
-    the exact lattice coordinates of each point.  Cardinality is preserved
-    and n_star itself maps to the origin.
+    triangular factor of the matrix with those rows), and g' collects the
+    exact lattice coordinates of each point.  Cardinality is preserved and
+    n_star itself maps to the origin.
     """
     if not g.points:
         raise DomainError("reduce_full_dim needs at least one listed point")
     n_star = g.points[0]
-    diff = difference_matrix(g.points, n_star)
-    if diff is None:
+    diffs = [tuple(a - b for a, b in zip(p, n_star)) for p in g.points[1:]]
+    if not diffs:
         reduced = FrequencySet(dim=0, points=((),))
         return Reduction(n_star, None, reduced)
-    _, echelon = hnf(diff.transpose())
+    _, echelon = hnf(IntMatrix.from_rows(diffs))
     # distinct points give a nonzero difference, so at least one row survives
     basis_rows = [row for row in echelon.entries if any(x != 0 for x in row)]
     basis = IntMatrix.from_columns(basis_rows)
@@ -428,11 +407,6 @@ class AbundanceScan(NamedTuple):
     status: Abundance
     witness: Optional[tuple[Vec, ...]]  # affinely independent (d+1)-subset when found
     dtuple: Optional[tuple[Vec, ...]]  # d-subset whose determinant count certified YES
-
-
-def lifted_matrix(points: Sequence[Vec]) -> IntMatrix:
-    """Columns (1, n) for n in points."""
-    return IntMatrix.from_columns([(1,) + p for p in points])
 
 
 def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
@@ -464,7 +438,7 @@ def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
     for p in g.stream(stream_cap):
         seen.append(p)
         if len(independent) < d + 1:
-            if rank_exact(lifted_matrix(independent + [p])) == len(independent) + 1:
+            if _eliminate([(1, *q) for q in (*independent, p)])[0] == len(independent) + 1:
                 independent.append(p)
                 if len(independent) == d + 1:
                     # candidate tuples: every d-subset of the independent set
@@ -475,11 +449,11 @@ def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
                     for q in seen:
                         for tp, ds in det_sets:
                             if q not in tp:
-                                ds.add(det_exact(lifted_matrix([q, *tp])))
+                                ds.add(_eliminate([(1, *x) for x in (q, *tp)])[1])
             continue
         for tp, ds in det_sets:
             if p not in tp:
-                ds.add(det_exact(lifted_matrix([p, *tp])))
+                ds.add(_eliminate([(1, *x) for x in (p, *tp)])[1])
         for tp, ds in det_sets:
             if len(ds) > scan_budget:
                 return AbundanceScan(Abundance.YES, tuple(independent), tp)

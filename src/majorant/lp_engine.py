@@ -86,13 +86,7 @@ def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> None:
 
 
 def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
-    intensity = values.real**2 + values.imag**2
-    if float(p) == 2.0:
-        return intensity
-    half = float(p) / 2.0
-    if half == int(half) and half >= 1:
-        return intensity ** int(half)
-    return intensity**half
+    return (values.real**2 + values.imag**2) ** (float(p) / 2.0)
 
 
 def _phase_factor(freq: Vec, t: np.ndarray, d: int) -> np.ndarray:

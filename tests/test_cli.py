@@ -261,6 +261,13 @@ class TestRejections:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag", ["--scan-budget", "--stream-budget"])
+    def test_non_positive_budget(self, tmp_path, capsys, flag):
+        inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
+        code, out, err = run(capsys, "construct", "--input", inp, flag, "0")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "budget must be positive" in err
+
     def test_certificate_missing_keys(self, tmp_path, capsys):
         doc = line_certificate(tmp_path, capsys)
         del doc["coefficients"]

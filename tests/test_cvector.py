@@ -25,7 +25,7 @@ from majorant.cvector import (
     sign_condition,
 )
 from majorant.errors import DimensionError, DomainError, HypothesisError
-from majorant.exact_lattice import det_exact, lifted_matrix, rank_exact
+from majorant.exact_lattice import IntMatrix, det_exact
 
 
 class TestMultinomial:
@@ -69,6 +69,11 @@ class TestBuildV:
         with pytest.raises(DimensionError):
             build_v(((1, 0), (0, 1)))
 
+    @pytest.mark.parametrize("bad", [1.5, True, "2"])
+    def test_non_integer_entry_rejected(self, bad):
+        with pytest.raises(DomainError, match="exact integer"):
+            build_v(((0, 1), (bad, 0), (1, 1)))
+
     @given(freqs=INDEPENDENT_TUPLES)
     @settings(max_examples=150)
     def test_orthogonality_and_sum(self, freqs):
@@ -79,7 +84,7 @@ class TestBuildV:
         for axis in range(d):
             assert sum(vi * f[axis] for vi, f in zip(v, freqs)) == 0
         # and its total is the lifted determinant
-        assert sum(v) == det_exact(lifted_matrix(freqs))
+        assert sum(v) == det_exact(IntMatrix.from_columns([(1, *f) for f in freqs]))
 
 
 class TestBuildC:

@@ -24,7 +24,6 @@ from majorant.exact_lattice import (
     det_exact,
     hnf,
     is_affinely_independent,
-    lifted_matrix,
     rank_exact,
     reduce_full_dim,
 )
@@ -77,6 +76,43 @@ SMALL_RECT = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 )
 
 
+@st.composite
+def combination_rows(draw):
+    """Up to 6 x 7 rows, each an integer combination of 1-3 rows with entries
+    up to 10^12, some columns zeroed: ranks fall short of the shape, and
+    elimination must pass over columns with no pivot."""
+    width = draw(st.integers(1, 7))
+    zero = draw(st.sets(st.integers(0, width - 1), max_size=width - 1))
+    big = st.integers(-(10**12), 10**12)
+    basis = draw(st.lists(st.lists(big, min_size=width, max_size=width), min_size=1, max_size=3))
+    basis = [[0 if j in zero else x for j, x in enumerate(row)] for row in basis]
+    combos = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return [[sum(c * row[j] for c, row in zip(cs, basis)) for j in range(width)] for cs in combos]
+
+
+@st.composite
+def zero_corner_squares(draw):
+    """Squares with a zero top-left entry, so elimination must look for a
+    pivot below; some have a zero first column, some a repeated row."""
+    n = draw(st.integers(2, 5))
+    rows = draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    rows[0][0] = 0
+    if draw(st.booleans()):
+        for row in rows:
+            row[0] = 0
+    if draw(st.booleans()):
+        rows[-1] = list(rows[draw(st.integers(0, n - 2))])
+    return rows
+
+
 class TestIntMatrix:
     def test_from_rows_shape_and_indexing(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -121,6 +157,16 @@ class TestDetRank:
     @given(rows=SMALL_RECT)
     def test_rank_matches_rational_oracle(self, rows):
         assert rank_exact(IntMatrix.from_rows(rows)) == rank_rational(rows)
+
+    @given(rows=combination_rows())
+    @settings(max_examples=150)
+    def test_rank_of_row_combinations(self, rows):
+        assert rank_exact(IntMatrix.from_rows(rows)) == rank_rational(rows)
+
+    @given(rows=zero_corner_squares())
+    @settings(max_examples=150)
+    def test_det_with_zero_leading_entry(self, rows):
+        assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
 
     def test_det_large_entries_stay_exact(self):
         # Bareiss on a Vandermonde-style matrix with entries far beyond 2^53.
@@ -180,6 +226,12 @@ class TestFrequencySet:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             FrequencySet(2, ((1,),))
+
+    def test_non_positive_stream_yields_nothing(self):
+        g = FrequencySet(1, ((0,),), PointGenerator("moment_curve"))
+        assert list(g.stream(0)) == []
+        assert list(g.stream(-2)) == []
+        assert list(g.stream(2)) == [(0,), (1,)]
 
     def test_json_round_trip_finite(self):
         g = FrequencySet(2, ((0, 0), (1, 2)))
@@ -267,11 +319,6 @@ class TestAffineStructure:
         assert affine_dimension(FrequencySet(2, pts)) == affine_dimension(
             FrequencySet(2, shifted)
         )
-
-    def test_lifted_matrix_shape(self):
-        m = lifted_matrix([(1, 2), (3, 4)])
-        assert m.column(0) == (1, 1, 2)
-        assert m.column(1) == (1, 3, 4)
 
 
 class TestReduceFullDim:
@@ -367,7 +414,7 @@ class TestAbundance:
             {"dim": 2, "points": [], "generator": {"kind": "moment_curve"}}
         )
         scan = abundance_scan(g, 16)
-        assert rank_exact(lifted_matrix(list(scan.witness))) == 3
+        assert rank_exact(IntMatrix.from_columns([(1, *q) for q in scan.witness])) == 3
 
     def test_line_with_off_point_needs_the_right_dtuple(self):
         # All streamed determinants against the pair of line points vanish,
@@ -387,6 +434,63 @@ class TestAbundance:
         assert scan.status is Abundance.YES
         assert scan.dtuple is not None
         assert (0, 1) in scan.dtuple
+
+
+# abundance_scan(g, 16) as recorded before the scan used the shared
+# elimination.  Moment curve, (d, t_start) -> the curve parameters t of the
+# witness and of the d-tuple; every status was "yes".
+MOMENT_SCANS = {
+    (1, 1): ((1, 2), (2,)),
+    (1, 7): ((7, 8), (8,)),
+    (1, 25): ((25, 26), (26,)),
+    (2, 1): ((1, 2, 3), (1, 3)),
+    (2, 7): ((7, 8, 9), (7, 9)),
+    (2, 25): ((25, 26, 27), (25, 27)),
+    (3, 1): ((1, 2, 3, 4), (2, 3, 4)),
+    (3, 7): ((7, 8, 9, 10), (8, 9, 10)),
+    (3, 25): ((25, 26, 27, 28), (26, 27, 28)),
+    (4, 1): ((1, 2, 3, 4, 5), (1, 3, 4, 5)),
+    (4, 7): ((7, 8, 9, 10, 11), (7, 9, 10, 11)),
+    (4, 25): ((25, 26, 27, 28, 29), (25, 27, 28, 29)),
+    (5, 1): ((1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6)),
+    (5, 7): ((7, 8, 9, 10, 11, 12), (8, 9, 10, 11, 12)),
+    (5, 25): ((25, 26, 27, 28, 29, 30), (26, 27, 28, 29, 30)),
+    (6, 1): ((1, 2, 3, 4, 5, 6, 7), (1, 3, 4, 5, 6, 7)),
+    (6, 7): ((7, 8, 9, 10, 11, 12, 13), (7, 9, 10, 11, 12, 13)),
+    (6, 25): ((25, 26, 27, 28, 29, 30, 31), (25, 27, 28, 29, 30, 31)),
+}
+# progressions: (points, start, step) -> (status, witness, d-tuple)
+PROGRESSION_SCANS = [
+    (([[0, 1]], [0, 0], [1, 0]), ("yes", ((0, 1), (0, 0), (1, 0)), ((0, 1), (1, 0)))),
+    (([[5]], [-4], [3]), ("yes", ((5,), (-4,)), ((-4,),))),
+    (
+        ([[0, 1, 0], [0, 0, 1], [2, 3, 5]], [1, 1, 1], [2, -1, 3]),
+        (
+            "yes",
+            ((0, 1, 0), (0, 0, 1), (2, 3, 5), (1, 1, 1)),
+            ((0, 0, 1), (2, 3, 5), (1, 1, 1)),
+        ),
+    ),
+]
+
+
+class TestPinnedScans:
+    @pytest.mark.parametrize("d, t_start", sorted(MOMENT_SCANS))
+    def test_moment_curve(self, d, t_start):
+        g = FrequencySet(d, (), PointGenerator("moment_curve", {"t_start": t_start}))
+        witness, dtuple = (
+            tuple(tuple(t**i for i in range(1, d + 1)) for t in ts)
+            for ts in MOMENT_SCANS[d, t_start]
+        )
+        assert abundance_scan(g, 16) == (Abundance.YES, witness, dtuple)
+
+    @pytest.mark.parametrize("case, expected", PROGRESSION_SCANS)
+    def test_progression(self, case, expected):
+        points, start, step = case
+        gen = {"kind": "arith_progression", "params": {"start": start, "step": step}}
+        g = FrequencySet.from_json({"dim": len(start), "points": points, "generator": gen})
+        status, witness, dtuple = abundance_scan(g, 16)
+        assert (status.value, witness, dtuple) == expected
 
 
 class TestJsonRejectsCoercion:
