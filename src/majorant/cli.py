@@ -85,7 +85,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = FrequencySet.from_json(_load_json(args.input))
     cfg = _eval_config(args)
-    if g.generator is not None:
+    if g.is_structurally_infinite():
         certs = construct_abundant(
             g,
             args.count,

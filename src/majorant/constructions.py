@@ -42,12 +42,10 @@ from .exact_lattice import (
     Abundance,
     FrequencySet,
     Vec,
+    _affine_basis,
     _as_vec,
-    _eliminate,
     _typed,
     abundance_scan,
-    affine_dimension,
-    is_affinely_independent,
     reduce_full_dim,
 )
 from .lp_engine import QUAD_POINT_BUDGET, EvalConfig, _check_freqs, paired_difference
@@ -260,53 +258,36 @@ def _certify(
     return replace(cert, note="; ".join(x for x in (note_prefix, note) if x))
 
 
-def _greedy_affine_basis(points: Sequence[Vec], d: int) -> list[Vec] | None:
-    """First affinely independent (d+1)-subset of `points` in listed order."""
-    chosen: list[Vec] = []
-    for pt in points:
-        trial = chosen + [pt]
-        if _eliminate([(1, *q) for q in trial])[0] == len(trial):
-            chosen = trial
-            if len(chosen) == d + 1:
-                return chosen
-    return None
-
-
 def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Certificate:
     """Counterexample for a finite, affinely dependent frequency set.
 
-    Translates so one point sits at the origin, selects an affinely
-    independent subset of full dimension among the rest, and certifies at
-    the odd midpoint 2 m_plus - 3 of the violation interval.
+    Finite means not structurally infinite, so a zero-step progression tail
+    counts as one more point.  The set's points are taken in listed order;
+    the first whose removal leaves a greedy affine basis (`_affine_basis`)
+    of full dimension is translated to the origin, and the certificate is
+    made at the odd midpoint 2 m_plus - 3 of the violation interval.
     """
     cfg = cfg or EvalConfig()
-    if g.generator is not None:
-        raise HypothesisError(
-            "set has a generator; use construct_abundant for infinite sets"
-        )
-    if is_affinely_independent(g):
-        raise HypothesisError(
-            "affinely independent set: the majorant property holds for every p"
-        )
+    if g.is_structurally_infinite():
+        raise HypothesisError("set is structurally infinite; use construct_abundant")
+    work = FrequencySet(g.dim, tuple(g.stream(len(g.points) + 1)))
+    basis = _affine_basis(work.points)
+    if len(basis) == len(work.points):
+        raise HypothesisError("affinely independent set: the majorant property holds for every p")
     reduction_rec: dict[str, Any] | None = None
-    work = g
-    if affine_dimension(g) < g.dim:
-        red = reduce_full_dim(g)
+    if len(basis) <= g.dim:
+        red = reduce_full_dim(work)
         work = red.reduced
         assert red.basis is not None  # dependent sets have at least two points
         reduction_rec = {
             "origin": list(red.n_star),
             "basis_columns": [list(red.basis.column(j)) for j in range(red.basis.cols)],
         }
-    pts = work.points
-    d = work.dim
-    for bullet in pts:
-        rest = [q for q in pts if q != bullet]
-        chosen = _greedy_affine_basis(rest, d)
-        if chosen is not None:
+    # removing a point outside `basis` keeps `basis`, so the loop always breaks
+    for bullet in work.points:
+        chosen = _affine_basis(q for q in work.points if q != bullet)
+        if len(chosen) == work.dim + 1:
             break
-    else:
-        raise HypothesisError("no point leaves behind a full-dimensional subset")
     translated = tuple(tuple(x - y for x, y in zip(q, bullet)) for q in chosen)
     cv = build_c(build_v(translated))
     return _certify("independent", translated, cv, 2 * cv.m_plus - 3, cfg, reduction_rec)
@@ -354,7 +335,7 @@ def construct_abundant(
         if sum(v) == 0:
             continue
         cv = build_c(v)
-        if cv.m_plus <= last_m or cv.m_plus == cv.m_minus or cv.m_plus < 2:
+        if cv.m_plus <= last_m:  # sum(v) != 0 and last_m >= 1: c unbalanced, m_plus >= 2
             continue
         certs.append(_certify("abundant", freqs, cv, 2 * cv.m_plus - 3, cfg))
         last_m = cv.m_plus
@@ -378,8 +359,6 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
     if is_even_exponent(p):
         raise DomainError("even integer exponents admit no strict violation")
     k, cv = smallest_admissible_k(d, p)
-    if not sign_condition(p, cv):
-        raise HypothesisError("sign condition failed for the selected curve offset")
     freqs = tuple(gamma_point(d, k + i) for i in range(d + 1))
     return _certify("moment_curve", freqs, cv, p, cfg, note_prefix=f"curve offset k={k}")
 
@@ -473,18 +452,20 @@ def classify(
 ) -> dict[str, Any]:
     """Full structural report: dimension, independence, abundance, verdict.
 
-    The majorant property holds at every p exactly when the set is affinely
-    independent; otherwise a certificate is attached when one can be built.
+    Dimension and independence come from the greedy affine basis of a
+    sample, the whole set when it is finite (not structurally infinite).
+    The majorant property holds at every p exactly when the set is finite
+    and affinely independent.  Otherwise a certificate is attached when one
+    can be built: abundant sets use `construct_abundant`, the rest the sample.
     """
     cfg = cfg or EvalConfig()
-    sample = FrequencySet(g.dim, tuple(g.stream(max(g.dim + 2, len(g.points), 8))))
-    adim = affine_dimension(sample)
-    infinite = g.is_structurally_infinite()
-    independent = not infinite and is_affinely_independent(sample)
+    sample = FrequencySet(g.dim, tuple(g.stream(max(g.dim + 2, len(g.points) + 1, 8))))
+    basis = _affine_basis(sample.points)
+    independent = not g.is_structurally_infinite() and len(basis) == len(sample.points)
     scan = abundance_scan(g, scan_budget)
     report: dict[str, Any] = {
         "dim": g.dim,
-        "affine_dimension": adim,
+        "affine_dimension": len(basis) - 1,
         "affinely_independent": independent,
         "abundance": scan.status.value,
         "note": "",
@@ -501,10 +482,8 @@ def classify(
     try:
         if scan.status is Abundance.YES:
             cert = construct_abundant(g, 1, cfg, scan_budget=scan_budget)[0]
-        elif infinite:
-            cert = construct_independent(sample, cfg)
         else:
-            cert = construct_independent(g, cfg)
+            cert = construct_independent(sample, cfg)
         report["certificate"] = cert.to_json()
     except MajorantError as exc:
         report["note"] = f"certificate construction failed: {exc}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, DomainError
 
@@ -331,15 +331,31 @@ class FrequencySet:
         return gen is not None and (gen.kind == "moment_curve" or any(gen.params["step"]))
 
 
-def affine_dimension(g: FrequencySet) -> int:
-    """Affine dimension of the listed points.
+def _affine_basis(points: Iterable[Vec]) -> tuple[Vec, ...]:
+    """Greedy affine basis: each point, in listed order, that is affinely
+    independent of those already kept.
 
-    This is the rank of the lifted points (1, n), less one; translation does
-    not change it.
+    A point is kept when its lift (1, n) raises the rank of the kept lifts.
+    The iterable is read lazily, and reading stops once len(point) + 1
+    points are kept, the most any affinely independent set in that
+    dimension has.
+    """
+    kept: list[Vec] = []
+    for p in points:
+        if _eliminate([(1, *q) for q in (*kept, p)])[0] > len(kept):
+            kept.append(p)
+            if len(kept) == len(p) + 1:
+                break
+    return tuple(kept)
+
+
+def affine_dimension(g: FrequencySet) -> int:
+    """Affine dimension of the listed points: the size of their greedy
+    affine basis (`_affine_basis`), less one.  Translation does not change it.
     """
     if not g.points:
         raise DimensionError("affine dimension needs at least one listed point")
-    return _eliminate([(1, *p) for p in g.points])[0] - 1
+    return len(_affine_basis(g.points)) - 1
 
 
 def is_affinely_independent(g: FrequencySet) -> bool:
@@ -412,10 +428,12 @@ class AbundanceScan(NamedTuple):
 def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
     """Tri-state abundance decision with the witness subsets the scan found.
 
-    yes: some d-tuple of points, completed by streamed points, produced more
-    than scan_budget distinct lifted determinants.  no: the set is provably
-    finite or its affine dimension provably stays below d.  inconclusive: the
-    stream budget ran out first.
+    The witness is the greedy affine basis (`_affine_basis`) of the streamed
+    points.  yes: some d-subset of the witness, completed by streamed points,
+    produced more than scan_budget distinct lifted determinants; the count
+    is judged after each point beyond the witness's last.  no: the set is
+    provably finite or its affine dimension provably stays below d.
+    inconclusive: the stream budget ran out first.
     """
     if scan_budget < 1:
         raise DomainError("scan budget must be positive")
@@ -428,34 +446,22 @@ def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
         # whole set is that of prefix + two line points, computable exactly
         start = _as_vec(gen.params["start"])
         second = tuple(s + t for s, t in zip(start, _as_vec(gen.params["step"])))
-        span = tuple(dict.fromkeys(list(g.points) + [start, second]))
-        if affine_dimension(FrequencySet(dim=d, points=span)) < d:
+        if len(_affine_basis([*g.points, start, second])) <= d:
             return AbundanceScan(Abundance.NO, None, None)
     stream_cap = 4 * scan_budget + 64
-    seen: list[Vec] = []
-    independent: list[Vec] = []
-    det_sets: list[tuple[tuple[Vec, ...], set[int]]] = []
+    witness = _affine_basis(g.stream(stream_cap))
+    if len(witness) < d + 1:
+        return AbundanceScan(Abundance.INCONCLUSIVE, None, None)
+    # candidate tuples: every d-subset of the witness
+    det_sets = [(witness[:i] + witness[i + 1 :], set()) for i in range(d + 1)]
+    judged = False
     for p in g.stream(stream_cap):
-        seen.append(p)
-        if len(independent) < d + 1:
-            if _eliminate([(1, *q) for q in (*independent, p)])[0] == len(independent) + 1:
-                independent.append(p)
-                if len(independent) == d + 1:
-                    # candidate tuples: every d-subset of the independent set
-                    det_sets = [
-                        (tuple(independent[:i] + independent[i + 1 :]), set())
-                        for i in range(d + 1)
-                    ]
-                    for q in seen:
-                        for tp, ds in det_sets:
-                            if q not in tp:
-                                ds.add(_eliminate([(1, *x) for x in (q, *tp)])[1])
-            continue
         for tp, ds in det_sets:
             if p not in tp:
                 ds.add(_eliminate([(1, *x) for x in (p, *tp)])[1])
-        for tp, ds in det_sets:
-            if len(ds) > scan_budget:
-                return AbundanceScan(Abundance.YES, tuple(independent), tp)
-    witness = tuple(independent) if len(independent) == d + 1 else None
+        if judged:
+            for tp, ds in det_sets:
+                if len(ds) > scan_budget:
+                    return AbundanceScan(Abundance.YES, witness, tp)
+        judged = judged or p == witness[-1]
     return AbundanceScan(Abundance.INCONCLUSIVE, witness, None)

@@ -23,6 +23,12 @@ LINE_SET = {"dim": 1, "points": [[0], [1], [2]]}
 INDEPENDENT_SET = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}
 # c = (2, 0, 0, -1): its margin certifies while the error estimate stays above --tol
 SPACE_SET = {"dim": 3, "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]]}
+# {0, 1} with a zero-step tail at 2: finite, so it takes the independent constructor
+ZERO_STEP_SET = {
+    "dim": 1,
+    "points": [[0], [1]],
+    "generator": {"kind": "arith_progression", "params": {"start": [2], "step": [0]}},
+}
 MOMENT_GEN_SET = {
     "dim": 2,
     "points": [],
@@ -75,6 +81,14 @@ class TestConstruct:
         assert cert["theorem_tag"] == "independent"
         assert cert["verified"] is True
         assert cert["coefficients"] == [1.0, 0.25, -0.25]
+
+    def test_zero_step_tail_gives_one_certificate(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", ZERO_STEP_SET)
+        code, out, _ = run(capsys, "construct", "--input", inp)
+        assert code == 0
+        cert = json.loads(out)
+        assert isinstance(cert, dict)
+        assert cert["frequencies"] == [[0], [1], [2]]
 
     def test_generator_set_emits_array(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)

@@ -15,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from majorant import constructions, exact_lattice
 from majorant.constructions import (
     Certificate,
     assign_signs,
@@ -51,6 +52,30 @@ COLLINEAR_GEN = FrequencySet.from_json(
         "generator": {"kind": "arith_progression", "params": {"start": [0, 0], "step": [1, 1]}},
     }
 )
+
+# {0, 1} with a zero-step tail at 2: a finite, dependent set of three points
+ZERO_STEP = FrequencySet.from_json(
+    {
+        "dim": 1,
+        "points": [[0], [1]],
+        "generator": {"kind": "arith_progression", "params": {"start": [2], "step": [0]}},
+    }
+)
+LINE = FrequencySet(1, ((0,), (1,), (2,)))
+
+
+def affine_basis_calls(monkeypatch) -> list[tuple]:
+    """Record the input of every `_affine_basis` call, in both modules that call it."""
+    calls: list[tuple] = []
+    real = exact_lattice._affine_basis
+
+    def spy(points):
+        calls.append(tuple(points))
+        return real(calls[-1])
+
+    for module in (exact_lattice, constructions):
+        monkeypatch.setattr(module, "_affine_basis", spy)
+    return calls
 
 
 class TestAssignSigns:
@@ -114,6 +139,20 @@ class TestConstructIndependent:
     def test_rejects_generated_set(self):
         with pytest.raises(HypothesisError):
             construct_independent(MOMENT_GEN)
+
+    def test_rejects_progression_with_nonzero_step(self):
+        with pytest.raises(HypothesisError):
+            construct_independent(COLLINEAR_GEN)
+
+    def test_zero_step_tail_is_one_more_point(self):
+        assert construct_independent(ZERO_STEP) == construct_independent(LINE)
+
+    def test_whole_input_basis_is_computed_once(self, monkeypatch):
+        calls = affine_basis_calls(monkeypatch)
+        construct_independent(SPACE_SET)
+        assert calls[0] == SPACE_SET.points
+        # the rest come from the bullet loop, one point left out each
+        assert [len(c) for c in calls[1:]] == [4] * (len(calls) - 1)
 
 
 class TestConstructAbundant:
@@ -280,6 +319,25 @@ class TestClassify:
         rep = classify(FrequencySet(1, ((0,), (1,), (2,))), with_certificate=False)
         assert rep["smp_status"] == "violated_with_certificate"
         assert rep["certificate"] is None
+
+    def test_whole_input_basis_is_computed_once(self, monkeypatch):
+        calls = affine_basis_calls(monkeypatch)
+        classify(SPACE_SET, with_certificate=False)
+        assert calls == [SPACE_SET.points]
+
+    def test_zero_step_tail_is_certified(self):
+        rep = classify(ZERO_STEP)
+        assert rep["smp_status"] == "violated_with_certificate"
+        assert rep["note"] == ""
+        assert rep["certificate"] == construct_independent(LINE).to_json()
+
+    def test_zero_step_tail_counts_beyond_eight_points(self):
+        # eight listed points on a line; the tail point lifts the dimension
+        gen = {"kind": "arith_progression", "params": {"start": [0, 1], "step": [0, 0]}}
+        g = FrequencySet.from_json(
+            {"dim": 2, "points": [[x, 0] for x in range(8)], "generator": gen}
+        )
+        assert classify(g, with_certificate=False)["affine_dimension"] == 2
 
 
 class TestJsonContracts:

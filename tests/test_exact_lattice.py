@@ -19,6 +19,7 @@ from majorant.exact_lattice import (
     FrequencySet,
     IntMatrix,
     PointGenerator,
+    _affine_basis,
     abundance_scan,
     affine_dimension,
     det_exact,
@@ -321,6 +322,50 @@ class TestAffineStructure:
         )
 
 
+def lifts(points) -> list[list[int]]:
+    return [[1, *p] for p in points]
+
+
+class TestAffineBasis:
+    @given(
+        data=st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=8)
+        )
+    )
+    @settings(max_examples=150)
+    def test_spans_the_points_it_reads(self, data):
+        basis = _affine_basis(data)
+        # the rank of the lifts of the whole input, by rational elimination
+        assert len(basis) == rank_rational(lifts(data))
+        assert rank_rational(lifts(basis)) == len(basis)
+        for q in data:
+            assert rank_rational(lifts([*basis, q])) == len(basis)
+
+    @given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1))
+    @settings(max_examples=50)
+    def test_first_point_is_always_kept(self, points):
+        assert _affine_basis(points)[0] == points[0]
+
+    def test_keeps_points_in_listed_order(self):
+        pts = [(0, 0), (2, 2), (1, 1), (5, 0), (0, 5)]
+        assert _affine_basis(pts) == ((0, 0), (2, 2), (5, 0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_reading_stops_after_dim_plus_one_points(self, dim):
+        unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+
+        def points():
+            yield (0,) * dim
+            yield (0,) * dim  # dependent: read and skipped
+            yield from unit
+            raise AssertionError("read past the last basis point")
+
+        assert _affine_basis(points()) == ((0,) * dim, *unit)
+
+    def test_empty_input_has_empty_basis(self):
+        assert _affine_basis([]) == ()
+
+
 class TestReduceFullDim:
     def test_full_dimension_is_identity_like(self):
         g = FrequencySet(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
@@ -415,6 +460,14 @@ class TestAbundance:
         )
         scan = abundance_scan(g, 16)
         assert rank_exact(IntMatrix.from_columns([(1, *q) for q in scan.witness])) == 3
+
+    def test_count_is_judged_only_after_the_witness(self):
+        # budget 1 streams 68 points, and the 68th, the curve's first,
+        # completes the witness: no point is left to judge the count at
+        g = FrequencySet(2, tuple((j, 0) for j in range(67)), PointGenerator("moment_curve"))
+        scan = abundance_scan(g, 1)
+        assert scan == (Abundance.INCONCLUSIVE, ((0, 0), (1, 0), (1, 1)), None)
+        assert abundance_scan(g, 2).status is Abundance.YES
 
     def test_line_with_off_point_needs_the_right_dtuple(self):
         # All streamed determinants against the pair of line points vanish,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorant.cvector import build_c, build_v
+from majorant.cvector import build_c, build_v, is_even_exponent, sign_condition
 from majorant.errors import BudgetError, DimensionError, DomainError
 from majorant.lp_engine import EvalConfig
 from majorant.moment_curve import (
@@ -94,6 +94,19 @@ class TestSmallestAdmissibleK:
     def test_invalid_exponent(self):
         with pytest.raises(DomainError):
             smallest_admissible_k(2, 0)
+
+    @given(
+        d=st.integers(1, 6),
+        p=st.one_of(
+            st.fractions(Fraction(1, 8), 60, max_denominator=8),
+            st.floats(1 / 64, 60, allow_nan=False, allow_infinity=False),
+        ).filter(lambda p: not is_even_exponent(p)),
+    )
+    @settings(max_examples=200)
+    def test_sign_condition_holds(self, d, p):
+        # every |c_i| > p/2 and sum c_i = 1 leave an odd count of negative factors
+        _, cv = smallest_admissible_k(d, p)
+        assert sign_condition(p, cv)
 
     @pytest.mark.parametrize("d, p", [(2, 10**15 + 1), (3, Fraction(2 * 10**18 + 1, 2))])
     def test_huge_exponent_is_found_by_bisection(self, time_limit, d, p):

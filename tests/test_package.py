@@ -69,3 +69,54 @@ def test_no_module_imports_an_unused_name():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no other top-level statement reads.
+
+    `sources` maps module names to source text.  A name is private when it
+    starts with one underscore; dunder names such as `__version__` are not.
+    A read is a loaded identifier or an attribute, in any module; a
+    statement reading a name it defines itself, as a recursive function
+    does, does not count.
+    """
+    defined: list[tuple[str, str]] = []  # (module, name)
+    reads: list[tuple[set[str], set[str]]] = []  # (names a statement defines, names it reads)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            defined += [(module, n) for n in sorted(names)]
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+            reads.append((names, read))
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in read and name not in names for names, read in reads)
+    ]
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {
+        "a": "_LIMIT = 3\n__version__ = '1'\ndef _walk(n):\n    return _walk(n - 1)\n",
+        "b": "from .a import _LIMIT\ndef _used():\n    return _LIMIT\nx = _used()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._walk"]
+
+
+def test_every_private_name_is_referenced():
+    package = Path(majorant.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
