@@ -40,6 +40,7 @@ from .cvector import (
 from .errors import BudgetError, DomainError, HypothesisError, MajorantError
 from .exact_lattice import (
     Abundance,
+    AbundanceScan,
     FrequencySet,
     Vec,
     _affine_basis,
@@ -48,7 +49,13 @@ from .exact_lattice import (
     abundance_scan,
     reduce_full_dim,
 )
-from .lp_engine import QUAD_POINT_BUDGET, EvalConfig, _check_freqs, paired_difference
+from .lp_engine import (
+    QUAD_POINT_BUDGET,
+    EvalConfig,
+    _check_freqs,
+    _paired_differences,
+    paired_difference,
+)
 from .moment_curve import gamma_point, smallest_admissible_k
 
 MAGNITUDE = 0.25
@@ -57,6 +64,8 @@ MAGNITUDE = 0.25
 LEAD_FLOOR = 5e-15
 # A certifying margin lies within this factor of the exact leading term.
 LEAD_AGREEMENT = 10.0
+# Points of an abundant set read before its escalating family gives up.
+STREAM_BUDGET = 400
 
 SCHEMA_VERSION = 1
 # JSON types of a certificate's single entries, as docs/certificate.schema.json
@@ -298,7 +307,7 @@ def construct_abundant(
     how_many: int,
     cfg: EvalConfig | None = None,
     scan_budget: int = 64,
-    stream_budget: int = 400,
+    stream_budget: int = STREAM_BUDGET,
 ) -> list[Certificate]:
     """Certificates with strictly increasing m_plus from an abundant set.
 
@@ -320,6 +329,13 @@ def construct_abundant(
         raise BudgetError(
             "abundance scan inconclusive within budget; raise scan_budget"
         )
+    return _abundant_family(g, scan, how_many, cfg, stream_budget)
+
+
+def _abundant_family(
+    g: FrequencySet, scan: AbundanceScan, how_many: int, cfg: EvalConfig, stream_budget: int
+) -> list[Certificate]:
+    """`construct_abundant`'s certificates from a scan that found `g` abundant."""
     assert scan.witness is not None and scan.dtuple is not None
     bullet = next(q for q in scan.witness if q not in scan.dtuple)
     anchor = tuple(tuple(x - y for x, y in zip(q, bullet)) for q in scan.dtuple)
@@ -434,14 +450,12 @@ def emit_plot_data(
     if note := _overflow_note(cert.coefficients, hi):
         raise BudgetError(note)
     span = hi - lo
-    rows = []
-    for i in range(p_samples):
-        p = lo + span * (i + 1) / (p_samples + 1)
-        res = paired_difference(cert.frequencies, cert.coefficients, p, cfg)
-        rows.append(
-            {"p": p, "lhs": res.lhs, "rhs": res.rhs, "difference": res.difference}
-        )
-    return rows
+    ps = [lo + span * (i + 1) / (p_samples + 1) for i in range(p_samples)]
+    results = _paired_differences(cert.frequencies, cert.coefficients, ps, cfg) if ps else []
+    return [
+        {"p": p, "lhs": res.lhs, "rhs": res.rhs, "difference": res.difference}
+        for p, res in zip(ps, results)
+    ]
 
 
 def classify(
@@ -481,7 +495,7 @@ def classify(
         return report
     try:
         if scan.status is Abundance.YES:
-            cert = construct_abundant(g, 1, cfg, scan_budget=scan_budget)[0]
+            cert = _abundant_family(g, scan, 1, cfg, STREAM_BUDGET)[0]
         else:
             cert = construct_independent(sample, cfg)
         report["certificate"] = cert.to_json()

@@ -8,6 +8,14 @@ quadrature rule is the rectangle rule per axis, which on the torus is the
 trapezoid rule and converges spectrally for smooth integrands; error
 estimates come from comparing two successive grid doublings.
 
+The quadrature kernel works on half the grid: real coefficients make |F|
+even, so the first axis keeps indices 0..n//2, each weighted by the number
+of grid slices it stands for.  A row's sum at every point is one matrix
+product: the per-axis phase tables of all axes but the last, multiplied
+together and scaled by the row, times the last axis's table.  One call
+keeps each grid's |F|^2 and every exponent it evaluates reads it, so a
+table of exponents builds each grid once.
+
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
 quadrature and rounding errors largely cancel and differences far below
@@ -21,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,54 +93,50 @@ def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> None:
             raise DomainError("coefficients must be finite")
 
 
-def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
-    return (values.real**2 + values.imag**2) ** (float(p) / 2.0)
+def _half_grid_squares(
+    freqs: Sequence[Vec], coeff_rows: Sequence[Sequence[float]], n: int
+) -> list[np.ndarray]:
+    """|sum_j c_j e(n_j . x)|^2 on the half n^d grid, one array per coeff row.
 
-
-def _phase_factor(freq: Vec, t: np.ndarray, d: int) -> np.ndarray:
-    """exp(2 pi i freq.x) on the tensor grid, built axis by axis.
-
-    On n points e(k j/n) depends only on k mod n, so an entry larger than
-    n/2 in size is first reduced to its centered residue: exact integers of
-    any size then give a finite phase, and smaller entries are used unchanged.
+    The first axis keeps indices 0..n//2 (see `_half_grid_mean`), and each
+    array has shape (n//2 + 1, n^(d-1)).  A phase e(n_j . x) is a product of
+    1-D phases e(k i / n), one per axis, which depend only on k mod n: every
+    entry is reduced mod the full n, so exact integers of any size give a
+    finite phase, read from one table of n-th roots of unity.  The tables of
+    all axes but the last are multiplied into one (frequency x point) array;
+    scaled by a row's coefficients, one matrix product with the last axis's
+    table gives that row's sum at every point.  All rows share the tables,
+    keeping their errors correlated so that differences between rows are
+    computed stably.
     """
-    n = t.size
-    out: Optional[np.ndarray] = None
-    for axis, k in enumerate(freq):
-        if abs(k) > n // 2:
-            k = (k + n // 2) % n - n // 2
-        if k == 0:
-            continue
-        shape = [1] * d
-        shape[axis] = n
-        factor = np.exp((2j * np.pi * k) * t).reshape(shape)
-        out = factor if out is None else out * factor
-    if out is None:
-        return np.ones((1,) * d)
-    return out
+    m, h = len(freqs), n // 2 + 1
+    roots = np.exp((2j * np.pi / n) * np.arange(n))
+    residues = np.array([[k % n for k in f] for f in freqs], dtype=np.int64)
+    tables = [
+        roots[np.outer(residues[:, axis], np.arange(n if axis else h)) % n]
+        for axis in range(len(freqs[0]))
+    ]
+    head = np.ones((m, 1), dtype=complex)
+    for table in tables[:-1]:
+        head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
+    squares = []
+    for row in coeff_rows:
+        field = (np.asarray(row)[:, None] * head).T @ tables[-1]
+        squares.append((field.real**2 + field.imag**2).reshape(h, -1))
+    return squares
 
 
-def _mean_abs_powers(
-    freqs: Sequence[Vec],
-    coeff_rows: Sequence[Sequence[float]],
-    p: float,
-    n: int,
-) -> list[float]:
-    """Mean of |sum_j c_j e(n_j . x)|^p over the n^d grid, one per coeff row.
+def _half_grid_mean(square: np.ndarray, p: float, n: int) -> float:
+    """Mean of |sum|^p over the full n^d grid, from its squares on the half grid.
 
-    All rows share the per-frequency phase arrays, keeping their errors
-    correlated so that differences between rows are computed stably.
+    Real coefficients give F(-x) = conj F(x), and x -> -x maps the points
+    with first index i onto those with first index -i mod n.  So the slice
+    at i stands for two slices, unless 2i = 0 mod n, where it stands for
+    itself; this is exact for odd n as well as even.
     """
-    d = len(freqs[0])
-    t = np.arange(n) / n
-    totals = [np.zeros((n,) * d, dtype=complex) for _ in coeff_rows]
-    for j, f in enumerate(freqs):
-        phase = _phase_factor(f, t, d)
-        for row, total in zip(coeff_rows, totals):
-            if row[j] != 0.0:
-                total += row[j] * phase
-        del phase
-    return [float(np.mean(_abs_power(total, p))) for total in totals]
+    first = np.arange(square.shape[0])
+    weights = np.where(2 * first % n == 0, 1.0, 2.0)
+    return float(weights @ (square ** (p / 2.0)).sum(axis=1)) / (n * square.shape[1])
 
 
 class QuadResult(NamedTuple):
@@ -142,50 +146,65 @@ class QuadResult(NamedTuple):
 
 
 def _refine(
-    freqs: Sequence[Vec], coeffs: Sequence[Real], p: Real, cfg: EvalConfig, paired: bool
-) -> tuple[list[float], float, int]:
+    freqs: Sequence[Vec],
+    coeffs: Sequence[Real],
+    ps: Sequence[Real],
+    cfg: EvalConfig,
+    paired: bool,
+) -> list[tuple[list[float], float, int]]:
     """Means of |sum|^p on doubling grids until the tracked quantity settles.
 
     One row (the coefficients) tracks its own mean; a paired run adds the
     absolute-value row and tracks signed minus majorant.  Doubling stops when
     two successive values agree within the configured tolerance or the point
-    budget runs out; the last successive difference is returned as the error
-    estimate, never silently dropped.  Returns (means, error, grid).
+    budget, counted on the full grid, runs out; the last successive
+    difference is returned as the error estimate, never silently dropped.
+    Every exponent is checked before any grid work, then runs this ladder on
+    its own; the squares of a grid are built once and read by every
+    exponent that visits it.  Returns (means, error, grid) per exponent.
     """
     d = _check_freqs(freqs)
     _check_real_coeffs(coeffs, len(freqs))
-    pf = float(p)
-    if not 0 < pf < math.inf:
+    pfs = [float(p) for p in ps]
+    if not all(0 < pf < math.inf for pf in pfs):
         raise DomainError("exponent must be positive and finite")
     if d > QUAD_MAX_DIM:
         raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
     row = [float(x) for x in coeffs]
     rows = [row, [abs(x) for x in row]] if paired else [row]
+    squares: dict[int, list[np.ndarray]] = {}
 
-    def tracked(means: list[float]) -> float:
-        return means[0] - means[1] if paired else means[0]
+    def tracked(n: int, pf: float) -> tuple[list[float], float]:
+        if n not in squares:
+            squares[n] = _half_grid_squares(freqs, rows, n)
+        means = [_half_grid_mean(sq, pf, n) for sq in squares[n]]
+        return means, (means[0] - means[1] if paired else means[0])
 
-    n = max(8, cfg.grid_points_per_axis)
-    while n**d > QUAD_POINT_BUDGET and n > 8:
-        n //= 2
-    prev = tracked(_mean_abs_powers(freqs, rows, pf, max(4, n // 2)))
-    means = _mean_abs_powers(freqs, rows, pf, n)
-    err = abs(tracked(means) - prev)
-    for _ in range(QUAD_MAX_DOUBLINGS):
-        if err <= cfg.backend_agreement_tol or (2 * n) ** d > QUAD_POINT_BUDGET:
-            break
-        n *= 2
-        prev = tracked(means)
-        means = _mean_abs_powers(freqs, rows, pf, n)
-        err = abs(tracked(means) - prev)
-    return means, err, n
+    start = max(8, cfg.grid_points_per_axis)
+    while start**d > QUAD_POINT_BUDGET and start > 8:
+        start //= 2
+    results = []
+    for pf in pfs:
+        n = start
+        prev = tracked(max(4, n // 2), pf)[1]
+        means, value = tracked(n, pf)
+        err = abs(value - prev)
+        for _ in range(QUAD_MAX_DOUBLINGS):
+            if err <= cfg.backend_agreement_tol or (2 * n) ** d > QUAD_POINT_BUDGET:
+                break
+            n *= 2
+            prev = value
+            means, value = tracked(n, pf)
+            err = abs(value - prev)
+        results.append((means, err, n))
+    return results
 
 
 def lp_norm_quadrature(
     freqs: Sequence[Vec], coeffs: Sequence[Real], p: Real, cfg: EvalConfig
 ) -> QuadResult:
     """p-th power of the L^p norm of sum_j coeffs[j] e(freqs[j] . x)."""
-    means, err, n = _refine(freqs, coeffs, p, cfg, paired=False)
+    [(means, err, n)] = _refine(freqs, coeffs, (p,), cfg, paired=False)
     return QuadResult(means[0], err, n)
 
 
@@ -197,12 +216,21 @@ class PairedDifference(NamedTuple):
     grid_points_per_axis: int
 
 
+def _paired_differences(
+    freqs: Sequence[Vec], signed: Sequence[Real], ps: Sequence[Real], cfg: EvalConfig
+) -> list[PairedDifference]:
+    """`paired_difference` at each exponent of `ps`, sharing grid squares."""
+    return [
+        PairedDifference(lhs, rhs, rhs - lhs, err, n)
+        for (rhs, lhs), err, n in _refine(freqs, signed, ps, cfg, paired=True)
+    ]
+
+
 def paired_difference(
     freqs: Sequence[Vec], signed: Sequence[Real], p: Real, cfg: EvalConfig
 ) -> PairedDifference:
     """Signed minus absolute-value norm powers, evaluated on shared grids."""
-    (rhs, lhs), err, n = _refine(freqs, signed, p, cfg, paired=True)
-    return PairedDifference(lhs, rhs, rhs - lhs, err, n)
+    return _paired_differences(freqs, signed, (p,), cfg)[0]
 
 
 def _numerators(coeffs: Sequence[Real]) -> tuple[list[int], int]:

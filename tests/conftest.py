@@ -7,6 +7,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from majorant import lp_engine
+
 
 @pytest.fixture
 def time_limit():
@@ -30,3 +32,17 @@ def time_limit():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+@pytest.fixture
+def squares_builds(monkeypatch):
+    """The grid of every `lp_engine._half_grid_squares` call made in the test."""
+    built: list[int] = []
+    real = lp_engine._half_grid_squares
+
+    def spy(freqs, rows, n):
+        built.append(n)
+        return real(freqs, rows, n)
+
+    monkeypatch.setattr(lp_engine, "_half_grid_squares", spy)
+    return built

@@ -29,7 +29,7 @@ from majorant.constructions import (
 from majorant.cvector import OpenInterval, build_c, build_v
 from majorant.errors import BudgetError, DomainError, HypothesisError, MajorantError
 from majorant.exact_lattice import FrequencySet
-from majorant.lp_engine import EvalConfig
+from majorant.lp_engine import EvalConfig, paired_difference
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -280,6 +280,19 @@ class TestEmitPlotData:
         ps = [row["p"] for row in rows]
         assert ps == sorted(ps)
 
+    def test_rows_share_grids_and_match_single_evaluations(self, squares_builds):
+        cert = construct_moment(2, 1.0)
+        squares_builds.clear()
+        rows = emit_plot_data(cert, 9)
+        shared = list(squares_builds)
+        squares_builds.clear()
+        for row in rows:
+            res = paired_difference(cert.frequencies, cert.coefficients, row["p"], EvalConfig())
+            assert (row["lhs"], row["rhs"], row["difference"]) == (res.lhs, res.rhs, res.difference)
+        # one build per grid any exponent's ladder visits, where single calls rebuild
+        assert sorted(shared) == sorted(set(squares_builds))
+        assert len(squares_builds) > len(shared) >= 2
+
     def test_zero_samples_give_empty_table(self, cert):
         assert emit_plot_data(cert, 0) == []
 
@@ -324,6 +337,18 @@ class TestClassify:
         calls = affine_basis_calls(monkeypatch)
         classify(SPACE_SET, with_certificate=False)
         assert calls == [SPACE_SET.points]
+
+    def test_abundant_set_is_scanned_once(self, monkeypatch):
+        scans = []
+
+        def spy(g, budget):
+            scans.append((g, budget))
+            return exact_lattice.abundance_scan(g, budget)
+
+        monkeypatch.setattr(constructions, "abundance_scan", spy)
+        rep = classify(MOMENT_GEN)
+        assert scans == [(MOMENT_GEN, 64)]
+        assert rep["certificate"] == construct_abundant(MOMENT_GEN, 1)[0].to_json()
 
     def test_zero_step_tail_is_certified(self):
         rep = classify(ZERO_STEP)

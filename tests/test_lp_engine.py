@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +28,7 @@ from majorant.cvector import (
     log2_leading_term,
     multinomial,
 )
+import majorant
 from majorant.errors import (
     BudgetError,
     ConvergenceError,
@@ -32,6 +38,9 @@ from majorant.errors import (
 from majorant.lp_engine import (
     ENUM_BUDGET,
     EvalConfig,
+    _half_grid_mean,
+    _half_grid_squares,
+    _paired_differences,
     g_function,
     lp_norm_even_exact,
     lp_norm_quadrature,
@@ -285,6 +294,116 @@ class TestTaylor:
         res = lp_norm_taylor(((1,),), (0.9,), 1.0, EvalConfig(series_total_degree_cutoff=4))
         assert not res.converged
         assert res.tail_estimate > EvalConfig().backend_agreement_tol
+
+
+def full_grid_means(freqs, rows, p, n):
+    """Reference: each phase by np.exp over all n^d points, one frequency at a time."""
+    d = len(freqs[0])
+    x = np.indices((n,) * d) / n
+    totals = [np.zeros((n,) * d, dtype=complex) for _ in rows]
+    for j, f in enumerate(freqs):
+        k = [(e + n // 2) % n - n // 2 for e in f]  # e(k x) on the grid depends on k mod n
+        phase = np.exp(2j * np.pi * sum(kk * xa for kk, xa in zip(k, x)))
+        for row, total in zip(rows, totals):
+            total += row[j] * phase
+    return [float(np.mean(np.abs(total) ** p)) for total in totals]
+
+
+def half_grid_means(freqs, rows, p, n):
+    return [_half_grid_mean(sq, p, n) for sq in _half_grid_squares(freqs, rows, n)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Frequencies in Z^1..Z^4 up to 40 (maybe one entry of 10^400 + 1), rows, p, grid."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((4, 5, 8, 9, 12, 16) + ((33, 64) if d <= 2 else ())))
+    entries = st.tuples(*[st.integers(-40, 40)] * d)
+    freqs = draw(st.lists(entries, min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        j, axis = draw(st.integers(0, len(freqs) - 1)), draw(st.integers(0, d - 1))
+        freqs[j] = freqs[j][:axis] + (10**400 + 1,) + freqs[j][axis + 1 :]
+    # |sum|^2 underflows below about 1e-154, so nonzero sizes start well above that
+    size = st.floats(1e-6, 3)
+    coeff = st.one_of(st.just(0.0), size, size.map(lambda x: -x))
+    row = st.lists(coeff, min_size=len(freqs), max_size=len(freqs))
+    rows = draw(st.lists(row, min_size=1, max_size=2))
+    return freqs, rows, draw(st.floats(1, 6)), n
+
+
+class TestHalfGridKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_matches_full_grid_reference(self, case):
+        freqs, rows, p, n = case
+        for got, want, row in zip(
+            half_grid_means(freqs, rows, p, n), full_grid_means(freqs, rows, p, n), rows
+        ):
+            # the absolute floor only matters when aliased terms cancel on the grid
+            scale = sum(abs(x) for x in row) ** p
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
+
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            ((0,), (1,), (7,), (3,)),
+            ((0, 0), (1, 0), (7, 0), (3, 1)),
+            ((0, 0, 0), (1, 0, 0), (7, 0, 0), (2, 1, 1)),
+        ],
+    )
+    def test_odd_grid_reduces_mod_the_full_axis(self, freqs):
+        # 7 is -2 mod 9 but 2 mod the 5 kept first-axis points
+        rows = [(1.0, 0.5, -0.3, 0.2), (1.0, 0.5, 0.3, 0.2)]
+        for p in (1.0, 3.0):
+            got, want = half_grid_means(freqs, rows, p, 9), full_grid_means(freqs, rows, p, 9)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 9])
+    def test_weights_count_every_point_once(self, n):
+        for d in (1, 2, 3):
+            (square,) = _half_grid_squares(((0,) * d,), [(1.0,)], n)
+            assert square.shape == (n // 2 + 1, n ** (d - 1))
+            assert _half_grid_mean(square, 1.7, n) == pytest.approx(1.0, rel=1e-15)
+
+
+class TestSharedSquares:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_exponent_refused_before_any_grid(self, squares_builds, bad):
+        freqs, signed = ((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25)
+        with pytest.raises(DomainError):
+            _paired_differences(freqs, signed, [1.5, 2.5, bad, 3.5], EvalConfig())
+        assert squares_builds == []
+
+
+class TestBlasThreads:
+    SCRIPT = (
+        "from majorant.lp_engine import EvalConfig, paired_difference\n"
+        "cases = [(((0, 0, 0), (2, 4, 8), (3, 9, 27), (4, 16, 64), (5, 25, 125)),"
+        " (1.0, 0.25, 0.25, -0.25, 0.25), 3.0),"
+        " (((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25), 1.0)]\n"
+        "for freqs, signed, p in cases:\n"
+        "    res = paired_difference(freqs, signed, p, EvalConfig())\n"
+        "    print(res.lhs.hex(), res.rhs.hex(), res.difference.hex(),"
+        " res.error_estimate.hex(), res.grid_points_per_axis)\n"
+    )
+
+    def test_values_do_not_depend_on_the_thread_count(self):
+        src = str(Path(majorant.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestPairedDifference:
