@@ -10,11 +10,16 @@ estimates come from comparing two successive grid doublings.
 
 The quadrature kernel works on half the grid: real coefficients make |F|
 even, so the first axis keeps indices 0..n//2, each weighted by the number
-of grid slices it stands for.  A row's sum at every point is one matrix
+of grid slices it stands for.  A row's sum at every point is a matrix
 product: the per-axis phase tables of all axes but the last, multiplied
-together and scaled by the row, times the last axis's table.  One call
-keeps each grid's |F|^2 and every exponent it evaluates reads it, so a
-table of exponents builds each grid once.
+together and scaled by the row, times the last axis's table.  It is taken a
+block of slices at a time and squared into the row's |F|^2, so no complex
+array of the whole grid is held.  One call keeps each grid's |F|^2 and
+every exponent it evaluates reads it, so a table of exponents builds each
+grid once; the start grid's n//2 grid, which seeds the first error
+estimate, is read as every other point of the start grid's squares.  Each
+row is first divided by a power of two that brings its largest entry into
+[1, 2), so |F|^2 neither under- nor overflows for any coefficient size.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -45,6 +50,7 @@ from .exact_lattice import Vec, _typed
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
 QUAD_MAX_DOUBLINGS = 16
+_BLOCK_POINTS = 1 << 14  # grid points per block of the squares build
 ENUM_BUDGET = 10_000_000
 
 
@@ -103,11 +109,15 @@ def _half_grid_squares(
     1-D phases e(k i / n), one per axis, which depend only on k mod n: every
     entry is reduced mod the full n, so exact integers of any size give a
     finite phase, read from one table of n-th roots of unity.  The tables of
-    all axes but the last are multiplied into one (frequency x point) array;
-    scaled by a row's coefficients, one matrix product with the last axis's
-    table gives that row's sum at every point.  All rows share the tables,
-    keeping their errors correlated so that differences between rows are
-    computed stably.
+    all axes but the last are multiplied into one (point x frequency) array
+    whose rows, scaled by a row's coefficients, stand for the slices of the
+    grid along the last axis.  The output is filled a block of about
+    `_BLOCK_POINTS` points at a time: one matrix product of the block's
+    slices with the last axis's table, squared in place through its float64
+    view, real and imaginary halves added into the output.  No complex array
+    of the whole grid is ever held.  All rows share the tables, keeping
+    their errors correlated so that differences between rows are computed
+    stably.
     """
     m, h = len(freqs), n // 2 + 1
     roots = np.exp((2j * np.pi / n) * np.arange(n))
@@ -119,10 +129,52 @@ def _half_grid_squares(
     head = np.ones((m, 1), dtype=complex)
     for table in tables[:-1]:
         head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
+    head, last = np.ascontiguousarray(head.T), tables[-1]
+    slices = len(head)
+    bounds = [*range(0, slices, max(2, _BLOCK_POINTS // last.shape[1])), slices]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # numpy takes a one-row product as a vector product, with other
+        # arithmetic than a matrix product: a lone last slice joins the block before
+        del bounds[-2]
     squares = []
     for row in coeff_rows:
-        field = (np.asarray(row)[:, None] * head).T @ tables[-1]
-        squares.append((field.real**2 + field.imag**2).reshape(h, -1))
+        scaled = head * np.asarray(row)
+        square = np.empty((slices, last.shape[1]))
+        for lo, hi in zip(bounds, bounds[1:]):
+            parts = (scaled[lo:hi] @ last).view(np.float64)
+            np.square(parts, out=parts)
+            np.add(parts[:, 0::2], parts[:, 1::2], out=square[lo:hi])
+        squares.append(square.reshape(h, -1))
+    return squares
+
+
+def _start_squares(
+    freqs: Sequence[Vec], rows: Sequence[Sequence[float]], n: int
+) -> dict[int, list[np.ndarray]]:
+    """Squares on the start grid n and on n//2, the grid of the first error estimate.
+
+    The n//2 grid's points are the n grid's points with every index even,
+    and its kept first-axis indices 0..n//4 are the even ones among 0..n//2.
+    Where n is a multiple of 16, the n//2 squares are read as that subgrid
+    of the n squares, copied contiguous so that their row sums add in the
+    same order as a direct build's.  A BLAS matrix product gives a column
+    the arithmetic of a full group of columns (4 wide in OpenBLAS) or of the
+    remainder, and on multiples of 16 each subgrid column falls in the same
+    kind of group in both builds, so the read squares equal the built ones
+    bit for bit (with one BLAS thread: threads split a 1-D product's columns
+    their own way).  On other grids they could differ in the last bits, and
+    the n//2 grid is built.
+    """
+    d = len(freqs[0])
+    squares = {n: _half_grid_squares(freqs, rows, n)}
+    if n % 16:
+        squares[n // 2] = _half_grid_squares(freqs, rows, n // 2)
+    else:
+        shape, even = (n // 2 + 1,) + (n,) * (d - 1), (slice(None, None, 2),) * d
+        squares[n // 2] = [
+            np.ascontiguousarray(sq.reshape(shape)[even]).reshape(n // 4 + 1, -1)
+            for sq in squares[n]
+        ]
     return squares
 
 
@@ -132,11 +184,28 @@ def _half_grid_mean(square: np.ndarray, p: float, n: int) -> float:
     Real coefficients give F(-x) = conj F(x), and x -> -x maps the points
     with first index i onto those with first index -i mod n.  So the slice
     at i stands for two slices, unless 2i = 0 mod n, where it stands for
-    itself; this is exact for odd n as well as even.
+    itself; this is exact for odd n as well as even.  Raises BudgetError
+    when the mean overflows.
     """
     first = np.arange(square.shape[0])
     weights = np.where(2 * first % n == 0, 1.0, 2.0)
-    return float(weights @ (square ** (p / 2.0)).sum(axis=1)) / (n * square.shape[1])
+    with np.errstate(over="ignore"):
+        mean = float(weights @ (square ** (p / 2.0)).sum(axis=1)) / (n * square.shape[1])
+    if not math.isfinite(mean):
+        raise BudgetError(f"the mean of |sum|^{p:g} is beyond floating-point range")
+    return mean
+
+
+def _scaled_back(x: float, shift: int, p: float) -> float:
+    """x * 2^(shift p): a mean of |sum|^p taken with the row divided by 2^shift, unscaled."""
+    try:
+        whole = math.floor(shift * p)
+        x = math.ldexp(x * 2.0 ** (shift * p - whole), whole)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise BudgetError(f"the mean of |sum|^{p:g} is beyond floating-point range")
+    return x
 
 
 class QuadResult(NamedTuple):
@@ -155,13 +224,21 @@ def _refine(
     """Means of |sum|^p on doubling grids until the tracked quantity settles.
 
     One row (the coefficients) tracks its own mean; a paired run adds the
-    absolute-value row and tracks signed minus majorant.  Doubling stops when
-    two successive values agree within the configured tolerance or the point
-    budget, counted on the full grid, runs out; the last successive
-    difference is returned as the error estimate, never silently dropped.
+    absolute-value row and tracks signed minus majorant.  The rows are first
+    divided by the power of two 2^shift that brings the largest |entry| into
+    [1, 2), so that no |sum|^2 under- or overflows; a row whose largest
+    entry is 1.0, as every certificate's is, stays as it is.  Doubling stops
+    when two successive values of the scaled rows agree within the
+    configured tolerance or the point budget, counted on the full grid, runs
+    out; the last successive difference is returned as the error estimate,
+    never silently dropped.  The means and the error come back multiplied
+    by 2^(shift p), and BudgetError is raised when one leaves the float range.
+
     Every exponent is checked before any grid work, then runs this ladder on
     its own; the squares of a grid are built once and read by every
-    exponent that visits it.  Returns (means, error, grid) per exponent.
+    exponent that visits it.  The start grid's squares are built first, and
+    its n//2 grid, which seeds the first error estimate, is read from them
+    (see `_start_squares`).  Returns (means, error, grid) per exponent.
     """
     d = _check_freqs(freqs)
     _check_real_coeffs(coeffs, len(freqs))
@@ -171,8 +248,13 @@ def _refine(
     if d > QUAD_MAX_DIM:
         raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
     row = [float(x) for x in coeffs]
+    shift = math.frexp(max(map(abs, row)))[1] - 1
+    row = [math.ldexp(x, -shift) for x in row]
     rows = [row, [abs(x) for x in row]] if paired else [row]
-    squares: dict[int, list[np.ndarray]] = {}
+    start = max(8, cfg.grid_points_per_axis)
+    while start**d > QUAD_POINT_BUDGET and start > 8:
+        start //= 2
+    squares = _start_squares(freqs, rows, start)
 
     def tracked(n: int, pf: float) -> tuple[list[float], float]:
         if n not in squares:
@@ -180,13 +262,10 @@ def _refine(
         means = [_half_grid_mean(sq, pf, n) for sq in squares[n]]
         return means, (means[0] - means[1] if paired else means[0])
 
-    start = max(8, cfg.grid_points_per_axis)
-    while start**d > QUAD_POINT_BUDGET and start > 8:
-        start //= 2
     results = []
     for pf in pfs:
         n = start
-        prev = tracked(max(4, n // 2), pf)[1]
+        prev = tracked(n // 2, pf)[1]
         means, value = tracked(n, pf)
         err = abs(value - prev)
         for _ in range(QUAD_MAX_DOUBLINGS):
@@ -196,7 +275,8 @@ def _refine(
             prev = value
             means, value = tracked(n, pf)
             err = abs(value - prev)
-        results.append((means, err, n))
+        unscaled = [_scaled_back(x, shift, pf) for x in means]
+        results.append((unscaled, _scaled_back(err, shift, pf), n))
     return results
 
 

@@ -112,7 +112,8 @@ def weak_majorant_ratio(
 
     Frequencies are gamma(t) for t in support.  For 2 <= p <= 2d the ratio
     is bounded by (d!)^(1/2d) uniformly in the coefficients; values are
-    computed by quadrature.
+    computed by quadrature, with both rows divided by the largest majorant
+    entry.
     """
     cfg = cfg or EvalConfig()
     if d < 1:
@@ -136,8 +137,11 @@ def weak_majorant_ratio(
     if any(abs(s) > b for s, b in zip(small, big)):
         raise DomainError("majorant must dominate the coefficients entrywise")
     freqs = [gamma_point(d, t) for t in ts]
-    num = lp_norm_quadrature(freqs, small, pf, cfg).value
-    den = lp_norm_quadrature(freqs, big, pf, cfg).value
+    # the ratio is unchanged by a common factor, and at unit scale neither
+    # norm power under- or overflows
+    top = max(big)
+    num = lp_norm_quadrature(freqs, [s / top for s in small], pf, cfg).value
+    den = lp_norm_quadrature(freqs, [b / top for b in big], pf, cfg).value
     return (num / den) ** (1.0 / pf)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -46,3 +47,23 @@ def squares_builds(monkeypatch):
 
     monkeypatch.setattr(lp_engine, "_half_grid_squares", spy)
     return built
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """`traced_peak_mb(f, *args)`: the peak memory tracemalloc sees f(*args) add, in MiB."""
+
+    def peak(f, *args) -> float:
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            f(*args)
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak

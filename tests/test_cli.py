@@ -208,6 +208,24 @@ class TestWeakMajorant:
         assert doc["within_bound"] is True
         assert doc["ratio"] <= doc["bound"] + 1e-9
 
+    @pytest.mark.parametrize("t", [1e200, 1e-200])
+    def test_ratio_ignores_a_common_scale(self, tmp_path, capsys, t):
+        query = {
+            "d": 2,
+            "p": 3,
+            "support": [1, 2, 3, 4, 5],
+            "coefficients": [0.9, 0.7, 0.5, 0.3, -0.2],
+            "majorant": [0.9, 0.7, 0.5, 0.3, 0.2],
+        }
+        code, out, err = run(capsys, "weak-majorant", "--input", write_json(tmp_path / "w.json", query))
+        unit = json.loads(out)["ratio"]
+        assert unit > 1
+        for key in ("coefficients", "majorant"):
+            query[key] = [t * x for x in query[key]]
+        code, out, err = run(capsys, "weak-majorant", "--input", write_json(tmp_path / "t.json", query))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ratio"] == pytest.approx(unit, rel=1e-12)
+
     def test_missing_key_rejected(self, tmp_path, capsys):
         inp = write_json(tmp_path / "w.json", {"d": 2, "p": 3})
         code, _, err = run(capsys, "weak-majorant", "--input", inp)

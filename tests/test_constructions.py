@@ -291,7 +291,12 @@ class TestEmitPlotData:
             assert (row["lhs"], row["rhs"], row["difference"]) == (res.lhs, res.rhs, res.difference)
         # one build per grid any exponent's ladder visits, where single calls rebuild
         assert sorted(shared) == sorted(set(squares_builds))
-        assert len(squares_builds) > len(shared) >= 2
+        assert len(squares_builds) > len(shared)
+        # the even start grid's half, which seeds the first error estimate, is
+        # read from the start grid's squares and never built
+        start = EvalConfig().grid_points_per_axis
+        assert start % 2 == 0 and start in shared
+        assert start // 2 not in shared + squares_builds
 
     def test_zero_samples_give_empty_table(self, cert):
         assert emit_plot_data(cert, 0) == []

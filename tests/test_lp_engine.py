@@ -10,8 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from majorant.cvector import (
     multinomial,
 )
 import majorant
+from majorant import lp_engine
 from majorant.errors import (
     BudgetError,
     ConvergenceError,
@@ -41,6 +45,7 @@ from majorant.lp_engine import (
     _half_grid_mean,
     _half_grid_squares,
     _paired_differences,
+    _start_squares,
     g_function,
     lp_norm_even_exact,
     lp_norm_quadrature,
@@ -141,6 +146,39 @@ class TestQuadrature:
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(DomainError):
             lp_norm_quadrature(((1,), (1,)), (0.5, 0.5), 2, TIGHT)
+
+    @pytest.mark.parametrize("size", [1e-200, 1e200, 5e-324, 1.7e308])
+    def test_tiny_and_huge_coefficients_keep_their_size(self, size):
+        # unscaled, |sum|^2 underflows to 0 below about 1e-154 and overflows above 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lp_norm_quadrature(((3,),), (size,), 1, EvalConfig())
+        assert res.value == pytest.approx(size, rel=1e-14)
+        assert res.error_estimate <= 1e-14 * size
+
+    def test_scaled_tolerance_and_error(self):
+        freqs, row = ((0,), (1,), (3,)), (1.0, 0.5, -0.25)
+        unit = lp_norm_quadrature(freqs, row, 1.5, EvalConfig())
+        for t in (2.0**-600, 2.0**500):
+            res = lp_norm_quadrature(freqs, [t * x for x in row], 1.5, EvalConfig())
+            assert res == (unit.value * t**1.5, unit.error_estimate * t**1.5, unit[2])
+
+    def test_unit_led_row_is_not_rescaled(self):
+        freqs, row = ((0, 0), (1, 0), (0, 1), (2, 1)), (1.0, 0.25, -0.5, 0.25)
+        res = lp_norm_quadrature(freqs, row, 2.5, EvalConfig())
+        n = res.grid_points_per_axis
+        assert res.value == _half_grid_mean(_half_grid_squares(freqs, [row], n)[0], 2.5, n)
+
+    def test_value_beyond_float_range_is_a_budget_error(self, squares_builds):
+        with pytest.raises(BudgetError):
+            lp_norm_quadrature(((3,),), (1e200,), 2, EvalConfig())
+        with warnings.catch_warnings(), pytest.raises(BudgetError):
+            warnings.simplefilter("error")  # |sum|^p overflows on the grid: no warning either
+            lp_norm_quadrature(((0,), (1,)), (1.0, 1.0), 2000, EvalConfig())
+        with pytest.raises(BudgetError):
+            paired_difference(((0,), (1,), (2,)), (1.0, 0.5, -0.5), 2000, EvalConfig())
+        # refused on the start grid, not after doubling to the point budget
+        assert squares_builds == [256] * 3
 
 
 class TestEvenExact:
@@ -313,9 +351,45 @@ def half_grid_means(freqs, rows, p, n):
     return [_half_grid_mean(sq, p, n) for sq in _half_grid_squares(freqs, rows, n)]
 
 
+def one_matmul_squares(freqs, rows, n):
+    """Reference: the half-grid squares of each row from one matrix product over the grid."""
+    m, h = len(freqs), n // 2 + 1
+    roots = np.exp((2j * np.pi / n) * np.arange(n))
+    residues = np.array([[k % n for k in f] for f in freqs], dtype=np.int64)
+    tables = [
+        roots[np.outer(residues[:, axis], np.arange(n if axis else h)) % n]
+        for axis in range(len(freqs[0]))
+    ]
+    head = np.ones((m, 1), dtype=complex)
+    for table in tables[:-1]:
+        head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
+    squares = []
+    for row in rows:
+        field = (np.asarray(row)[:, None] * head).T @ tables[-1]
+        squares.append((field.real**2 + field.imag**2).reshape(h, -1))
+    return squares
+
+
+def random_case(seed, d, m=5):
+    """m distinct frequencies in Z^d (one entry 10^400 + 1) and a signed row with its majorant."""
+    rng = random.Random(seed)
+    freqs = set()
+    while len(freqs) < m:
+        freqs.add(tuple(rng.randint(-60, 60) for _ in range(d)))
+    freqs = sorted(freqs)
+    freqs[-1] = (10**400 + 1, *freqs[-1][1:])
+    row = [1.0, *(rng.choice((-1, 1)) * rng.uniform(0.01, 1) for _ in range(m - 1))]
+    return freqs, [row, [abs(x) for x in row]]
+
+
 @st.composite
 def kernel_cases(draw):
-    """Frequencies in Z^1..Z^4 up to 40 (maybe one entry of 10^400 + 1), rows, p, grid."""
+    """Frequencies in Z^1..Z^4 up to 40 (maybe one entry of 10^400 + 1), rows, p, grid, scale.
+
+    Row entries are moderate, because the full-grid reference squares them
+    unscaled; the scale t in [1e-300, 1e300] takes them through
+    `lp_norm_quadrature`, which divides each row by a power of two first.
+    """
     d = draw(st.integers(1, 4))
     n = draw(st.sampled_from((4, 5, 8, 9, 12, 16) + ((33, 64) if d <= 2 else ())))
     entries = st.tuples(*[st.integers(-40, 40)] * d)
@@ -323,19 +397,18 @@ def kernel_cases(draw):
     if draw(st.booleans()):
         j, axis = draw(st.integers(0, len(freqs) - 1)), draw(st.integers(0, d - 1))
         freqs[j] = freqs[j][:axis] + (10**400 + 1,) + freqs[j][axis + 1 :]
-    # |sum|^2 underflows below about 1e-154, so nonzero sizes start well above that
     size = st.floats(1e-6, 3)
     coeff = st.one_of(st.just(0.0), size, size.map(lambda x: -x))
     row = st.lists(coeff, min_size=len(freqs), max_size=len(freqs))
     rows = draw(st.lists(row, min_size=1, max_size=2))
-    return freqs, rows, draw(st.floats(1, 6)), n
+    return freqs, rows, draw(st.floats(1, 6)), n, draw(st.floats(1e-300, 1e300))
 
 
 class TestHalfGridKernel:
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
     def test_matches_full_grid_reference(self, case):
-        freqs, rows, p, n = case
+        freqs, rows, p, n, _ = case
         for got, want, row in zip(
             half_grid_means(freqs, rows, p, n), full_grid_means(freqs, rows, p, n), rows
         ):
@@ -357,6 +430,72 @@ class TestHalfGridKernel:
         for p in (1.0, 3.0):
             got, want = half_grid_means(freqs, rows, p, 9), full_grid_means(freqs, rows, p, 9)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_quadrature_scales_as_the_pth_power(self, case):
+        freqs, (a, *_), p, n, t = case
+        # t a and a are scaled by different powers of two, so a finite tolerance
+        # could stop their ladders on different grids; both stay on the start grid
+        cfg = EvalConfig(grid_points_per_axis=n, backend_agreement_tol=math.inf)
+        base = lp_norm_quadrature(freqs, a, p, cfg)
+        ctx = Context(prec=40)
+        factor = ctx.power(Decimal(t), Decimal(p))
+        want = float(Decimal(base.value) * factor)
+        if want == math.inf:
+            with pytest.raises(BudgetError):
+                lp_norm_quadrature(freqs, [t * x for x in a], p, cfg)
+            return
+        if not 1e-305 < want < 1e305:  # subnormal, or within rounding of the top
+            return
+        got = lp_norm_quadrature(freqs, [t * x for x in a], p, cfg)
+        # rounding t * a_j moves the value by about 1e-16 of sum |t a_j|^p
+        floor = 1e-14 * float(Decimal(sum(map(abs, a)) ** p) * factor)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=floor)
+        want_error = float(Decimal(base.error_estimate) * factor)
+        assert got.error_estimate == pytest.approx(want_error, rel=1e-12, abs=floor)
+        assert got.grid_points_per_axis == base.grid_points_per_axis == max(8, n)
+
+    @pytest.mark.parametrize(
+        "d, n, block",
+        [
+            (1, 2048, None),
+            (2, 256, None),  # 129 slices in blocks of 64: a lone last slice
+            (2, 200, None),
+            (3, 100, None),
+            (4, 36, None),
+            (2, 9, 40),
+            (2, 16, 64),
+            (3, 12, 100),
+        ],
+    )
+    def test_blocked_build_equals_one_matrix_product(self, monkeypatch, d, n, block):
+        if block:
+            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", block)
+        if d > 1:  # the slices, n points each, do not fill whole blocks
+            slices, step = (n // 2 + 1) * n ** (d - 2), lp_engine._BLOCK_POINTS // n
+            assert slices % step
+        freqs, rows = random_case(n + d, d)
+        for got, want in zip(_half_grid_squares(freqs, rows, n), one_matmul_squares(freqs, rows, n)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 64])
+    def test_start_grid_half_equals_a_direct_build(self, squares_builds, d, n):
+        n = 32 if (d, n) == (4, 64) else n  # 32 is the 4-D start grid; 64 is 9e6 points
+        freqs, rows = random_case(10 * n + d, d)
+        squares = _start_squares(freqs, rows, n)
+        # read as a subgrid on multiples of 16, where BLAS column groups line up
+        assert squares_builds == ([n] if n % 16 == 0 else [n, n // 2])
+        for got, want in zip(squares[n // 2], _half_grid_squares(freqs, rows, n // 2)):
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+
+    def test_odd_start_grid_builds_its_half(self, squares_builds):
+        freqs, row, p = ((0, 0), (1, 2), (3, 1), (2, 5)), (1.0, -0.25, 0.5, 0.25), 3.0
+        res = lp_norm_quadrature(freqs, row, p, EvalConfig(grid_points_per_axis=9))
+        assert squares_builds[:2] == [9, 4]
+        n = res.grid_points_per_axis
+        assert res.value == pytest.approx(full_grid_means(freqs, [row], p, n)[0], rel=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 8, 9])
     def test_weights_count_every_point_once(self, n):
@@ -381,8 +520,11 @@ class TestBlasThreads:
         "cases = [(((0, 0, 0), (2, 4, 8), (3, 9, 27), (4, 16, 64), (5, 25, 125)),"
         " (1.0, 0.25, 0.25, -0.25, 0.25), 3.0),"
         " (((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25), 1.0)]\n"
-        "for freqs, signed, p in cases:\n"
-        "    res = paired_difference(freqs, signed, p, EvalConfig())\n"
+        "grids = [256, 256, 128]\n"
+        "cases.append((((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 5, 7)),"
+        " (1.0, -0.25, 0.25, 0.25, -0.25), 1.5))\n"
+        "for (freqs, signed, p), grid in zip(cases, grids):\n"
+        "    res = paired_difference(freqs, signed, p, EvalConfig(grid_points_per_axis=grid))\n"
         "    print(res.lhs.hex(), res.rhs.hex(), res.difference.hex(),"
         " res.error_estimate.hex(), res.grid_points_per_axis)\n"
     )
@@ -402,8 +544,16 @@ class TestBlasThreads:
                 check=True,
             )
             outputs.append(done.stdout)
-        assert len(outputs[0].splitlines()) == 2
+        assert len(outputs[0].splitlines()) == 3
         assert outputs[0] == outputs[1]
+
+
+class TestMemory:
+    def test_paired_difference_peak(self, traced_peak_mb):
+        # one row's squares on the 3-D start grid 128 take 8.1 MiB
+        freqs = ((0, 0, 0), (2, 4, 8), (3, 9, 27), (4, 16, 64), (5, 25, 125))
+        signed = (1.0, 0.25, 0.25, -0.25, 0.25)
+        assert traced_peak_mb(paired_difference, freqs, signed, 3.0, EvalConfig()) <= 28
 
 
 class TestPairedDifference:

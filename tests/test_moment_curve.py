@@ -160,6 +160,16 @@ class TestWeakMajorant:
         with pytest.raises(DomainError):
             weak_majorant_ratio(2, 2, (0.5, 0.5), (0.5, 0.5), (3, 3))
 
+    @pytest.mark.parametrize("t", [1e200, 1e-200])
+    def test_ratio_ignores_a_common_scale(self, t):
+        # unscaled, the norm powers overflow to nan at 1e200 and underflow to 0 / 0 at 1e-200
+        big, small = (0.9, 0.7, 0.5, 0.3, 0.2), (0.9, 0.7, 0.5, 0.3, -0.2)
+        support = (1, 2, 3, 4, 5)
+        unit = weak_majorant_ratio(2, 3, small, big, support)
+        scaled = weak_majorant_ratio(2, 3, [t * x for x in small], [t * x for x in big], support)
+        assert unit > 1
+        assert scaled == pytest.approx(unit, rel=1e-12)
+
     def test_all_zero_majorant_rejected(self):
         with pytest.raises(DomainError):
             weak_majorant_ratio(2, 2, (0.0,), (0.0,), (1,))
