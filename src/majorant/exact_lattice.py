@@ -76,13 +76,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(list(zip(*self.entries)))
-
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
 
@@ -92,11 +85,6 @@ class IntMatrix:
         cols = list(zip(*other.entries))
         return IntMatrix.from_rows(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
-
-    def is_upper_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0 for i in range(self.rows) for j in range(min(i, self.cols))
         )
 
 

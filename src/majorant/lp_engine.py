@@ -8,18 +8,13 @@ quadrature rule is the rectangle rule per axis, which on the torus is the
 trapezoid rule and converges spectrally for smooth integrands; error
 estimates come from comparing two successive grid doublings.
 
-The quadrature kernel works on half the grid: real coefficients make |F|
-even, so the first axis keeps indices 0..n//2, each weighted by the number
-of grid slices it stands for.  A row's sum at every point is a matrix
-product: the per-axis phase tables of all axes but the last, multiplied
-together and scaled by the row, times the last axis's table.  It is taken a
-block of slices at a time and squared into the row's |F|^2, so no complex
-array of the whole grid is held.  One call keeps each grid's |F|^2 and
-every exponent it evaluates reads it, so a table of exponents builds each
-grid once; the start grid's n//2 grid, which seeds the first error
-estimate, is read as every other point of the start grid's squares.  Each
-row is first divided by a power of two that brings its largest entry into
-[1, 2), so |F|^2 neither under- nor overflows for any coefficient size.
+The quadrature streams: one pass over a grid builds |F|^2 a chunk at a
+time, raises it to every exponent the grid serves and keeps per-slice sums
+only.  In d >= 2 it covers half the grid (|F| is even) with matrix products
+of per-axis phase tables; in 1-D it sums in real arithmetic without BLAS.
+Exponents double grid by grid, so each grid is passed over once per call.
+Rows are scaled by a power of two, so |F|^2 neither under- nor overflows
+for any coefficient size.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -50,7 +45,9 @@ from .exact_lattice import Vec, _typed
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
 QUAD_MAX_DOUBLINGS = 16
-_BLOCK_POINTS = 1 << 14  # grid points per block of the squares build
+_BLOCK_POINTS = 1 << 13  # grid points per chunk of a grid pass
+_LINE_POINTS = 1 << 8  # points per summed slice of a 1-D grid
+_ROOT_TABLE = 1 << 11  # a 1-D grid reads roots of unity from tables below twice this
 ENUM_BUDGET = 10_000_000
 
 
@@ -89,111 +86,131 @@ def _check_freqs(freqs: Sequence[Vec]) -> int:
     return d
 
 
-def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> None:
+def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> list[float]:
+    """The coefficients as floats; DomainError unless each is real and finite as a float."""
     if len(coeffs) != count:
         raise DimensionError("coefficient count differs from frequency count")
-    for x in coeffs:
-        if isinstance(x, complex):
-            raise DomainError("coefficients must be real")
-        if not math.isfinite(float(x)):
-            raise DomainError("coefficients must be finite")
+    if any(isinstance(x, complex) for x in coeffs):
+        raise DomainError("coefficients must be real")
+    try:
+        floats = [float(x) for x in coeffs]
+    except OverflowError:  # an exact number beyond the float range
+        floats = [math.inf]
+    if not all(map(math.isfinite, floats)):
+        raise DomainError("coefficients must be finite floats")
+    return floats
 
 
-def _half_grid_squares(
-    freqs: Sequence[Vec], coeff_rows: Sequence[Sequence[float]], n: int
-) -> list[np.ndarray]:
-    """|sum_j c_j e(n_j . x)|^2 on the half n^d grid, one array per coeff row.
+def _tensor_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
+    """Yield (lo, hi, squares, powers) for d >= 2, chunk by chunk.
 
-    The first axis keeps indices 0..n//2 (see `_half_grid_mean`), and each
-    array has shape (n//2 + 1, n^(d-1)).  A phase e(n_j . x) is a product of
-    1-D phases e(k i / n), one per axis, which depend only on k mod n: every
-    entry is reduced mod the full n, so exact integers of any size give a
-    finite phase, read from one table of n-th roots of unity.  The tables of
-    all axes but the last are multiplied into one (point x frequency) array
-    whose rows, scaled by a row's coefficients, stand for the slices of the
-    grid along the last axis.  The output is filled a block of about
-    `_BLOCK_POINTS` points at a time: one matrix product of the block's
-    slices with the last axis's table, squared in place through its float64
-    view, real and imaginary halves added into the output.  No complex array
-    of the whole grid is ever held.  All rows share the tables, keeping
-    their errors correlated so that differences between rows are computed
-    stably.
+    The squares are |F|^2 of each row on the first-axis slices lo..hi-1,
+    about `_BLOCK_POINTS` points (or one slice); powers is a buffer of their
+    shape.  The next chunk reuses both, and the product's buffer.  A phase e(n_j . x) is a product
+    of 1-D phases e(k i / n), read at k mod n (exact for integers of any
+    size) from a table of n-th roots of unity.  The chunk's first-axis table
+    and the tables of the other axes but the last multiply into a (point x
+    frequency) head, whose copies scaled by each row take one matrix product
+    with the last axis's table; shared tables keep the rows' errors
+    correlated, so their difference is stable.
     """
-    m, h = len(freqs), n // 2 + 1
+    m, d, h = len(freqs), len(freqs[0]), n // 2 + 1
     roots = np.exp((2j * np.pi / n) * np.arange(n))
     residues = np.array([[k % n for k in f] for f in freqs], dtype=np.int64)
-    tables = [
-        roots[np.outer(residues[:, axis], np.arange(n if axis else h)) % n]
-        for axis in range(len(freqs[0]))
-    ]
-    head = np.ones((m, 1), dtype=complex)
-    for table in tables[:-1]:
-        head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
-    head, last = np.ascontiguousarray(head.T), tables[-1]
-    slices = len(head)
-    bounds = [*range(0, slices, max(2, _BLOCK_POINTS // last.shape[1])), slices]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+    tables = [roots[np.outer(residues[:, ax], np.arange(n if ax else h)) % n] for ax in range(d)]
+    bounds = [*range(0, h, max(1, _BLOCK_POINTS // n ** (d - 1))), h]
+    if d == 2 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         # numpy takes a one-row product as a vector product, with other
-        # arithmetic than a matrix product: a lone last slice joins the block before
+        # arithmetic than a matrix product: a lone last slice joins the chunk before
         del bounds[-2]
-    squares = []
-    for row in coeff_rows:
-        scaled = head * np.asarray(row)
-        square = np.empty((slices, last.shape[1]))
-        for lo, hi in zip(bounds, bounds[1:]):
-            parts = (scaled[lo:hi] @ last).view(np.float64)
-            np.square(parts, out=parts)
-            np.add(parts[:, 0::2], parts[:, 1::2], out=square[lo:hi])
-        squares.append(square.reshape(h, -1))
-    return squares
+    most = max(hi - lo for lo, hi in zip(bounds, bounds[1:])) * n ** (d - 2) * len(coeffs)
+    fields, buffers = np.empty((most, n), dtype=complex), np.empty((2, most * n))
+    for lo, hi in zip(bounds, bounds[1:]):
+        head = np.ones((m, 1), dtype=complex)
+        for table in (tables[0][:, lo:hi], *tables[1:-1]):
+            head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
+        scaled = (np.ascontiguousarray(head.T) * coeffs[:, None, :]).reshape(-1, m)
+        parts = np.matmul(scaled, tables[-1], out=fields[: len(scaled)]).view(np.float64)
+        np.square(parts, out=parts)
+        squares, powers = (b[: parts.size // 2].reshape(len(coeffs), hi - lo, -1) for b in buffers)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=squares.reshape(len(scaled), n))
+        yield lo, hi, squares, powers
 
 
-def _start_squares(
-    freqs: Sequence[Vec], rows: Sequence[Sequence[float]], n: int
-) -> dict[int, list[np.ndarray]]:
-    """Squares on the start grid n and on n//2, the grid of the first error estimate.
+def _line_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int, slices: int):
+    """Yield (lo, hi, squares, powers) in 1-D, as `_tensor_squares` does.
 
-    The n//2 grid's points are the n grid's points with every index even,
-    and its kept first-axis indices 0..n//4 are the even ones among 0..n//2.
-    Where n is a multiple of 16, the n//2 squares are read as that subgrid
-    of the n squares, copied contiguous so that their row sums add in the
-    same order as a direct build's.  A BLAS matrix product gives a column
-    the arithmetic of a full group of columns (4 wide in OpenBLAS) or of the
-    remainder, and on multiples of 16 each subgrid column falls in the same
-    kind of group in both builds, so the read squares equal the built ones
-    bit for bit (with one BLAS thread: threads split a 1-D product's columns
-    their own way).  On other grids they could differ in the last bits, and
-    the n//2 grid is built.
+    The n points, then zeros, fill `slices` slices of `_LINE_POINTS`.  A
+    point's sum runs over the frequencies in order, one rounding per real
+    operation and no BLAS call, so its bits depend neither on its place in a
+    chunk nor on the thread count.  e(x / n) is e(a 2^s / n) e(b / n) for
+    x = a 2^s + b, with 2^s the power of two (1 below 2 * `_ROOT_TABLE`)
+    that keeps both tables short: an even index on grid 2n splits into the
+    same factors as its half on grid n.
+    """
+    s = max(0, (n // _ROOT_TABLE).bit_length() - 1)
+    coarse = np.exp((2j * np.pi / n) * (np.arange(-(-n >> s)) << s))
+    fine = np.exp((2j * np.pi / n) * np.arange(1 << s))
+    residues = np.array([k % n for (k,) in freqs], dtype=np.int64)
+    step = 2 * max(1, _BLOCK_POINTS // (2 * _LINE_POINTS * len(freqs)))  # even
+    for lo in range(0, slices, step):
+        hi = min(lo + step, slices)
+        points = np.arange(lo * _LINE_POINTS, hi * _LINE_POINTS)
+        x = np.outer(residues, points) % n
+        a, b = coarse[x >> s], fine[x & ((1 << s) - 1)]
+        phase = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+        squares = sum((coeffs[:, :, None] * part).sum(axis=1) ** 2 for part in phase)
+        squares[:, max(0, n - points[0]) :] = 0.0
+        squares = squares.reshape(len(coeffs), hi - lo, _LINE_POINTS)
+        yield lo, hi, squares, np.empty_like(squares)
+
+
+def _grid_means(
+    freqs: Sequence[Vec], rows: list[list[float]], n: int, ps: list[float], half: bool = False
+) -> list[list[list[float]]]:
+    """Means of |sum|^p over the n^d grid per exponent and row, from one pass.
+
+    A chunk's squares are raised to every exponent while in cache and summed
+    slice by slice; a mean is the weighted sum of slice sums over n^d.  In
+    d >= 2 only first-axis indices 0..n//2 are visited: real coefficients
+    give F(-x) = conj F(x), so the slice at i stands for itself where
+    2i = 0 mod n and for two slices elsewhere.  In 1-D every point is.  With
+    `half` (n a multiple of 4) the n//2 grid's means come back too, read from
+    the even subgrid of the same powers, copied contiguous to add in the
+    order of a pass over n//2.  Returns means per grid, exponent and row.
     """
     d = len(freqs[0])
-    squares = {n: _half_grid_squares(freqs, rows, n)}
-    if n % 16:
-        squares[n // 2] = _half_grid_squares(freqs, rows, n // 2)
+    coeffs = np.array(rows, dtype=float)
+    if d == 1:
+        slices = -(-n // _LINE_POINTS)
+        chunks = _line_squares(freqs, coeffs, n, slices + (half and slices % 2))
     else:
-        shape, even = (n // 2 + 1,) + (n,) * (d - 1), (slice(None, None, 2),) * d
-        squares[n // 2] = [
-            np.ascontiguousarray(sq.reshape(shape)[even]).reshape(n // 4 + 1, -1)
-            for sq in squares[n]
-        ]
-    return squares
-
-
-def _half_grid_mean(square: np.ndarray, p: float, n: int) -> float:
-    """Mean of |sum|^p over the full n^d grid, from its squares on the half grid.
-
-    Real coefficients give F(-x) = conj F(x), and x -> -x maps the points
-    with first index i onto those with first index -i mod n.  So the slice
-    at i stands for two slices, unless 2i = 0 mod n, where it stands for
-    itself; this is exact for odd n as well as even.  Raises BudgetError
-    when the mean overflows.
-    """
-    first = np.arange(square.shape[0])
-    weights = np.where(2 * first % n == 0, 1.0, 2.0)
-    with np.errstate(over="ignore"):
-        mean = float(weights @ (square ** (p / 2.0)).sum(axis=1)) / (n * square.shape[1])
-    if not math.isfinite(mean):
-        raise BudgetError(f"the mean of |sum|^{p:g} is beyond floating-point range")
-    return mean
+        slices = n // 2 + 1
+        chunks = _tensor_squares(freqs, coeffs, n)
+    sums = np.zeros((len(ps), len(coeffs), slices + 1))
+    halves = np.zeros((len(ps), len(coeffs), (slices + 1) // 2))
+    for lo, hi, squares, powers in chunks:
+        for i, p in enumerate(ps):
+            with np.errstate(over="ignore"):  # at p = 1 as numpy's squares ** 0.5: a square root
+                np.sqrt(squares, out=powers) if p == 1 else np.power(squares, p / 2.0, out=powers)
+            np.add.reduce(powers, axis=2, out=sums[i, :, lo:hi])
+            if half:
+                if d == 1:
+                    even = powers.reshape(len(coeffs), -1, 2 * _LINE_POINTS)[:, :, ::2]
+                else:
+                    thin = (slice(lo % 2, None, 2),) + (slice(None, None, 2),) * (d - 1)
+                    even = powers.reshape(powers.shape[:2] + (n,) * (d - 1))[(slice(None), *thin)]
+                even = np.ascontiguousarray(even)
+                even = even.reshape(*even.shape[:2], math.prod(even.shape[2:]))
+                np.add.reduce(even, axis=2, out=halves[i, :, (lo + 1) // 2 :][:, : even.shape[1]])
+    out = []
+    for size, grid_sums in [(n, sums[:, :, :slices])] + ([(n // 2, halves)] if half else []):
+        weights = np.where((2 * np.arange(grid_sums.shape[2]) % size == 0) | (d == 1), 1.0, 2.0)
+        out.append([[float(weights @ s) / size**d for s in per_p] for per_p in grid_sums])
+        for p, means in zip(ps, out[-1]):
+            if not all(map(math.isfinite, means)):
+                raise BudgetError(f"the mean of |sum|^{p:g} is beyond floating-point range")
+    return out
 
 
 def _scaled_back(x: float, shift: int, p: float) -> float:
@@ -226,58 +243,55 @@ def _refine(
     One row (the coefficients) tracks its own mean; a paired run adds the
     absolute-value row and tracks signed minus majorant.  The rows are first
     divided by the power of two 2^shift that brings the largest |entry| into
-    [1, 2), so that no |sum|^2 under- or overflows; a row whose largest
-    entry is 1.0, as every certificate's is, stays as it is.  Doubling stops
-    when two successive values of the scaled rows agree within the
-    configured tolerance or the point budget, counted on the full grid, runs
-    out; the last successive difference is returned as the error estimate,
-    never silently dropped.  The means and the error come back multiplied
-    by 2^(shift p), and BudgetError is raised when one leaves the float range.
+    [1, 2) (a row led by 1.0, as every certificate's is, stays as it is).
+    An exponent stops doubling when two successive values agree within the
+    tolerance or the point budget, counted on the full grid, runs out; the
+    last successive difference is the error estimate.  The means and the
+    error come back multiplied by 2^(shift p); BudgetError beyond float range.
 
-    Every exponent is checked before any grid work, then runs this ladder on
-    its own; the squares of a grid are built once and read by every
-    exponent that visits it.  The start grid's squares are built first, and
-    its n//2 grid, which seeds the first error estimate, is read from them
-    (see `_start_squares`).  Returns (means, error, grid) per exponent.
+    Every exponent is checked before any grid work; those still doubling
+    share one pass per grid.  The start grid's pass gives the n//2 grid of
+    the first error estimate where n is a multiple of 16: only there does
+    each even-subgrid column fall in the same kind of OpenBLAS column group
+    (4 wide, or the rest) as in a pass over n//2.  Returns (means, err, n).
     """
     d = _check_freqs(freqs)
-    _check_real_coeffs(coeffs, len(freqs))
+    row = _check_real_coeffs(coeffs, len(freqs))
     pfs = [float(p) for p in ps]
     if not all(0 < pf < math.inf for pf in pfs):
         raise DomainError("exponent must be positive and finite")
     if d > QUAD_MAX_DIM:
         raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
-    row = [float(x) for x in coeffs]
     shift = math.frexp(max(map(abs, row)))[1] - 1
     row = [math.ldexp(x, -shift) for x in row]
     rows = [row, [abs(x) for x in row]] if paired else [row]
-    start = max(8, cfg.grid_points_per_axis)
-    while start**d > QUAD_POINT_BUDGET and start > 8:
-        start //= 2
-    squares = _start_squares(freqs, rows, start)
+    n = max(8, cfg.grid_points_per_axis)
+    while n**d > QUAD_POINT_BUDGET and n > 8:
+        n //= 2
 
-    def tracked(n: int, pf: float) -> tuple[list[float], float]:
-        if n not in squares:
-            squares[n] = _half_grid_squares(freqs, rows, n)
-        means = [_half_grid_mean(sq, pf, n) for sq in squares[n]]
-        return means, (means[0] - means[1] if paired else means[0])
+    def tracked(row_means: list[float]) -> float:
+        return row_means[0] - row_means[1] if paired else row_means[0]
 
-    results = []
-    for pf in pfs:
-        n = start
-        prev = tracked(n // 2, pf)[1]
-        means, value = tracked(n, pf)
-        err = abs(value - prev)
-        for _ in range(QUAD_MAX_DOUBLINGS):
-            if err <= cfg.backend_agreement_tol or (2 * n) ** d > QUAD_POINT_BUDGET:
-                break
-            n *= 2
-            prev = value
-            means, value = tracked(n, pf)
-            err = abs(value - prev)
-        unscaled = [_scaled_back(x, shift, pf) for x in means]
-        results.append((unscaled, _scaled_back(err, shift, pf), n))
-    return results
+    if n % 16 == 0:
+        means, coarse = _grid_means(freqs, rows, n, pfs, half=True)
+    else:  # the coarse grid gets a pass of its own
+        [means], [coarse] = _grid_means(freqs, rows, n, pfs), _grid_means(freqs, rows, n // 2, pfs)
+    values = [tracked(m) for m in means]
+    errs = [abs(v - tracked(c)) for v, c in zip(values, coarse)]
+    grids = [n] * len(pfs)
+    for _ in range(QUAD_MAX_DOUBLINGS):
+        active = [i for i, err in enumerate(errs) if not err <= cfg.backend_agreement_tol]
+        if not active or (2 * n) ** d > QUAD_POINT_BUDGET:
+            break
+        n *= 2
+        [finer] = _grid_means(freqs, rows, n, [pfs[i] for i in active])
+        for i, m in zip(active, finer):
+            means[i], grids[i] = m, n
+            values[i], errs[i] = tracked(m), abs(tracked(m) - values[i])
+    return [
+        ([_scaled_back(x, shift, pf) for x in m], _scaled_back(err, shift, pf), grid)
+        for m, err, grid, pf in zip(means, errs, grids, pfs)
+    ]
 
 
 def lp_norm_quadrature(
@@ -299,7 +313,7 @@ class PairedDifference(NamedTuple):
 def _paired_differences(
     freqs: Sequence[Vec], signed: Sequence[Real], ps: Sequence[Real], cfg: EvalConfig
 ) -> list[PairedDifference]:
-    """`paired_difference` at each exponent of `ps`, sharing grid squares."""
+    """`paired_difference` at each exponent of `ps`, sharing grid passes."""
     return [
         PairedDifference(lhs, rhs, rhs - lhs, err, n)
         for (rhs, lhs), err, n in _refine(freqs, signed, ps, cfg, paired=True)

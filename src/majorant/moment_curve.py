@@ -19,7 +19,7 @@ from typing import Sequence
 from .cvector import CVector, Real, build_c
 from .errors import BudgetError, DimensionError, DomainError
 from .exact_lattice import IntMatrix, Vec, det_exact
-from .lp_engine import ENUM_BUDGET, EvalConfig, lp_norm_quadrature
+from .lp_engine import ENUM_BUDGET, EvalConfig, _check_real_coeffs, lp_norm_quadrature
 
 
 def gamma_point(d: int, t: int) -> Vec:
@@ -126,10 +126,8 @@ def weak_majorant_ratio(
         raise DomainError("support must be nonempty distinct integers")
     if len(ts) > MAX_WEAK_SUPPORT:
         raise DomainError(f"support limited to {MAX_WEAK_SUPPORT} points")
-    if len(coeffs) != len(ts) or len(majorant) != len(ts):
-        raise DimensionError("coefficient length differs from support length")
-    big = [float(x) for x in majorant]
-    small = [float(x) for x in coeffs]
+    big = _check_real_coeffs(majorant, len(ts))
+    small = _check_real_coeffs(coeffs, len(ts))
     if any(b < 0 for b in big):
         raise DomainError("majorant coefficients must be nonnegative")
     if all(b == 0 for b in big):

@@ -36,17 +36,17 @@ def time_limit():
 
 
 @pytest.fixture
-def squares_builds(monkeypatch):
-    """The grid of every `lp_engine._half_grid_squares` call made in the test."""
-    built: list[int] = []
-    real = lp_engine._half_grid_squares
+def grid_passes(monkeypatch):
+    """The grid of every `lp_engine._grid_means` pass made in the test."""
+    passes: list[int] = []
+    real = lp_engine._grid_means
 
-    def spy(freqs, rows, n):
-        built.append(n)
-        return real(freqs, rows, n)
+    def spy(freqs, rows, n, ps, half=False):
+        passes.append(n)
+        return real(freqs, rows, n, ps, half)
 
-    monkeypatch.setattr(lp_engine, "_half_grid_squares", spy)
-    return built
+    monkeypatch.setattr(lp_engine, "_grid_means", spy)
+    return passes
 
 
 @pytest.fixture

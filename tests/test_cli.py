@@ -226,6 +226,12 @@ class TestWeakMajorant:
         assert (code, err) == (0, "")
         assert json.loads(out)["ratio"] == pytest.approx(unit, rel=1e-12)
 
+    def test_majorant_beyond_float_range_is_one_line(self, tmp_path, capsys):
+        query = {"d": 2, "p": 2, "support": [1, 2], "coefficients": [1, 1], "majorant": [10**400, 1]}
+        code, out, err = run(capsys, "weak-majorant", "--input", write_json(tmp_path / "w.json", query))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_key_rejected(self, tmp_path, capsys):
         inp = write_json(tmp_path / "w.json", {"d": 2, "p": 3})
         code, _, err = run(capsys, "weak-majorant", "--input", inp)

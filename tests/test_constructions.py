@@ -280,23 +280,23 @@ class TestEmitPlotData:
         ps = [row["p"] for row in rows]
         assert ps == sorted(ps)
 
-    def test_rows_share_grids_and_match_single_evaluations(self, squares_builds):
+    def test_rows_share_grids_and_match_single_evaluations(self, grid_passes):
         cert = construct_moment(2, 1.0)
-        squares_builds.clear()
+        grid_passes.clear()
         rows = emit_plot_data(cert, 9)
-        shared = list(squares_builds)
-        squares_builds.clear()
+        shared = list(grid_passes)
+        grid_passes.clear()
         for row in rows:
             res = paired_difference(cert.frequencies, cert.coefficients, row["p"], EvalConfig())
             assert (row["lhs"], row["rhs"], row["difference"]) == (res.lhs, res.rhs, res.difference)
-        # one build per grid any exponent's ladder visits, where single calls rebuild
-        assert sorted(shared) == sorted(set(squares_builds))
-        assert len(squares_builds) > len(shared)
+        # one pass per grid any exponent's ladder visits, where single calls repeat them
+        assert sorted(shared) == sorted(set(grid_passes))
+        assert len(grid_passes) > len(shared)
         # the even start grid's half, which seeds the first error estimate, is
-        # read from the start grid's squares and never built
+        # read from the start grid's pass and never passed over
         start = EvalConfig().grid_points_per_axis
         assert start % 2 == 0 and start in shared
-        assert start // 2 not in shared + squares_builds
+        assert start // 2 not in shared + grid_passes
 
     def test_zero_samples_give_empty_table(self, cert):
         assert emit_plot_data(cert, 0) == []

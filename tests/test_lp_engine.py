@@ -42,10 +42,8 @@ from majorant.errors import (
 from majorant.lp_engine import (
     ENUM_BUDGET,
     EvalConfig,
-    _half_grid_mean,
-    _half_grid_squares,
+    _grid_means,
     _paired_differences,
-    _start_squares,
     g_function,
     lp_norm_even_exact,
     lp_norm_quadrature,
@@ -135,6 +133,8 @@ class TestQuadrature:
             lp_norm_quadrature(((1,),), (complex(0, 1),), 2, TIGHT)
         with pytest.raises(DomainError):
             lp_norm_quadrature(((1,),), (float("nan"),), 2, TIGHT)
+        with pytest.raises(DomainError):  # beyond float range, as an exact integer
+            lp_norm_quadrature(((1,),), (10**400,), 1, TIGHT)
         with pytest.raises(DimensionError):
             lp_norm_quadrature(((1,), (2,)), (0.5,), 2, TIGHT)
 
@@ -167,9 +167,9 @@ class TestQuadrature:
         freqs, row = ((0, 0), (1, 0), (0, 1), (2, 1)), (1.0, 0.25, -0.5, 0.25)
         res = lp_norm_quadrature(freqs, row, 2.5, EvalConfig())
         n = res.grid_points_per_axis
-        assert res.value == _half_grid_mean(_half_grid_squares(freqs, [row], n)[0], 2.5, n)
+        assert res.value == _grid_means(freqs, [row], n, [2.5])[0][0][0]
 
-    def test_value_beyond_float_range_is_a_budget_error(self, squares_builds):
+    def test_value_beyond_float_range_is_a_budget_error(self, grid_passes):
         with pytest.raises(BudgetError):
             lp_norm_quadrature(((3,),), (1e200,), 2, EvalConfig())
         with warnings.catch_warnings(), pytest.raises(BudgetError):
@@ -178,7 +178,7 @@ class TestQuadrature:
         with pytest.raises(BudgetError):
             paired_difference(((0,), (1,), (2,)), (1.0, 0.5, -0.5), 2000, EvalConfig())
         # refused on the start grid, not after doubling to the point budget
-        assert squares_builds == [256] * 3
+        assert grid_passes == [256] * 3
 
 
 class TestEvenExact:
@@ -348,26 +348,28 @@ def full_grid_means(freqs, rows, p, n):
 
 
 def half_grid_means(freqs, rows, p, n):
-    return [_half_grid_mean(sq, p, n) for sq in _half_grid_squares(freqs, rows, n)]
+    return _grid_means(freqs, rows, n, [p])[0][0]
 
 
-def one_matmul_squares(freqs, rows, n):
-    """Reference: the half-grid squares of each row from one matrix product over the grid."""
-    m, h = len(freqs), n // 2 + 1
+def one_matmul_means(freqs, rows, p, n):
+    """Reference: means of |sum|^p from one matrix product over the half grid, slices weighted."""
+    m, d, h = len(freqs), len(freqs[0]), n // 2 + 1
     roots = np.exp((2j * np.pi / n) * np.arange(n))
     residues = np.array([[k % n for k in f] for f in freqs], dtype=np.int64)
     tables = [
         roots[np.outer(residues[:, axis], np.arange(n if axis else h)) % n]
-        for axis in range(len(freqs[0]))
+        for axis in range(d)
     ]
     head = np.ones((m, 1), dtype=complex)
     for table in tables[:-1]:
         head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
-    squares = []
+    weights = np.where(2 * np.arange(h) % n == 0, 1.0, 2.0)
+    means = []
     for row in rows:
         field = (np.asarray(row)[:, None] * head).T @ tables[-1]
-        squares.append((field.real**2 + field.imag**2).reshape(h, -1))
-    return squares
+        square = (field.real**2 + field.imag**2).reshape(h, -1)
+        means.append(float(weights @ (square ** (p / 2.0)).sum(axis=1)) / n**d)
+    return means
 
 
 def random_case(seed, d, m=5):
@@ -460,7 +462,7 @@ class TestHalfGridKernel:
         "d, n, block",
         [
             (1, 2048, None),
-            (2, 256, None),  # 129 slices in blocks of 64: a lone last slice
+            (2, 256, None),  # 129 slices in chunks of 32: a lone last slice
             (2, 200, None),
             (3, 100, None),
             (4, 36, None),
@@ -472,46 +474,60 @@ class TestHalfGridKernel:
     def test_blocked_build_equals_one_matrix_product(self, monkeypatch, d, n, block):
         if block:
             monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", block)
-        if d > 1:  # the slices, n points each, do not fill whole blocks
-            slices, step = (n // 2 + 1) * n ** (d - 2), lp_engine._BLOCK_POINTS // n
-            assert slices % step
+        if d > 1:  # the first-axis slices, n^(d-1) points each, take several chunks
+            slices, step = n // 2 + 1, max(1, lp_engine._BLOCK_POINTS // n ** (d - 1))
+            assert slices > step and (d > 2 or slices % step)
         freqs, rows = random_case(n + d, d)
-        for got, want in zip(_half_grid_squares(freqs, rows, n), one_matmul_squares(freqs, rows, n)):
-            assert np.array_equal(got, want)
+        ps = [1.0, 2.5]
+        got = _grid_means(freqs, rows, n, ps)[0]
+        want = [one_matmul_means(freqs, rows, p, n) for p in ps]
+        if d > 1:
+            assert got == want
+        else:  # 1-D sums point by point, without a matrix product, in chunks of any size
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-13)
+            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 2 * n)
+            assert _grid_means(freqs, rows, n, ps)[0] == got
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [8, 12, 16, 24, 64])
-    def test_start_grid_half_equals_a_direct_build(self, squares_builds, d, n):
+    def test_start_grid_half_equals_a_direct_build(self, monkeypatch, grid_passes, d, n):
         n = 32 if (d, n) == (4, 64) else n  # 32 is the 4-D start grid; 64 is 9e6 points
         freqs, rows = random_case(10 * n + d, d)
-        squares = _start_squares(freqs, rows, n)
-        # read as a subgrid on multiples of 16, where BLAS column groups line up
-        assert squares_builds == ([n] if n % 16 == 0 else [n, n // 2])
-        for got, want in zip(squares[n // 2], _half_grid_squares(freqs, rows, n // 2)):
-            assert got.flags.c_contiguous and np.array_equal(got, want)
+        ps = [1.0, 2.5]
+        cfg = EvalConfig(grid_points_per_axis=n, backend_agreement_tol=math.inf)
+        _paired_differences(freqs, rows[0], ps, cfg)
+        # read from the start grid's pass on multiples of 16, where BLAS column groups line up
+        assert grid_passes == ([n] if n % 16 == 0 else [n, n // 2])
+        if n % 16 == 0:
+            full, half = _grid_means(freqs, rows, n, ps, half=True)
+            assert full == _grid_means(freqs, rows, n, ps)[0]
+            assert half == _grid_means(freqs, rows, n // 2, ps)[0]
+            # chunks of three first-axis slices, half of which start at an odd slice
+            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 3 * n ** (d - 1))
+            assert _grid_means(freqs, rows, n, ps, half=True) == [full, half]
 
-    def test_odd_start_grid_builds_its_half(self, squares_builds):
+    def test_odd_start_grid_builds_its_half(self, grid_passes):
         freqs, row, p = ((0, 0), (1, 2), (3, 1), (2, 5)), (1.0, -0.25, 0.5, 0.25), 3.0
         res = lp_norm_quadrature(freqs, row, p, EvalConfig(grid_points_per_axis=9))
-        assert squares_builds[:2] == [9, 4]
+        assert grid_passes[:2] == [9, 4]
         n = res.grid_points_per_axis
         assert res.value == pytest.approx(full_grid_means(freqs, [row], p, n)[0], rel=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 8, 9])
     def test_weights_count_every_point_once(self, n):
         for d in (1, 2, 3):
-            (square,) = _half_grid_squares(((0,) * d,), [(1.0,)], n)
-            assert square.shape == (n // 2 + 1, n ** (d - 1))
-            assert _half_grid_mean(square, 1.7, n) == pytest.approx(1.0, rel=1e-15)
+            [[mean]] = _grid_means(((0,) * d,), [(1.0,)], n, [1.7])[0]
+            assert mean == pytest.approx(1.0, rel=1e-15)
 
 
 class TestSharedSquares:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_bad_exponent_refused_before_any_grid(self, squares_builds, bad):
+    def test_bad_exponent_refused_before_any_grid(self, grid_passes, bad):
         freqs, signed = ((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25)
         with pytest.raises(DomainError):
             _paired_differences(freqs, signed, [1.5, 2.5, bad, 3.5], EvalConfig())
-        assert squares_builds == []
+        assert grid_passes == []
 
 
 class TestBlasThreads:
@@ -520,9 +536,12 @@ class TestBlasThreads:
         "cases = [(((0, 0, 0), (2, 4, 8), (3, 9, 27), (4, 16, 64), (5, 25, 125)),"
         " (1.0, 0.25, 0.25, -0.25, 0.25), 3.0),"
         " (((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25), 1.0)]\n"
-        "grids = [256, 256, 128]\n"
+        "grids = [256, 256, 128, 2048, 1 << 16]\n"
         "cases.append((((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 5, 7)),"
         " (1.0, -0.25, 0.25, 0.25, -0.25), 1.5))\n"
+        # 1-D with many frequencies, where a BLAS vector product would split across threads
+        "line = tuple((k * k,) for k in range(12))\n"
+        "cases += [(line, (1.0,) + (0.25, -0.25) * 5 + (0.25,), p) for p in (1.0, 2.5)]\n"
         "for (freqs, signed, p), grid in zip(cases, grids):\n"
         "    res = paired_difference(freqs, signed, p, EvalConfig(grid_points_per_axis=grid))\n"
         "    print(res.lhs.hex(), res.rhs.hex(), res.difference.hex(),"
@@ -544,16 +563,25 @@ class TestBlasThreads:
                 check=True,
             )
             outputs.append(done.stdout)
-        assert len(outputs[0].splitlines()) == 3
+        assert len(outputs[0].splitlines()) == 5
         assert outputs[0] == outputs[1]
 
 
 class TestMemory:
-    def test_paired_difference_peak(self, traced_peak_mb):
-        # one row's squares on the 3-D start grid 128 take 8.1 MiB
-        freqs = ((0, 0, 0), (2, 4, 8), (3, 9, 27), (4, 16, 64), (5, 25, 125))
-        signed = (1.0, 0.25, 0.25, -0.25, 0.25)
-        assert traced_peak_mb(paired_difference, freqs, signed, 3.0, EvalConfig()) <= 28
+    @pytest.mark.parametrize(
+        "freqs, signed, p, grid",
+        [
+            # 3-D start grid 128: one row's |F|^2 over the half grid would take 8.1 MiB
+            (((0, 0, 0), (2, 4, 8), (3, 9, 27), (4, 16, 64), (5, 25, 125)),
+             (1.0, 0.25, 0.25, -0.25, 0.25), 3.0, 256),
+            (((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25), 1.0, 2048),
+            (((0,), (1,), (3,), (7,)), (1.0, -0.25, 0.25, 0.25), 1.5, 1 << 20),
+        ],
+        ids=["3d-128", "2d-2048", "1d-2^20"],
+    )
+    def test_paired_difference_peak(self, traced_peak_mb, freqs, signed, p, grid):
+        cfg = EvalConfig(grid_points_per_axis=grid)
+        assert traced_peak_mb(paired_difference, freqs, signed, p, cfg) <= 4
 
 
 class TestPairedDifference:

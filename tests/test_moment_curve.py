@@ -174,6 +174,10 @@ class TestWeakMajorant:
         with pytest.raises(DomainError):
             weak_majorant_ratio(2, 2, (0.0,), (0.0,), (1,))
 
+    def test_majorant_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError):
+            weak_majorant_ratio(2, 2, (1, 1), (10**400, 1), (1, 2))
+
 
 def brute_force_matches(values: tuple[int, ...], d: int, radius: int) -> int:
     """Count tuples in the box sharing the first d power sums with values."""
