@@ -16,6 +16,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .constructions import (
+    PLOT_SAMPLES,
+    SCAN_BUDGET,
+    STREAM_BUDGET,
     Certificate,
     classify,
     construct_abundant,
@@ -95,6 +98,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         )
         doc: Any = [c.to_json() for c in certs]
         lead = certs[0]
+        if len(certs) < args.count:
+            found = f"found {len(certs)} of {args.count} certificates"
+            print(f"{found} within --stream-budget {args.stream_budget}", file=sys.stderr)
     else:
         lead = construct_independent(g, cfg)
         doc = lead.to_json()
@@ -185,14 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sets = "frequency set JSON file"
     p_classify = command("classify", _cmd_classify, "structural report for a frequency set", sets)
-    p_classify.add_argument("--scan-budget", type=int, default=64)
+    p_classify.add_argument("--scan-budget", type=int, default=SCAN_BUDGET)
 
     p_construct = command("construct", _cmd_construct, "build and certify counterexamples", sets)
     p_construct.add_argument(
         "--count", type=int, default=1, help="certificates to emit for generator sets"
     )
-    p_construct.add_argument("--scan-budget", type=int, default=64)
-    p_construct.add_argument("--stream-budget", type=int, default=400)
+    p_construct.add_argument("--scan-budget", type=int, default=SCAN_BUDGET)
+    p_construct.add_argument("--stream-budget", type=int, default=STREAM_BUDGET)
 
     command("verify", _cmd_verify, "recompute a certificate's margin", "certificate JSON file")
 
@@ -215,7 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (p_construct, p_moment):
         cmd.add_argument("--plot", metavar="FILE", help="write (p, lhs, rhs, difference) CSV")
         cmd.add_argument(
-            "--plot-samples", type=int, default=9, help="interior sample count for --plot"
+            "--plot-samples",
+            type=int,
+            default=PLOT_SAMPLES,
+            help="interior sample count for --plot",
         )
     return parser
 

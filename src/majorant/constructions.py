@@ -7,12 +7,14 @@ magnitude whose majorant comparison fails on that interval, and certifies
 the failure by one quadrature evaluation in `verify_certificate`.
 
 `verify_certificate` is the only code that evaluates and judges a margin.
-It certifies when the margin is finite, exceeds the safety multiple of the
-error estimate and lies within a factor 10 of the exact leading coupled
-term, which depends only on the certificate vector, the magnitude and p.
-Roundoff and aliased grid modes give margins unrelated to that term, so
-they cannot pass.  A constructed certificate is `verified` exactly when
-`verify_certificate` with the same settings returns True.
+It certifies when the exact leading coupled term, which depends only on the
+certificate vector, the magnitude and p, is at least LEAD_FLOOR, and the
+margin is finite, exceeds the safety multiple of the error estimate and lies
+within a factor 10 of that term.  Roundoff and aliased grid modes give
+margins unrelated to a term above the floor, so they cannot pass.  A
+constructed certificate is `verified` exactly when `verify_certificate` with
+the same settings returns True; construction skips the evaluation when the
+term is below the floor, where that cannot happen.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import inf, isfinite, log2
-from sys import float_info
 from typing import Any, NamedTuple, Sequence
 
 from .cvector import (
@@ -50,7 +51,6 @@ from .exact_lattice import (
     reduce_full_dim,
 )
 from .lp_engine import (
-    QUAD_POINT_BUDGET,
     EvalConfig,
     _check_freqs,
     _paired_differences,
@@ -60,12 +60,16 @@ from .moment_curve import gamma_point, smallest_admissible_k
 
 MAGNITUDE = 0.25
 # Leading terms below this are indistinguishable from accumulated roundoff
-# in a paired grid evaluation, so construction does not evaluate them.
+# in a paired grid evaluation, so no margin certifies against them.
 LEAD_FLOOR = 5e-15
 # A certifying margin lies within this factor of the exact leading term.
 LEAD_AGREEMENT = 10.0
+# An abundance scan says yes once a d-tuple meets more lifted determinants than this.
+SCAN_BUDGET = 64
 # Points of an abundant set read before its escalating family gives up.
 STREAM_BUDGET = 400
+# Interior exponents at which plot data is sampled.
+PLOT_SAMPLES = 9
 
 SCHEMA_VERSION = 1
 # JSON types of a certificate's single entries, as docs/certificate.schema.json
@@ -215,14 +219,6 @@ class Certificate:
             raise DomainError(f"malformed certificate: {exc!r}") from exc
 
 
-def _overflow_note(coefficients: Sequence[float], p: Real) -> str:
-    """Why a grid mean of |sum|^p <= max(1, sum |a_i|)^p could overflow, or ""."""
-    size = max(1.0, sum(map(abs, coefficients)))
-    if float(p) * log2(size) + log2(QUAD_POINT_BUDGET) < float_info.max_exp:
-        return ""
-    return f"exponent {float(p):g} is beyond floating-point evaluation range"
-
-
 def _certify(
     theorem_tag: str,
     freqs: Sequence[Vec],
@@ -234,9 +230,10 @@ def _certify(
 ) -> Certificate:
     """Certificate at MAGNITUDE, verified exactly when `verify_certificate` says True.
 
-    No evaluation happens when |sum|^p could overflow or the leading term is
-    below LEAD_FLOOR; otherwise the candidate is verified with `cfg`, the
-    settings it records, and takes its measured fields from the result.
+    A leading term below LEAD_FLOOR cannot certify, so it is not evaluated;
+    otherwise the candidate is verified with `cfg`, the settings it records,
+    and takes its measured fields from the result, unless the engine finds a
+    mean of |sum|^p beyond floating-point range; its message is then the note.
     """
     coeffs = assign_signs(cv, MAGNITUDE)
     log2_lead = log2_leading_term(p, cv, coeffs)
@@ -254,15 +251,17 @@ def _certify(
         eval_config=cfg,
         reduction=reduction,
     )
-    note = _overflow_note(cert.coefficients, p)
-    if not note and log2_lead < log2(LEAD_FLOOR):
-        note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
-    elif not note:
-        res = verify_certificate(cert, cfg)
-        measured = {k: v for k, v in res._asdict().items() if k != "verdict"}  # Certificate names
-        cert = replace(cert, verified=res.verdict is True, **measured)
-        note = f"margin {res.margin:.3g} does not certify against error "
-        note += f"{res.error_estimate:.3g} and leading term 2^{log2_lead:.1f}"
+    note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
+    if log2_lead >= log2(LEAD_FLOOR):
+        try:
+            res = verify_certificate(cert, cfg)
+        except BudgetError as exc:
+            note = str(exc)
+        else:
+            measured = {k: v for k, v in res._asdict().items() if k != "verdict"}
+            cert = replace(cert, verified=res.verdict is True, **measured)
+            note = f"margin {res.margin:.3g} does not certify against error "
+            note += f"{res.error_estimate:.3g} and leading term 2^{log2_lead:.1f}"
     note = "" if cert.verified else note
     return replace(cert, note="; ".join(x for x in (note_prefix, note) if x))
 
@@ -306,7 +305,7 @@ def construct_abundant(
     g: FrequencySet,
     how_many: int,
     cfg: EvalConfig | None = None,
-    scan_budget: int = 64,
+    scan_budget: int = SCAN_BUDGET,
     stream_budget: int = STREAM_BUDGET,
 ) -> list[Certificate]:
     """Certificates with strictly increasing m_plus from an abundant set.
@@ -382,11 +381,12 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
 class VerifyResult(NamedTuple):
     """Outcome of re-deriving a certificate's margin from scratch.
 
-    verdict is True when the margin certifies (finite, above the safety
-    multiple of the error estimate, within a factor LEAD_AGREEMENT of the
-    leading term), else False when the margin is finite and the error
-    estimate is within the tolerance, else the string "inconclusive": the
-    margin did not certify and the error stayed above the tolerance.
+    verdict is True when the margin certifies (the leading term at least
+    LEAD_FLOOR, the margin finite, above the safety multiple of the error
+    estimate and within a factor LEAD_AGREEMENT of that term), else False
+    when the margin is finite and the error estimate is within the
+    tolerance, else the string "inconclusive": the margin did not certify
+    and the error stayed above the tolerance.
     """
 
     verdict: bool | str
@@ -413,12 +413,10 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     first and the rest determine c.  A certificate with its signs stripped,
     or with frequencies that alias on the grid, therefore does not verify.
     The grid, tolerance and safety factor are `cfg` (defaults when omitted),
-    never the certificate's.  Raises BudgetError, before any evaluation,
-    when |sum|^p could overflow.
+    never the certificate's.  Raises BudgetError when a mean of |sum|^p is
+    beyond floating-point range.
     """
     cfg = cfg or EvalConfig()
-    if note := _overflow_note(cert.coefficients, cert.p_tested):
-        raise BudgetError(note)
     res = paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, cfg)
     log2_lead = -inf
     if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
@@ -427,7 +425,8 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     margin, err = res.difference, res.error_estimate
     verdict: bool | str = "inconclusive"
     above_error = isfinite(margin) and margin > cfg.margin_safety_factor * err
-    if above_error and abs(log2(margin) - log2_lead) <= log2(LEAD_AGREEMENT):
+    resolved = log2_lead >= log2(LEAD_FLOOR)
+    if resolved and above_error and abs(log2(margin) - log2_lead) <= log2(LEAD_AGREEMENT):
         verdict = True
     elif isfinite(margin) and err <= cfg.backend_agreement_tol:
         verdict = False
@@ -435,20 +434,18 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
 
 
 def emit_plot_data(
-    cert: Certificate, p_samples: int = 9, cfg: EvalConfig | None = None
+    cert: Certificate, p_samples: int = PLOT_SAMPLES, cfg: EvalConfig | None = None
 ) -> list[dict[str, float]]:
     """Evaluate both sides at evenly spaced interior points of the interval.
 
     A request for zero samples returns an empty table.  As in verification,
-    the settings are `cfg` or the defaults, and BudgetError comes before any
-    evaluation when |sum|^p could overflow at the interval's upper end.
+    the settings are `cfg` or the defaults, and BudgetError is raised when a
+    mean of |sum|^p at a sample is beyond floating-point range.
     """
     if p_samples < 0:
         raise DomainError("p_samples must be nonnegative")
     cfg = cfg or EvalConfig()
     lo, hi = cert.p_interval
-    if note := _overflow_note(cert.coefficients, hi):
-        raise BudgetError(note)
     span = hi - lo
     ps = [lo + span * (i + 1) / (p_samples + 1) for i in range(p_samples)]
     results = _paired_differences(cert.frequencies, cert.coefficients, ps, cfg) if ps else []
@@ -460,7 +457,7 @@ def emit_plot_data(
 
 def classify(
     g: FrequencySet,
-    scan_budget: int = 64,
+    scan_budget: int = SCAN_BUDGET,
     cfg: EvalConfig | None = None,
     with_certificate: bool = True,
 ) -> dict[str, Any]:

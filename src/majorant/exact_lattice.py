@@ -79,14 +79,6 @@ class IntMatrix:
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
 
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions differ")
-        cols = list(zip(*other.entries))
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
-
 
 def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(rank, det) of integer rows by fraction-free Bareiss elimination.
@@ -350,24 +342,6 @@ def is_affinely_independent(g: FrequencySet) -> bool:
     return len(g.points) == affine_dimension(g) + 1
 
 
-def _echelon_coordinates(rows: Sequence[Vec], target: Vec) -> Vec:
-    """Integer y with sum_i y_i rows[i] = target, for echelon rows.
-
-    Each row's leading entry sits right of the previous row's, so the
-    coordinates follow by forward substitution on the pivot columns; every
-    division is exact because target lies in the lattice the rows generate.
-    """
-    residual = list(target)
-    coords = []
-    for row in rows:
-        col = next(j for j, x in enumerate(row) if x != 0)
-        y = residual[col] // row[col]
-        residual = [r - y * x for r, x in zip(residual, row)]
-        coords.append(y)
-    assert not any(residual), "target lies outside the lattice of the rows"
-    return tuple(coords)
-
-
 class Reduction(NamedTuple):
     n_star: Vec
     basis: Optional[IntMatrix]  # d x d' columns; None when d' = 0
@@ -377,10 +351,11 @@ class Reduction(NamedTuple):
 def reduce_full_dim(g: FrequencySet) -> Reduction:
     """Rewrite g as n_star + basis . g' with g' full-dimensional in Z^d'.
 
-    n_star is the first listed point.  The basis columns generate the lattice
-    spanned by the difference vectors (read off the nonzero rows of the
-    triangular factor of the matrix with those rows), and g' collects the
-    exact lattice coordinates of each point.  Cardinality is preserved and
+    n_star is the first listed point.  hnf factors the matrix whose rows are
+    the difference vectors as e . b, with the r nonzero rows of b first and
+    zeros below; those rows are the basis columns, which generate the lattice
+    the differences span as e is unimodular.  So a difference's row of e, cut
+    at r, holds its exact lattice coordinates.  Cardinality is preserved and
     n_star itself maps to the origin.
     """
     if not g.points:
@@ -390,14 +365,12 @@ def reduce_full_dim(g: FrequencySet) -> Reduction:
     if not diffs:
         reduced = FrequencySet(dim=0, points=((),))
         return Reduction(n_star, None, reduced)
-    _, echelon = hnf(IntMatrix.from_rows(diffs))
+    e, echelon = hnf(IntMatrix.from_rows(diffs))
     # distinct points give a nonzero difference, so at least one row survives
     basis_rows = [row for row in echelon.entries if any(x != 0 for x in row)]
     basis = IntMatrix.from_columns(basis_rows)
-    coords = tuple(
-        _echelon_coordinates(basis_rows, tuple(a - b for a, b in zip(p, n_star))) for p in g.points
-    )
-    reduced = FrequencySet(dim=basis.cols, points=coords)
+    r = len(basis_rows)
+    reduced = FrequencySet(dim=r, points=((0,) * r, *(row[:r] for row in e.entries)))
     return Reduction(n_star, basis, reduced)
 
 

@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import copy
 import csv
+import inspect
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from majorant.cli import main
+from majorant import constructions
+from majorant.cli import _build_parser, main
 from majorant.constructions import construct_independent
 from majorant.cvector import build_c
 from majorant.exact_lattice import FrequencySet
@@ -92,8 +95,8 @@ class TestConstruct:
 
     def test_generator_set_emits_array(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
-        code, out, _ = run(capsys, "construct", "--input", inp, "--count", "2")
-        assert code == 0
+        code, out, err = run(capsys, "construct", "--input", inp, "--count", "2")
+        assert (code, err) == (0, "")
         certs = json.loads(out)
         assert isinstance(certs, list) and len(certs) == 2
         assert certs[0]["cvector"]["m_plus"] < certs[1]["cvector"]["m_plus"]
@@ -119,6 +122,20 @@ class TestConstruct:
         assert code == 1
         assert "error:" in err
 
+    def test_partial_family_says_so_on_stderr(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
+        argv = ["construct", "--input", inp, "--count", "6", "--stream-budget", "6"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert len(json.loads(out)) == 3
+        assert err == "found 3 of 6 certificates within --stream-budget 6\n"
+
+    def test_exhausted_stream_budget_is_one_line(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
+        code, out, err = run(capsys, "construct", "--input", inp, "--stream-budget", "2")
+        assert (code, out) == (2, "")
+        assert err == "inconclusive: stream budget exhausted before any certificate was found\n"
+
 
 class TestVerify:
     @pytest.mark.parametrize("points", [LINE_SET, SPACE_SET], ids=["line", "space"])
@@ -143,6 +160,20 @@ class TestVerify:
         assert json.loads(out)["verdict"] is False
         assert "failed" in err
 
+    def test_roundoff_below_the_leading_term_floor_exits_one(self, tmp_path, capsys):
+        # c = (4, -1) at p = 5 with magnitude 2^-10: leading term 2^-51.4, below
+        # LEAD_FLOOR; the grid margin of 2 ulp once matched it within 10x
+        line = construct_independent(FrequencySet(1, ((0,), (1,), (2,))))
+        small = 2.0**-10
+        forged = replace(
+            line, frequencies=((0,), (2,), (8,)), coefficients=(1.0, small, -small), p_tested=5.0
+        )
+        cert_path = write_json(tmp_path / "cert.json", forged.to_json())
+        code, out, err = run(capsys, "verify", "--input", cert_path)
+        assert code == 1
+        assert json.loads(out)["verdict"] is False
+        assert err.count("\n") == 1 and "failed" in err
+
     def test_eval_overrides_accepted(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", LINE_SET)
         _, out, _ = run(capsys, "construct", "--input", inp)
@@ -161,20 +192,19 @@ class TestMoment:
         assert cert["verified"] is False and cert["margin"] is None
         assert all(2 * abs(x) > 10**15 + 1 for x in cert["cvector"]["c"])
 
-    def test_beyond_float_range_is_not_evaluated(self, tmp_path, capsys, time_limit):
+    def test_beyond_float_range_exits_two_with_one_line(self, tmp_path, capsys, time_limit):
         plot = tmp_path / "f.csv"
         argv = ["moment", "--d", "2", "--p", "1000000000000001"]
+        message = "inconclusive: the mean of |sum|^1e+15 is beyond floating-point range\n"
         with time_limit(5):
             code, out, err = run(capsys, *argv, "--plot", str(plot))
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and "floating-point evaluation range" in err
+        assert (code, out, err) == (2, "", message)
         assert not plot.exists()
         _, out, _ = run(capsys, *argv)
         with time_limit(5):
             cert_path = write_json(tmp_path / "c.json", json.loads(out))
             code, out, err = run(capsys, "verify", "--input", cert_path)
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and "floating-point evaluation range" in err
+        assert (code, out, err) == (2, "", message)
 
     def test_plane_cubic(self, capsys):
         code, out, _ = run(capsys, "moment", "--d", "2", "--p", "3")
@@ -188,6 +218,31 @@ class TestMoment:
         code, _, err = run(capsys, "moment", "--d", "2", "--p", "4")
         assert code == 1
         assert "even" in err
+
+
+class TestParserDefaults:
+    def test_budgets_and_samples_are_the_library_constants(self, tmp_path):
+        inp = str(tmp_path / "g.json")
+        parse = _build_parser().parse_args
+        classify = parse(["classify", "--input", inp])
+        construct = parse(["construct", "--input", inp])
+        moment = parse(["moment", "--d", "2", "--p", "3"])
+        assert classify.scan_budget == construct.scan_budget == constructions.SCAN_BUDGET
+        assert construct.stream_budget == constructions.STREAM_BUDGET
+        assert construct.plot_samples == moment.plot_samples == constructions.PLOT_SAMPLES
+
+    @pytest.mark.parametrize(
+        "func, name, constant",
+        [
+            ("classify", "scan_budget", "SCAN_BUDGET"),
+            ("construct_abundant", "scan_budget", "SCAN_BUDGET"),
+            ("construct_abundant", "stream_budget", "STREAM_BUDGET"),
+            ("emit_plot_data", "p_samples", "PLOT_SAMPLES"),
+        ],
+    )
+    def test_library_defaults_are_the_same_constants(self, func, name, constant):
+        default = inspect.signature(getattr(constructions, func)).parameters[name].default
+        assert default == getattr(constructions, constant)
 
 
 class TestWeakMajorant:

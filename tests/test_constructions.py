@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, fields, replace
-from math import inf
+from math import inf, log2
 from pathlib import Path
 
 import jsonschema
@@ -26,7 +26,7 @@ from majorant.constructions import (
     emit_plot_data,
     verify_certificate,
 )
-from majorant.cvector import OpenInterval, build_c, build_v
+from majorant.cvector import OpenInterval, build_c, build_v, log2_leading_term
 from majorant.errors import BudgetError, DomainError, HypothesisError, MajorantError
 from majorant.exact_lattice import FrequencySet
 from majorant.lp_engine import EvalConfig, paired_difference
@@ -439,7 +439,8 @@ def family(params, count):
 
 
 class TestLeadingTermRule:
-    """A margin certifies only within a factor 10 of the exact leading term."""
+    """A margin certifies only within a factor 10 of the exact leading term,
+    and only when that term is at least LEAD_FLOOR."""
 
     @pytest.mark.parametrize(
         "params, count, p, c",
@@ -510,14 +511,43 @@ class TestLeadingTermRule:
         shifted = replace(cert, frequencies=((1,), (2,), (3,)))
         assert verify_certificate(shifted).verdict is False
 
-    def test_huge_odd_exponent_is_refused_without_evaluation(self, time_limit):
+    def test_huge_odd_exponent_is_refused_without_evaluation(self, time_limit, grid_passes):
+        # the leading term 4^-(10^15) is below the floor, so construction does
+        # not evaluate; verification and plotting do, and the engine refuses
         with time_limit(5):
             cert = construct_moment(2, 10**15 + 1)
+        assert grid_passes == []
         assert not cert.verified and cert.margin is None
-        assert cert.note.endswith("; exponent 1e+15 is beyond floating-point evaluation range")
+        assert cert.note.endswith(" is below numerical resolution")
         for evaluate in (verify_certificate, emit_plot_data):
-            with time_limit(1), pytest.raises(BudgetError, match="evaluation range"):
+            with time_limit(1), pytest.raises(BudgetError) as info:
                 evaluate(cert)
+            assert str(info.value) == "the mean of |sum|^1e+15 is beyond floating-point range"
+
+    def test_beyond_float_range_above_the_floor_keeps_the_engine_message(self):
+        # p = 290 359 369 and a leading term above the floor: construction
+        # evaluates, and the engine finds the mean of |sum|^p beyond range
+        points = [(-55, 96, -82, 98), (24, -57, 19, 30), (-23, -62, 18, -34)]
+        points += [(54, -98, -11, -33), (81, 5, 75, 39)]
+        cert = construct_independent(FrequencySet(4, ((0, 0, 0, 0), *points)))
+        assert cert.p_tested == 290_359_369
+        lead = log2_leading_term(cert.p_tested, cert.cvector, cert.coefficients[1:])
+        assert lead >= log2(constructions.LEAD_FLOOR)
+        assert not cert.verified and cert.margin is None
+        assert cert.note == "the mean of |sum|^2.90359e+08 is beyond floating-point range"
+
+    def test_roundoff_below_the_floor_does_not_verify(self, cert):
+        # c = (4, -1) at p = 5 with magnitude 2^-10: leading term 2^-51.4; the
+        # grid margin is 2 ulp of the sides and once matched it within 10x
+        small = 2.0**-10
+        forged = replace(
+            cert, frequencies=((0,), (2,), (8,)), coefficients=(1.0, small, -small), p_tested=5.0
+        )
+        lead = log2_leading_term(5.0, forged.cvector, forged.coefficients[1:])
+        assert forged.cvector.c == (4, -1) and lead < log2(constructions.LEAD_FLOOR)
+        res = verify_certificate(forged)
+        assert res.margin > 0 and abs(log2(res.margin) - lead) <= log2(10)
+        assert res.verdict is False
 
 
 class TestCertificateJson:

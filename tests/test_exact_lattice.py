@@ -8,9 +8,11 @@ implementations never certify themselves.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from majorant.errors import DimensionError, DomainError, HypothesisError
@@ -62,6 +64,13 @@ def rank_rational(rows: list[list[int]]) -> int:
     return rank
 
 
+def product(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Entries of the integer matrix product a . b."""
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b.entries)) for row in a.entries
+    )
+
+
 SMALL_SQUARE = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
@@ -95,6 +104,30 @@ def combination_rows(draw):
         )
     )
     return [[sum(c * row[j] for c, row in zip(cs, basis)) for j in range(width)] for cs in combos]
+
+
+@st.composite
+def embedded_sets(draw):
+    """Distinct points n* + M . x in Z^dim, dim 1-7, for an integer map M with
+    up to dim columns (its rank may fall short of that).  Half the sets put
+    every x on the first axis, so all difference vectors repeat one direction
+    of M, at multiples whose gcd need not be 1."""
+    dim = draw(st.integers(1, 7))
+    width = draw(st.integers(1, dim))
+    small = st.integers(-4, 4)
+    col = st.lists(small, min_size=dim, max_size=dim)
+    cols = draw(st.lists(col, min_size=width, max_size=width))
+    base = draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+    xs = draw(st.lists(st.lists(small, min_size=width, max_size=width), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        xs = [[x[0]] + [0] * (width - 1) for x in xs]
+
+    def image(x):
+        return tuple(n + sum(a * col[i] for a, col in zip(x, cols)) for i, n in enumerate(base))
+
+    points = list(dict.fromkeys([tuple(base), *map(image, xs)]))
+    assume(len(points) >= 2)
+    return FrequencySet(dim, tuple(points))
 
 
 @st.composite
@@ -134,10 +167,6 @@ class TestIntMatrix:
     def test_bool_entries_rejected(self):
         with pytest.raises(DomainError):
             IntMatrix.from_rows([[True, 0], [0, 1]])
-
-    def test_matmul_identity(self):
-        m = IntMatrix.from_rows([[2, 1], [7, -3]])
-        assert m.matmul(IntMatrix.identity(2)).entries == m.entries
 
 
 class TestDetRank:
@@ -187,14 +216,14 @@ class TestHnf:
         e, b = hnf(IntMatrix.from_rows([[2, 1], [1, 1]]))
         assert b.entries == ((1, 1), (0, 1))
         assert e.entries == ((2, -1), (1, 0))
-        assert e.matmul(b).entries == ((2, 1), (1, 1))
+        assert product(e, b) == ((2, 1), (1, 1))
         assert det_exact(e) == 1
 
     @given(rows=SMALL_SQUARE)
     def test_factorization_and_unimodularity(self, rows):
         m = IntMatrix.from_rows(rows)
         e, b = hnf(m)
-        assert e.matmul(b).entries == m.entries
+        assert product(e, b) == m.entries
         assert abs(det_exact(e)) == 1
         assert all(b.entries[i][j] == 0 for i in range(b.rows) for j in range(i))
 
@@ -210,7 +239,7 @@ class TestHnf:
     def test_rectangular_echelon(self, rows):
         m = IntMatrix.from_rows(rows)
         e, b = hnf(m)
-        assert e.matmul(b).entries == m.entries
+        assert product(e, b) == m.entries
         assert abs(det_exact(e)) == 1
 
     def test_diagonal_entry_is_column_gcd_on_triangular_reachable_case(self):
@@ -423,6 +452,24 @@ class TestReduceFullDim:
                 for i, n in enumerate(red.n_star)
             )
             assert rebuilt == orig
+
+    @given(g=embedded_sets())
+    @settings(max_examples=200)
+    def test_coordinates_rebuild_every_point_and_span_the_lattice(self, g):
+        red = reduce_full_dim(g)
+        r = red.reduced.dim
+        assert red.basis is not None and (red.basis.rows, red.basis.cols) == (g.dim, r)
+        assert r == affine_dimension(g)
+        assert red.n_star == g.points[0] and red.reduced.points[0] == (0,) * r
+        assert len(red.reduced.points) == len(g.points)
+        for orig, coord in zip(g.points, red.reduced.points):
+            image = product(red.basis, IntMatrix.from_columns([coord]))
+            assert tuple(n + y for n, (y,) in zip(red.n_star, image)) == orig
+        # index 1: the coordinate differences generate Z^r exactly when the
+        # gcd of their r x r minors is 1
+        diffs = red.reduced.points[1:]
+        minors = [det_exact(IntMatrix.from_rows(rows)) for rows in combinations(diffs, r)]
+        assert gcd(*minors) == 1
 
 
 class TestAbundance:
