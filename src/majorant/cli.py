@@ -104,6 +104,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         lead = construct_independent(g, cfg)
         doc = lead.to_json()
+        if args.count != 1:
+            ignored = f"--count {args.count} ignored"
+            print(f"a finite set gives one certificate; {ignored}", file=sys.stderr)
     if args.plot:
         _write_plot(args.plot, lead, args.plot_samples, cfg)
     _emit(doc)

@@ -14,7 +14,11 @@ only.  In d >= 2 it covers half the grid (|F| is even) with matrix products
 of per-axis phase tables; in 1-D it sums in real arithmetic without BLAS.
 Exponents double grid by grid, so each grid is passed over once per call.
 Rows are scaled by a power of two, so |F|^2 neither under- nor overflows
-for any coefficient size.
+for any coefficient size.  A d >= 2 pass over a half grid of at least 2^17
+points splits its chunks between the calling thread and one pooled thread
+(one thread on a single CPU); the chunks and each one's arithmetic do not
+depend on the thread count, so the results are bit for bit the same.
+Smaller and 1-D passes run on the calling thread.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -25,9 +29,12 @@ either integral's own error remain trustworthy.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -46,6 +53,9 @@ QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
 QUAD_MAX_DOUBLINGS = 16
 _BLOCK_POINTS = 1 << 13  # grid points per chunk of a grid pass
+_PARALLEL_POINTS = 1 << 17  # a pass over fewer points runs on the calling thread alone
+# threads per larger pass, the calling one included; two keep a pass's buffers small
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
 _LINE_POINTS = 1 << 8  # points per summed slice of a 1-D grid
 _ROOT_TABLE = 1 << 11  # a 1-D grid reads roots of unity from tables below twice this
 ENUM_BUDGET = 10_000_000
@@ -101,20 +111,15 @@ def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> list[float]:
     return floats
 
 
-def _tensor_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
-    """Yield (lo, hi, squares, powers) for d >= 2, chunk by chunk.
+def _tensor_pass(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
+    """The chunks (lo, hi) of a d >= 2 pass, and `_tensor_squares` bound to its tables.
 
-    The squares are |F|^2 of each row on the first-axis slices lo..hi-1,
-    about `_BLOCK_POINTS` points (or one slice); powers is a buffer of their
-    shape.  The next chunk reuses both, and the product's buffer.  A phase e(n_j . x) is a product
-    of 1-D phases e(k i / n), read at k mod n (exact for integers of any
-    size) from a table of n-th roots of unity.  The chunk's first-axis table
-    and the tables of the other axes but the last multiply into a (point x
-    frequency) head, whose copies scaled by each row take one matrix product
-    with the last axis's table; shared tables keep the rows' errors
-    correlated, so their difference is stable.
+    A chunk is the first-axis slices lo..hi-1, about `_BLOCK_POINTS` points
+    (or one slice).  A phase e(n_j . x) is a product of 1-D phases e(k i / n),
+    read at k mod n (exact for integers of any size) from a table of n-th
+    roots of unity; the tables are built once and only read by every thread.
     """
-    m, d, h = len(freqs), len(freqs[0]), n // 2 + 1
+    d, h = len(freqs[0]), n // 2 + 1
     roots = np.exp((2j * np.pi / n) * np.arange(n))
     residues = np.array([[k % n for k in f] for f in freqs], dtype=np.int64)
     tables = [roots[np.outer(residues[:, ax], np.arange(n if ax else h)) % n] for ax in range(d)]
@@ -123,9 +128,26 @@ def _tensor_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
         # numpy takes a one-row product as a vector product, with other
         # arithmetic than a matrix product: a lone last slice joins the chunk before
         del bounds[-2]
-    most = max(hi - lo for lo, hi in zip(bounds, bounds[1:])) * n ** (d - 2) * len(coeffs)
+    chunks = list(zip(bounds, bounds[1:]))
+    width = max(hi - lo for lo, hi in chunks)
+    return chunks, partial(_tensor_squares, tables, coeffs, n, width)
+
+
+def _tensor_squares(tables: list[np.ndarray], coeffs: np.ndarray, n: int, width: int, chunks):
+    """Yield (lo, hi, squares, powers) for each chunk of `chunks`, d >= 2.
+
+    The squares are |F|^2 of each row on the first-axis slices lo..hi-1, at
+    most `width` of them; powers is a buffer of their shape.  Both, and the
+    product's buffer, belong to this generator and are reused chunk to chunk.
+    The chunk's first-axis table and the tables of the other axes but the
+    last multiply into a (point x frequency) head, whose copies scaled by
+    each row take one matrix product with the last axis's table; shared
+    tables keep the rows' errors correlated, so their difference is stable.
+    """
+    m, d = len(tables[0]), len(tables)
+    most = width * n ** (d - 2) * len(coeffs)
     fields, buffers = np.empty((most, n), dtype=complex), np.empty((2, most * n))
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in chunks:
         head = np.ones((m, 1), dtype=complex)
         for table in (tables[0][:, lo:hi], *tables[1:-1]):
             head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
@@ -137,13 +159,11 @@ def _tensor_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
         yield lo, hi, squares, powers
 
 
-def _line_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int, slices: int):
-    """Yield (lo, hi, squares, powers) in 1-D, as `_tensor_squares` does.
+def _line_pass(freqs: Sequence[Vec], coeffs: np.ndarray, n: int, slices: int):
+    """The chunks (lo, hi) of a 1-D pass over `slices`, and `_line_squares` bound to its tables.
 
-    The n points, then zeros, fill `slices` slices of `_LINE_POINTS`.  A
-    point's sum runs over the frequencies in order, one rounding per real
-    operation and no BLAS call, so its bits depend neither on its place in a
-    chunk nor on the thread count.  e(x / n) is e(a 2^s / n) e(b / n) for
+    The n points, then zeros, fill the slices of `_LINE_POINTS`; a chunk
+    holds an even number of them.  e(x / n) is e(a 2^s / n) e(b / n) for
     x = a 2^s + b, with 2^s the power of two (1 below 2 * `_ROOT_TABLE`)
     that keeps both tables short: an even index on grid 2n splits into the
     same factors as its half on grid n.
@@ -152,9 +172,20 @@ def _line_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int, slices: int)
     coarse = np.exp((2j * np.pi / n) * (np.arange(-(-n >> s)) << s))
     fine = np.exp((2j * np.pi / n) * np.arange(1 << s))
     residues = np.array([k % n for (k,) in freqs], dtype=np.int64)
-    step = 2 * max(1, _BLOCK_POINTS // (2 * _LINE_POINTS * len(freqs)))  # even
-    for lo in range(0, slices, step):
-        hi = min(lo + step, slices)
+    step = 2 * max(1, _BLOCK_POINTS // (2 * _LINE_POINTS * len(freqs)))
+    chunks = [(lo, min(lo + step, slices)) for lo in range(0, slices, step)]
+    return chunks, partial(_line_squares, (coarse, fine, s), residues, coeffs, n)
+
+
+def _line_squares(tables: tuple, residues: np.ndarray, coeffs: np.ndarray, n: int, chunks):
+    """Yield (lo, hi, squares, powers) for each chunk of `chunks` in 1-D, as in d >= 2.
+
+    A point's sum runs over the frequencies in order, one rounding per real
+    operation and no BLAS call, so its bits depend neither on its place in a
+    chunk nor on the thread count.
+    """
+    coarse, fine, s = tables
+    for lo, hi in chunks:
         points = np.arange(lo * _LINE_POINTS, hi * _LINE_POINTS)
         x = np.outer(residues, points) % n
         a, b = coarse[x >> s], fine[x & ((1 << s) - 1)]
@@ -163,6 +194,67 @@ def _line_squares(freqs: Sequence[Vec], coeffs: np.ndarray, n: int, slices: int)
         squares[:, max(0, n - points[0]) :] = 0.0
         squares = squares.reshape(len(coeffs), hi - lo, _LINE_POINTS)
         yield lo, hi, squares, np.empty_like(squares)
+
+
+class _Share:
+    """The chunks of one pass, handed out in order to the threads that run it."""
+
+    def __init__(self, chunks: list[tuple[int, int]]):
+        self._chunks, self._lock = iter(chunks), threading.Lock()
+
+    def __iter__(self) -> _Share:
+        return self
+
+    def __next__(self) -> tuple[int, int]:
+        with self._lock:
+            return next(self._chunks)
+
+    def stop(self) -> None:
+        """Hand out no further chunk."""
+        with self._lock:
+            self._chunks = iter(())
+
+
+@cache
+def _helpers(count: int):
+    """The pool of `count` threads that run passes beside the calling thread, made at first use."""
+    from concurrent.futures import ThreadPoolExecutor  # here: most processes never need it
+
+    return ThreadPoolExecutor(count, thread_name_prefix="majorant-grid")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads: a new pool
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
+def _run_shared(work, chunks: list[tuple[int, int]], workers: int) -> None:
+    """Run work(share) on the calling thread and workers - 1 pooled ones, sharing `chunks`.
+
+    A thread that raises stops the share, so the others take no further
+    chunk.  Every thread is done before this returns or raises; the calling
+    thread's exception comes first, then the pooled threads' in turn.
+    """
+    share = _Share(chunks)
+
+    def guarded() -> None:
+        try:
+            work(share)
+        except BaseException:
+            share.stop()
+            raise
+
+    futures = [_helpers(workers - 1).submit(guarded) for _ in range(workers - 1)]
+    try:
+        guarded()
+    finally:
+        for future in futures:
+            future.exception()  # waits: no thread writes the sums once this returns
+    for future in futures:
+        future.result()
+
+
+def _beyond_range(p: float) -> BudgetError:
+    return BudgetError(f"the mean of |sum|^{p:g} is beyond floating-point range")
 
 
 def _grid_means(
@@ -178,38 +270,61 @@ def _grid_means(
     `half` (n a multiple of 4) the n//2 grid's means come back too, read from
     the even subgrid of the same powers, copied contiguous to add in the
     order of a pass over n//2.  Returns means per grid, exponent and row.
+
+    In d >= 2 a pass whose half grid has at least `_PARALLEL_POINTS` points
+    runs its chunks on `_WORKERS` threads; 1-D passes run on the calling
+    thread.  The chunks do not depend on the thread count and each writes
+    only its own slice sums, so neither do the means.  The powers are
+    nonnegative: a chunk whose sums are not finite raises BudgetError at once.
     """
     d = len(freqs[0])
     coeffs = np.array(rows, dtype=float)
     if d == 1:
         slices = -(-n // _LINE_POINTS)
-        chunks = _line_squares(freqs, coeffs, n, slices + (half and slices % 2))
+        chunks, squares_of = _line_pass(freqs, coeffs, n, slices + (half and slices % 2))
     else:
         slices = n // 2 + 1
-        chunks = _tensor_squares(freqs, coeffs, n)
+        chunks, squares_of = _tensor_pass(freqs, coeffs, n)
     sums = np.zeros((len(ps), len(coeffs), slices + 1))
     halves = np.zeros((len(ps), len(coeffs), (slices + 1) // 2))
-    for lo, hi, squares, powers in chunks:
-        for i, p in enumerate(ps):
-            with np.errstate(over="ignore"):  # at p = 1 as numpy's squares ** 0.5: a square root
-                np.sqrt(squares, out=powers) if p == 1 else np.power(squares, p / 2.0, out=powers)
-            np.add.reduce(powers, axis=2, out=sums[i, :, lo:hi])
-            if half:
-                if d == 1:
-                    even = powers.reshape(len(coeffs), -1, 2 * _LINE_POINTS)[:, :, ::2]
-                else:
-                    thin = (slice(lo % 2, None, 2),) + (slice(None, None, 2),) * (d - 1)
-                    even = powers.reshape(powers.shape[:2] + (n,) * (d - 1))[(slice(None), *thin)]
-                even = np.ascontiguousarray(even)
-                even = even.reshape(*even.shape[:2], math.prod(even.shape[2:]))
-                np.add.reduce(even, axis=2, out=halves[i, :, (lo + 1) // 2 :][:, : even.shape[1]])
+
+    def work(mine) -> None:
+        with np.errstate(over="ignore"):  # in each thread: numpy's error state is a thread's own
+            for lo, hi, squares, powers in squares_of(mine):
+                for i, p in enumerate(ps):
+                    if p == 1:  # as numpy's squares ** 0.5: a square root
+                        np.sqrt(squares, out=powers)
+                    else:
+                        np.power(squares, p / 2.0, out=powers)
+                    np.add.reduce(powers, axis=2, out=sums[i, :, lo:hi])
+                    # the powers are >= 0: a sum beyond range (or NaN) puts the mean there too
+                    if not sums[i, :, lo:hi].max() < math.inf:
+                        raise _beyond_range(p)
+                    if half:
+                        add_even_subgrid(i, lo, powers)
+
+    def add_even_subgrid(i: int, lo: int, powers: np.ndarray) -> None:
+        if d == 1:
+            even = powers.reshape(len(coeffs), -1, 2 * _LINE_POINTS)[:, :, ::2]
+        else:
+            thin = (slice(lo % 2, None, 2),) + (slice(None, None, 2),) * (d - 1)
+            even = powers.reshape(powers.shape[:2] + (n,) * (d - 1))[(slice(None), *thin)]
+        even = np.ascontiguousarray(even)
+        even = even.reshape(*even.shape[:2], math.prod(even.shape[2:]))
+        np.add.reduce(even, axis=2, out=halves[i, :, (lo + 1) // 2 :][:, : even.shape[1]])
+
+    # a 1-D chunk makes many short numpy calls, which a second thread only slows
+    if d > 1 and _WORKERS > 1 and slices * n ** (d - 1) >= _PARALLEL_POINTS:
+        _run_shared(work, chunks, _WORKERS)
+    else:
+        work(chunks)
     out = []
     for size, grid_sums in [(n, sums[:, :, :slices])] + ([(n // 2, halves)] if half else []):
         weights = np.where((2 * np.arange(grid_sums.shape[2]) % size == 0) | (d == 1), 1.0, 2.0)
         out.append([[float(weights @ s) / size**d for s in per_p] for per_p in grid_sums])
         for p, means in zip(ps, out[-1]):
             if not all(map(math.isfinite, means)):
-                raise BudgetError(f"the mean of |sum|^{p:g} is beyond floating-point range")
+                raise _beyond_range(p)
     return out
 
 
@@ -221,7 +336,7 @@ def _scaled_back(x: float, shift: int, p: float) -> float:
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
-        raise BudgetError(f"the mean of |sum|^{p:g} is beyond floating-point range")
+        raise _beyond_range(p)
     return x
 
 
@@ -253,7 +368,9 @@ def _refine(
     share one pass per grid.  The start grid's pass gives the n//2 grid of
     the first error estimate where n is a multiple of 16: only there does
     each even-subgrid column fall in the same kind of OpenBLAS column group
-    (4 wide, or the rest) as in a pass over n//2.  Returns (means, err, n).
+    (4 wide, or the rest) as in a pass over n//2.  A d >= 2 pass whose half
+    grid has at least 2^17 points runs on two threads (see `_grid_means`),
+    with the same result as on one.  Returns (means, err, n).
     """
     d = _check_freqs(freqs)
     row = _check_real_coeffs(coeffs, len(freqs))

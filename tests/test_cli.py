@@ -93,6 +93,13 @@ class TestConstruct:
         assert isinstance(cert, dict)
         assert cert["frequencies"] == [[0], [1], [2]]
 
+    def test_count_on_a_finite_set_says_it_is_ignored(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", LINE_SET)
+        _, single, _ = run(capsys, "construct", "--input", inp)
+        code, out, err = run(capsys, "construct", "--input", inp, "--count", "3")
+        assert (code, out) == (0, single)
+        assert err == "a finite set gives one certificate; --count 3 ignored\n"
+
     def test_generator_set_emits_array(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
         code, out, err = run(capsys, "construct", "--input", inp, "--count", "2")

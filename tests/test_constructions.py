@@ -536,6 +536,15 @@ class TestLeadingTermRule:
         assert not cert.verified and cert.margin is None
         assert cert.note == "the mean of |sum|^2.90359e+08 is beyond floating-point range"
 
+    def test_beyond_float_range_is_refused_at_the_first_chunk(self, time_limit):
+        points = [(-55, 96, -82, 98), (24, -57, 19, 30), (-23, -62, 18, -34)]
+        points += [(54, -98, -11, -33), (81, 5, 75, 39)]
+        cert = construct_independent(FrequencySet(4, ((0, 0, 0, 0), *points)))
+        # a whole start-grid pass took 0.11 s for the verify and 0.9 s for the plot
+        for evaluate in (verify_certificate, emit_plot_data):
+            with time_limit(0.1), pytest.raises(BudgetError, match="beyond floating-point range"):
+                evaluate(cert)
+
     def test_roundoff_below_the_floor_does_not_verify(self, cert):
         # c = (4, -1) at p = 5 with magnitude 2^-10: leading term 2^-51.4; the
         # grid margin is 2 ulp of the sides and once matched it within 10x

@@ -13,6 +13,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -33,6 +35,7 @@ from majorant.cvector import (
 )
 import majorant
 from majorant import lp_engine
+from majorant.cli import main as cli_main
 from majorant.errors import (
     BudgetError,
     ConvergenceError,
@@ -542,6 +545,11 @@ class TestBlasThreads:
         # 1-D with many frequencies, where a BLAS vector product would split across threads
         "line = tuple((k * k,) for k in range(12))\n"
         "cases += [(line, (1.0,) + (0.25, -0.25) * 5 + (0.25,), p) for p in (1.0, 2.5)]\n"
+        # half grids of 2.1e6 and 5.6e5 points: passes that run on two threads
+        "grids += [2048, 32]\n"
+        "cases.append((((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25), 2.5))\n"
+        "cases.append((((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),"
+        " (2, 1, 1, 3)), (1.0, 0.25, -0.25, 0.25, 0.25, -0.25), 3.0))\n"
         "for (freqs, signed, p), grid in zip(cases, grids):\n"
         "    res = paired_difference(freqs, signed, p, EvalConfig(grid_points_per_axis=grid))\n"
         "    print(res.lhs.hex(), res.rhs.hex(), res.difference.hex(),"
@@ -563,8 +571,155 @@ class TestBlasThreads:
                 check=True,
             )
             outputs.append(done.stdout)
-        assert len(outputs[0].splitlines()) == 5
+        assert len(outputs[0].splitlines()) == 7
         assert outputs[0] == outputs[1]
+
+
+class TestParallelPasses:
+    @pytest.mark.parametrize(
+        "d, n", [(d, n) for d in (1, 2, 3, 4) for n in (8, 9, 12, 16, 64)] + [(2, 256), (2, 2048)]
+    )
+    def test_means_do_not_depend_on_the_worker_count(self, monkeypatch, d, n):
+        n = 32 if (d, n) == (4, 64) else n  # 64 is 9e6 points
+        freqs, rows = random_case(7 * n + d, d)
+        ps = [1.0, 2.5, 7.0]
+        monkeypatch.setattr(lp_engine, "_PARALLEL_POINTS", 0)
+        if n <= 64:  # chunks of three slices, so that several start at an odd slice
+            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 3 * n ** (d - 1))
+        # else the default chunks, where 2-D 256 and 2048 each end with a lone slice
+        chunk_threads = set()
+        real = lp_engine._tensor_squares
+
+        def spy(*args):
+            for chunk in real(*args):
+                chunk_threads.add(threading.current_thread().name)
+                yield chunk
+
+        monkeypatch.setattr(lp_engine, "_tensor_squares", spy)
+        means = {}
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(lp_engine, "_WORKERS", workers)
+            means[workers] = [
+                _grid_means(freqs, rows, n, ps, half) for half in (False, True)[: 1 + (n % 4 == 0)]
+            ]
+        assert means[2] == means[1] and means[5] == means[1]
+        if (d, n) == (2, 2048):  # 1 025 slices in 256 chunks: the pool takes some
+            assert any(name.startswith("majorant-grid") for name in chunk_threads)
+
+    @pytest.mark.parametrize("scale, p", [(1e200, 3.0), (1.0, 2000.0)])
+    def test_overflow_in_a_pooled_thread_warns_nothing(self, monkeypatch, scale, p):
+        monkeypatch.setattr(lp_engine, "_WORKERS", 2)
+        freqs, rows = random_case(5, 3)
+        rows = [[scale * x for x in row] for row in rows]
+        pooled_went = threading.Event()
+        real = lp_engine._tensor_squares
+
+        def spy(*args):
+            # the calling thread waits until the pooled one has overflowed on its chunks
+            pooled = threading.current_thread() is not threading.main_thread()
+            if not pooled:
+                assert pooled_went.wait(10)
+            try:
+                yield from real(*args)
+            finally:
+                pooled_went.set()
+
+        monkeypatch.setattr(lp_engine, "_tensor_squares", spy)
+        with warnings.catch_warnings(), pytest.raises(BudgetError, match="beyond floating-point"):
+            warnings.simplefilter("error")
+            _grid_means(freqs, rows, 128, [p])
+
+    def test_an_error_in_the_pool_reaches_the_caller_and_stops_the_pass(self):
+        taken, done = threading.Event(), []
+
+        def work(share):
+            if threading.current_thread() is threading.main_thread():
+                assert taken.wait(10)
+                for chunk in share:
+                    done.append(chunk)
+                    time.sleep(0.005)
+            else:
+                for chunk in share:
+                    taken.set()
+                    raise BudgetError("raised in the pool")
+
+        with pytest.raises(BudgetError, match="raised in the pool"):
+            lp_engine._run_shared(work, [(i, i + 1) for i in range(400)], 2)
+        assert len(done) < 200  # 400 chunks at 5 ms would take 2 s
+
+    def test_beyond_float_range_stops_at_the_first_chunk(self, monkeypatch, time_limit):
+        # p = 2000 overflows on each of the 17 chunks of this 4-D 32 pass: a thread takes one
+        freqs, rows = random_case(3, 4)
+        chunks = []
+        real = lp_engine._tensor_squares
+
+        def spy(*args):
+            for chunk in real(*args):
+                chunks.append(chunk[:2])
+                yield chunk
+
+        monkeypatch.setattr(lp_engine, "_tensor_squares", spy)
+        for workers in (1, 2):
+            monkeypatch.setattr(lp_engine, "_WORKERS", workers)
+            chunks.clear()
+            with time_limit(0.1), pytest.raises(BudgetError, match=r"\|sum\|\^2000 is beyond"):
+                _grid_means(freqs, rows, 32, [2000.0, 3000.0])
+            assert len(chunks) <= workers
+
+
+class TestThreadLifecycle:
+    def run_python(self, *args, timeout=60):
+        src = str(Path(majorant.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+        )
+
+    def test_exact_work_starts_no_thread(self):
+        script = (
+            "import sys, threading\n"
+            "import majorant as mj\n"
+            "counts = [threading.active_count(), 'concurrent.futures' in sys.modules]\n"
+            "g = mj.FrequencySet(2, ((0, 0), (1, 0), (0, 1), (1, 1), (3, 5)))\n"
+            "mj.classify(g, with_certificate=False)\n"
+            "mj.reduce_full_dim(g)\n"
+            "mj.lp_norm_taylor(g.points[1:], (0.25, -0.25, 0.25, 0.25), 3, mj.EvalConfig())\n"
+            "mj.lp_norm_even_exact(g.points, (1, 1, -1, 1, 1), 3)\n"
+            "counts += [threading.active_count(), 'concurrent.futures' in sys.modules]\n"
+            "print(counts)\n"
+        )
+        done = self.run_python("-c", script)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "[1, False, 1, False]\n"
+
+    def test_a_forked_child_runs_parallel_passes(self):
+        # the child inherits the pool object but none of its threads
+        script = (
+            "import multiprocessing as mp\n"
+            "from majorant import lp_engine\n"
+            "from majorant.lp_engine import EvalConfig, paired_difference\n"
+            "lp_engine._WORKERS = 2\n"
+            "args = (((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25), 2.5,"
+            " EvalConfig(grid_points_per_axis=1024))\n"
+            "first = paired_difference(*args)\n"
+            "with mp.get_context('fork').Pool(1) as pool:\n"
+            "    print(pool.apply_async(paired_difference, args).get(timeout=30) == first)\n"
+        )
+        done = self.run_python("-c", script)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+    def test_a_parallel_pass_lets_the_process_exit(self, monkeypatch, tmp_path):
+        argv = ["moment", "--d", "3", "--p", "13", "--plot", str(tmp_path / "rows.csv")]
+        # the plot is what evaluates here: the d = 3 leading term is below the floor
+        monkeypatch.setattr(lp_engine, "_WORKERS", 2)
+        shared = []
+        real = lp_engine._run_shared
+        monkeypatch.setattr(lp_engine, "_run_shared", lambda *args: shared.append(real(*args)))
+        assert cli_main(argv) == 0 and shared
+        done = self.run_python("-m", "majorant.cli", *argv, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == f"wrote 9 plot rows to {tmp_path / 'rows.csv'}\n"
 
 
 class TestMemory:
@@ -579,7 +734,8 @@ class TestMemory:
         ],
         ids=["3d-128", "2d-2048", "1d-2^20"],
     )
-    def test_paired_difference_peak(self, traced_peak_mb, freqs, signed, p, grid):
+    def test_paired_difference_peak(self, monkeypatch, traced_peak_mb, freqs, signed, p, grid):
+        monkeypatch.setattr(lp_engine, "_WORKERS", 2)  # every thread holds buffers of its own
         cfg = EvalConfig(grid_points_per_axis=grid)
         assert traced_peak_mb(paired_difference, freqs, signed, p, cfg) <= 4
 
