@@ -21,8 +21,7 @@ from .constructions import (
     STREAM_BUDGET,
     Certificate,
     classify,
-    construct_abundant,
-    construct_independent,
+    construct_certificates,
     construct_moment,
     emit_plot_data,
     verify_certificate,
@@ -88,28 +87,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = FrequencySet.from_json(_load_json(args.input))
     cfg = _eval_config(args)
-    if g.is_structurally_infinite():
-        certs = construct_abundant(
-            g,
-            args.count,
-            cfg,
-            scan_budget=args.scan_budget,
-            stream_budget=args.stream_budget,
-        )
-        doc: Any = [c.to_json() for c in certs]
-        lead = certs[0]
-        if len(certs) < args.count:
-            found = f"found {len(certs)} of {args.count} certificates"
-            print(f"{found} within --stream-budget {args.stream_budget}", file=sys.stderr)
-    else:
-        lead = construct_independent(g, cfg)
-        doc = lead.to_json()
-        if args.count != 1:
-            ignored = f"--count {args.count} ignored"
-            print(f"a finite set gives one certificate; {ignored}", file=sys.stderr)
+    certs = construct_certificates(g, args.count, cfg, args.scan_budget, args.stream_budget)
     if args.plot:
-        _write_plot(args.plot, lead, args.plot_samples, cfg)
-    _emit(doc)
+        _write_plot(args.plot, certs[0], args.plot_samples, cfg)
+    infinite = g.is_structurally_infinite()
+    _emit([c.to_json() for c in certs] if infinite else certs[0].to_json())
+    # a note on the count only once the plot and the JSON are out: a failure stays one line
+    if len(certs) < args.count:
+        found = f"found {len(certs)} of {args.count} certificates"
+        if not infinite:
+            note = f"a finite set gives one certificate; --count {args.count} ignored"
+        elif certs[0].theorem_tag == "abundant":
+            note = f"{found} within --stream-budget {args.stream_budget}"
+        else:
+            note = f"{found}: the set is not affinely abundant"
+        print(note, file=sys.stderr)
     return 0
 
 

@@ -361,6 +361,47 @@ def _abundant_family(
     return certs
 
 
+def construct_certificates(
+    g: FrequencySet,
+    how_many: int = 1,
+    cfg: EvalConfig | None = None,
+    scan_budget: int = SCAN_BUDGET,
+    stream_budget: int = STREAM_BUDGET,
+) -> list[Certificate]:
+    """The certificates `classify` attaches to `g`, up to `how_many` of them.
+
+    An abundant set gives up to `how_many` members of its escalating family,
+    as `construct_abundant` does; any other set gives the one certificate of
+    its finite sample (the whole set when it is finite), which raises
+    HypothesisError when the sample is affinely independent.
+    """
+    if how_many < 1:
+        raise DomainError("how_many must be at least 1")
+    if stream_budget < 1:
+        raise DomainError("stream budget must be positive")
+    scan = abundance_scan(g, scan_budget)
+    return _certificates(g, _sample(g), scan, how_many, cfg or EvalConfig(), stream_budget)
+
+
+def _sample(g: FrequencySet) -> FrequencySet:
+    """The finite sample that `classify` judges `g` by: the whole set when it is finite."""
+    return FrequencySet(g.dim, tuple(g.stream(max(g.dim + 2, len(g.points) + 1, 8))))
+
+
+def _certificates(
+    g: FrequencySet,
+    sample: FrequencySet,
+    scan: AbundanceScan,
+    how_many: int,
+    cfg: EvalConfig,
+    stream_budget: int,
+) -> list[Certificate]:
+    """An abundant set's escalating family, up to `how_many`, else the certificate of `sample`."""
+    if scan.status is Abundance.YES:
+        return _abundant_family(g, scan, how_many, cfg, stream_budget)
+    return [construct_independent(sample, cfg)]
+
+
 def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certificate:
     """Counterexample at a prescribed non-even exponent on the moment curve.
 
@@ -467,10 +508,10 @@ def classify(
     sample, the whole set when it is finite (not structurally infinite).
     The majorant property holds at every p exactly when the set is finite
     and affinely independent.  Otherwise a certificate is attached when one
-    can be built: abundant sets use `construct_abundant`, the rest the sample.
+    can be built, as `construct_certificates` builds it.
     """
     cfg = cfg or EvalConfig()
-    sample = FrequencySet(g.dim, tuple(g.stream(max(g.dim + 2, len(g.points) + 1, 8))))
+    sample = _sample(g)
     basis = _affine_basis(sample.points)
     independent = not g.is_structurally_infinite() and len(basis) == len(sample.points)
     scan = abundance_scan(g, scan_budget)
@@ -491,10 +532,7 @@ def classify(
     if not with_certificate:
         return report
     try:
-        if scan.status is Abundance.YES:
-            cert = _abundant_family(g, scan, 1, cfg, STREAM_BUDGET)[0]
-        else:
-            cert = construct_independent(sample, cfg)
+        cert = _certificates(g, sample, scan, 1, cfg, STREAM_BUDGET)[0]
         report["certificate"] = cert.to_json()
     except MajorantError as exc:
         report["note"] = f"certificate construction failed: {exc}"

@@ -10,15 +10,15 @@ estimates come from comparing two successive grid doublings.
 
 The quadrature streams: one pass over a grid builds |F|^2 a chunk at a
 time, raises it to every exponent the grid serves and keeps per-slice sums
-only.  In d >= 2 it covers half the grid (|F| is even) with matrix products
-of per-axis phase tables; in 1-D it sums in real arithmetic without BLAS.
-Exponents double grid by grid, so each grid is passed over once per call.
-Rows are scaled by a power of two, so |F|^2 neither under- nor overflows
-for any coefficient size.  A d >= 2 pass over a half grid of at least 2^17
-points splits its chunks between the calling thread and one pooled thread
-(one thread on a single CPU); the chunks and each one's arithmetic do not
-depend on the thread count, so the results are bit for bit the same.
-Smaller and 1-D passes run on the calling thread.
+only.  It covers half of a tensor grid (|F| is even) with matrix products
+of per-axis phase tables, in every dimension: a 1-D grid is the A x B grid
+of x = a + A b.  Exponents double grid by grid, so each grid is passed over
+once per call.  Rows are scaled by a power of two, so |F|^2 neither under-
+nor overflows for any coefficient size.  A pass over a half grid of at
+least 2^17 points splits its chunks between the calling thread and one
+pooled thread (one thread on a single CPU); the chunks and each one's
+arithmetic depend on neither our nor BLAS's thread count, so the results
+are bit for bit the same.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -47,7 +47,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .exact_lattice import Vec, _typed
+from .exact_lattice import Vec, _as_vec, _typed
 
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
@@ -56,8 +56,7 @@ _BLOCK_POINTS = 1 << 13  # grid points per chunk of a grid pass
 _PARALLEL_POINTS = 1 << 17  # a pass over fewer points runs on the calling thread alone
 # threads per larger pass, the calling one included; two keep a pass's buffers small
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-_LINE_POINTS = 1 << 8  # points per summed slice of a 1-D grid
-_ROOT_TABLE = 1 << 11  # a 1-D grid reads roots of unity from tables below twice this
+_SLICE_POINTS = 64  # a 1-D grid's slices hold the most points up to this that divide n
 ENUM_BUDGET = 10_000_000
 
 
@@ -91,7 +90,7 @@ def _check_freqs(freqs: Sequence[Vec]) -> int:
         raise DimensionError("dimension must be at least 1")
     if any(len(f) != d for f in freqs):
         raise DimensionError("frequency vectors of mixed dimension")
-    if len(set(freqs)) != len(freqs):
+    if len(set(map(_as_vec, freqs))) != len(freqs):
         raise DomainError("frequencies must be pairwise distinct")
     return d
 
@@ -111,30 +110,50 @@ def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> list[float]:
     return floats
 
 
-def _tensor_pass(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
-    """The chunks (lo, hi) of a d >= 2 pass, and `_tensor_squares` bound to its tables.
+def _axes(d: int, n: int) -> tuple[int, ...]:
+    """The widths of the axes of the n^d grid: its d axes, or in 1-D (A, B).
 
-    A chunk is the first-axis slices lo..hi-1, about `_BLOCK_POINTS` points
-    (or one slice).  A phase e(n_j . x) is a product of 1-D phases e(k i / n),
-    read at k mod n (exact for integers of any size) from a table of n-th
-    roots of unity; the tables are built once and only read by every thread.
+    A 1-D point x is a + A b, with B the largest divisor of n up to
+    `_SLICE_POINTS` and A = n / B: e(k x / n) = e(k a / n) e(k b / B), and
+    -x mod n lies in slice -a mod A, mirrored as a d-axis grid's first axis.
     """
-    d, h = len(freqs[0]), n // 2 + 1
-    roots = np.exp((2j * np.pi / n) * np.arange(n))
-    residues = np.array([[k % n for k in f] for f in freqs], dtype=np.int64)
-    tables = [roots[np.outer(residues[:, ax], np.arange(n if ax else h)) % n] for ax in range(d)]
-    bounds = [*range(0, h, max(1, _BLOCK_POINTS // n ** (d - 1))), h]
-    if d == 2 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        # numpy takes a one-row product as a vector product, with other
+    if d > 1:
+        return (n,) * d
+    width = max(w for w in range(1, _SLICE_POINTS + 1) if n % w == 0)
+    return n // width, width
+
+
+def _tensor_pass(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
+    """The chunks (lo, hi) of a pass, and `_tensor_squares` bound to its tables.
+
+    A chunk is the first-axis slices lo..hi-1 of the `_axes` grid, about
+    `_BLOCK_POINTS` points (or one slice).  A phase is a product of phases
+    e(k i / m) per axis, m = n on the first axis and its width on the others,
+    at k mod m (exact for integers of any size); the tables are built once
+    and only read by every thread.
+    """
+    d, widths = len(freqs[0]), _axes(len(freqs[0]), n)
+    tables = []
+    for axis, width in enumerate(widths):
+        modulus, count = (n, width // 2 + 1) if axis == 0 else (width, width)
+        residues = np.array([f[min(axis, d - 1)] % modulus for f in freqs], dtype=np.int64)
+        indices = np.outer(residues, np.arange(count)) % modulus
+        tables.append(np.exp((2j * np.pi / modulus) * indices))
+    if widths[-1] == 1:  # numpy would take a vector product: a column of zeros adds nothing
+        tables[-1] = np.pad(tables[-1], ((0, 0), (0, 1)))
+    h = widths[0] // 2 + 1
+    bounds = [*range(0, h, max(1, _BLOCK_POINTS // math.prod(widths[1:]))), h]
+    if len(widths) == 2 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # numpy takes a one-row product as a vector product, with other BLAS
         # arithmetic than a matrix product: a lone last slice joins the chunk before
         del bounds[-2]
     chunks = list(zip(bounds, bounds[1:]))
     width = max(hi - lo for lo, hi in chunks)
-    return chunks, partial(_tensor_squares, tables, coeffs, n, width)
+    return chunks, partial(_tensor_squares, tables, coeffs, width)
 
 
-def _tensor_squares(tables: list[np.ndarray], coeffs: np.ndarray, n: int, width: int, chunks):
-    """Yield (lo, hi, squares, powers) for each chunk of `chunks`, d >= 2.
+def _tensor_squares(tables: list[np.ndarray], coeffs: np.ndarray, width: int, chunks):
+    """Yield (lo, hi, squares, powers) for each chunk of `chunks`.
 
     The squares are |F|^2 of each row on the first-axis slices lo..hi-1, at
     most `width` of them; powers is a buffer of their shape.  Both, and the
@@ -144,9 +163,9 @@ def _tensor_squares(tables: list[np.ndarray], coeffs: np.ndarray, n: int, width:
     each row take one matrix product with the last axis's table; shared
     tables keep the rows' errors correlated, so their difference is stable.
     """
-    m, d = len(tables[0]), len(tables)
-    most = width * n ** (d - 2) * len(coeffs)
-    fields, buffers = np.empty((most, n), dtype=complex), np.empty((2, most * n))
+    m, last = len(tables[0]), tables[-1].shape[1]
+    most = width * math.prod(table.shape[1] for table in tables[1:-1]) * len(coeffs)
+    fields, buffers = np.empty((most, last), dtype=complex), np.empty((2, most * last))
     for lo, hi in chunks:
         head = np.ones((m, 1), dtype=complex)
         for table in (tables[0][:, lo:hi], *tables[1:-1]):
@@ -155,45 +174,8 @@ def _tensor_squares(tables: list[np.ndarray], coeffs: np.ndarray, n: int, width:
         parts = np.matmul(scaled, tables[-1], out=fields[: len(scaled)]).view(np.float64)
         np.square(parts, out=parts)
         squares, powers = (b[: parts.size // 2].reshape(len(coeffs), hi - lo, -1) for b in buffers)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=squares.reshape(len(scaled), n))
+        np.add(parts[:, 0::2], parts[:, 1::2], out=squares.reshape(len(scaled), last))
         yield lo, hi, squares, powers
-
-
-def _line_pass(freqs: Sequence[Vec], coeffs: np.ndarray, n: int, slices: int):
-    """The chunks (lo, hi) of a 1-D pass over `slices`, and `_line_squares` bound to its tables.
-
-    The n points, then zeros, fill the slices of `_LINE_POINTS`; a chunk
-    holds an even number of them.  e(x / n) is e(a 2^s / n) e(b / n) for
-    x = a 2^s + b, with 2^s the power of two (1 below 2 * `_ROOT_TABLE`)
-    that keeps both tables short: an even index on grid 2n splits into the
-    same factors as its half on grid n.
-    """
-    s = max(0, (n // _ROOT_TABLE).bit_length() - 1)
-    coarse = np.exp((2j * np.pi / n) * (np.arange(-(-n >> s)) << s))
-    fine = np.exp((2j * np.pi / n) * np.arange(1 << s))
-    residues = np.array([k % n for (k,) in freqs], dtype=np.int64)
-    step = 2 * max(1, _BLOCK_POINTS // (2 * _LINE_POINTS * len(freqs)))
-    chunks = [(lo, min(lo + step, slices)) for lo in range(0, slices, step)]
-    return chunks, partial(_line_squares, (coarse, fine, s), residues, coeffs, n)
-
-
-def _line_squares(tables: tuple, residues: np.ndarray, coeffs: np.ndarray, n: int, chunks):
-    """Yield (lo, hi, squares, powers) for each chunk of `chunks` in 1-D, as in d >= 2.
-
-    A point's sum runs over the frequencies in order, one rounding per real
-    operation and no BLAS call, so its bits depend neither on its place in a
-    chunk nor on the thread count.
-    """
-    coarse, fine, s = tables
-    for lo, hi in chunks:
-        points = np.arange(lo * _LINE_POINTS, hi * _LINE_POINTS)
-        x = np.outer(residues, points) % n
-        a, b = coarse[x >> s], fine[x & ((1 << s) - 1)]
-        phase = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
-        squares = sum((coeffs[:, :, None] * part).sum(axis=1) ** 2 for part in phase)
-        squares[:, max(0, n - points[0]) :] = 0.0
-        squares = squares.reshape(len(coeffs), hi - lo, _LINE_POINTS)
-        yield lo, hi, squares, np.empty_like(squares)
 
 
 class _Share:
@@ -263,30 +245,29 @@ def _grid_means(
     """Means of |sum|^p over the n^d grid per exponent and row, from one pass.
 
     A chunk's squares are raised to every exponent while in cache and summed
-    slice by slice; a mean is the weighted sum of slice sums over n^d.  In
-    d >= 2 only first-axis indices 0..n//2 are visited: real coefficients
-    give F(-x) = conj F(x), so the slice at i stands for itself where
-    2i = 0 mod n and for two slices elsewhere.  In 1-D every point is.  With
-    `half` (n a multiple of 4) the n//2 grid's means come back too, read from
-    the even subgrid of the same powers, copied contiguous to add in the
+    slice by slice; a mean is the weighted sum of slice sums over n^d.  Only
+    first-axis indices 0..A//2 of the A-point first axis are visited: real
+    coefficients give F(-x) = conj F(x), so the slice at i stands for itself
+    where 2i = 0 mod A and for two slices elsewhere.  With `half` (where the
+    n//2 grid's first axis is half as wide) its means come back too, read
+    from the even first-axis slices of the same powers, at the even points
+    of the later axes that n//2 halves, copied contiguous to add in the
     order of a pass over n//2.  Returns means per grid, exponent and row.
 
-    In d >= 2 a pass whose half grid has at least `_PARALLEL_POINTS` points
-    runs its chunks on `_WORKERS` threads; 1-D passes run on the calling
-    thread.  The chunks do not depend on the thread count and each writes
-    only its own slice sums, so neither do the means.  The powers are
-    nonnegative: a chunk whose sums are not finite raises BudgetError at once.
+    A pass whose half grid has at least `_PARALLEL_POINTS` points runs its
+    chunks on `_WORKERS` threads.  The chunks do not depend on the thread
+    count and each writes only its own slice sums, so neither do the means,
+    which weigh slice sums in blocks of `_BLOCK_POINTS` that one BLAS thread
+    adds (a d >= 2 grid has fewer slices).  The powers are nonnegative: a
+    chunk whose sums are not finite raises BudgetError at once.
     """
-    d = len(freqs[0])
+    d, widths = len(freqs[0]), _axes(len(freqs[0]), n)
     coeffs = np.array(rows, dtype=float)
-    if d == 1:
-        slices = -(-n // _LINE_POINTS)
-        chunks, squares_of = _line_pass(freqs, coeffs, n, slices + (half and slices % 2))
-    else:
-        slices = n // 2 + 1
-        chunks, squares_of = _tensor_pass(freqs, coeffs, n)
-    sums = np.zeros((len(ps), len(coeffs), slices + 1))
+    chunks, squares_of = _tensor_pass(freqs, coeffs, n)
+    slices = widths[0] // 2 + 1
+    sums = np.zeros((len(ps), len(coeffs), slices))
     halves = np.zeros((len(ps), len(coeffs), (slices + 1) // 2))
+    steps = [w // v for w, v in zip(widths[1:], _axes(d, n // 2)[1:])]
 
     def work(mine) -> None:
         with np.errstate(over="ignore"):  # in each thread: numpy's error state is a thread's own
@@ -304,24 +285,23 @@ def _grid_means(
                         add_even_subgrid(i, lo, powers)
 
     def add_even_subgrid(i: int, lo: int, powers: np.ndarray) -> None:
-        if d == 1:
-            even = powers.reshape(len(coeffs), -1, 2 * _LINE_POINTS)[:, :, ::2]
-        else:
-            thin = (slice(lo % 2, None, 2),) + (slice(None, None, 2),) * (d - 1)
-            even = powers.reshape(powers.shape[:2] + (n,) * (d - 1))[(slice(None), *thin)]
+        thin = (slice(lo % 2, None, 2), *(slice(None, None, step) for step in steps))
+        even = powers.reshape(powers.shape[:2] + widths[1:])[(slice(None), *thin)]
         even = np.ascontiguousarray(even)
         even = even.reshape(*even.shape[:2], math.prod(even.shape[2:]))
         np.add.reduce(even, axis=2, out=halves[i, :, (lo + 1) // 2 :][:, : even.shape[1]])
 
-    # a 1-D chunk makes many short numpy calls, which a second thread only slows
-    if d > 1 and _WORKERS > 1 and slices * n ** (d - 1) >= _PARALLEL_POINTS:
+    if _WORKERS > 1 and slices * math.prod(widths[1:]) >= _PARALLEL_POINTS:
         _run_shared(work, chunks, _WORKERS)
     else:
         work(chunks)
     out = []
-    for size, grid_sums in [(n, sums[:, :, :slices])] + ([(n // 2, halves)] if half else []):
-        weights = np.where((2 * np.arange(grid_sums.shape[2]) % size == 0) | (d == 1), 1.0, 2.0)
-        out.append([[float(weights @ s) / size**d for s in per_p] for per_p in grid_sums])
+    grids = [(widths[0], n, sums)] + ([(widths[0] // 2, n // 2, halves)] if half else [])
+    for first, size, grid in grids:
+        weights = np.where(2 * np.arange(grid.shape[2]) % first == 0, 1.0, 2.0)
+        blocks = [slice(k, k + _BLOCK_POINTS) for k in range(0, len(weights), _BLOCK_POINTS)]
+        weighted = [[sum(float(weights[b] @ s[b]) for b in blocks) for s in by_p] for by_p in grid]
+        out.append([[x / size**d for x in by_p] for by_p in weighted])
         for p, means in zip(ps, out[-1]):
             if not all(map(math.isfinite, means)):
                 raise _beyond_range(p)
@@ -366,11 +346,12 @@ def _refine(
 
     Every exponent is checked before any grid work; those still doubling
     share one pass per grid.  The start grid's pass gives the n//2 grid of
-    the first error estimate where n is a multiple of 16: only there does
-    each even-subgrid column fall in the same kind of OpenBLAS column group
-    (4 wide, or the rest) as in a pass over n//2.  A d >= 2 pass whose half
-    grid has at least 2^17 points runs on two threads (see `_grid_means`),
-    with the same result as on one.  Returns (means, err, n).
+    the first error estimate where that grid's slices are its even ones,
+    whole (1-D, as at 256) or at even columns of a multiple of 16: only there
+    does each column fall in the same kind of OpenBLAS column group (4 wide,
+    or the rest) as in a pass over n//2.  A pass whose half grid has at least
+    2^17 points runs on two threads (see `_grid_means`), with the same result
+    as on one.  Returns (means, err, n).
     """
     d = _check_freqs(freqs)
     row = _check_real_coeffs(coeffs, len(freqs))
@@ -389,7 +370,8 @@ def _refine(
     def tracked(row_means: list[float]) -> float:
         return row_means[0] - row_means[1] if paired else row_means[0]
 
-    if n % 16 == 0:
+    wide, narrow = _axes(d, n), _axes(d, n // 2)
+    if 2 * narrow[0] == wide[0] and (narrow[1:] == wide[1:] or n % 16 == 0):
         means, coarse = _grid_means(freqs, rows, n, pfs, half=True)
     else:  # the coarse grid gets a pass of its own
         [means], [coarse] = _grid_means(freqs, rows, n, pfs), _grid_means(freqs, rows, n // 2, pfs)

@@ -32,6 +32,12 @@ ZERO_STEP_SET = {
     "points": [[0], [1]],
     "generator": {"kind": "arith_progression", "params": {"start": [2], "step": [0]}},
 }
+# an infinite set on a line in Z^2: dependent, not abundant
+LINE_GEN_SET = {
+    "dim": 2,
+    "points": [[0, 0], [1, 0]],
+    "generator": {"kind": "arith_progression", "params": {"start": [2, 0], "step": [1, 0]}},
+}
 MOMENT_GEN_SET = {
     "dim": 2,
     "points": [],
@@ -99,6 +105,26 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "--input", inp, "--count", "3")
         assert (code, out) == (0, single)
         assert err == "a finite set gives one certificate; --count 3 ignored\n"
+
+    def test_count_note_follows_a_written_plot_only(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", LINE_SET)
+        plot = str(tmp_path / "missing-dir" / "rows.csv")
+        code, out, err = run(capsys, "construct", "--input", inp, "--count", "3", "--plot", plot)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_set_that_is_not_abundant_gets_the_classify_certificate(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "g.json", LINE_GEN_SET)
+        _, out, _ = run(capsys, "classify", "--input", inp)
+        report = json.loads(out)
+        assert report["abundance"] == "no"
+        assert report["smp_status"] == "violated_with_certificate"
+        code, out, err = run(capsys, "construct", "--input", inp)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [report["certificate"]]
+        code, out, err = run(capsys, "construct", "--input", inp, "--count", "3")
+        assert (code, json.loads(out)) == (0, [report["certificate"]])
+        assert err == "found 1 of 3 certificates: the set is not affinely abundant\n"
 
     def test_generator_set_emits_array(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
@@ -244,6 +270,8 @@ class TestParserDefaults:
             ("classify", "scan_budget", "SCAN_BUDGET"),
             ("construct_abundant", "scan_budget", "SCAN_BUDGET"),
             ("construct_abundant", "stream_budget", "STREAM_BUDGET"),
+            ("construct_certificates", "scan_budget", "SCAN_BUDGET"),
+            ("construct_certificates", "stream_budget", "STREAM_BUDGET"),
             ("emit_plot_data", "p_samples", "PLOT_SAMPLES"),
         ],
     )

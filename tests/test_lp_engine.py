@@ -146,6 +146,19 @@ class TestQuadrature:
         huge = lp_norm_quadrature(((0,), (10**400 + 1,)), (1.0, 0.5), 3, EvalConfig())
         assert huge == lp_norm_quadrature(((0,), (1,)), (1.0, 0.5), 3, EvalConfig())
 
+    @pytest.mark.parametrize("bad", [1.5, 1.9, True, "1"])
+    def test_non_integer_frequency_rejected_by_every_backend(self, bad):
+        freqs, coeffs = ((0,), (bad,)), (1.0, -0.5)
+        backends = [
+            lambda: lp_norm_quadrature(freqs, coeffs, 3, EvalConfig()),
+            lambda: paired_difference(freqs, coeffs, 3, EvalConfig()),
+            lambda: lp_norm_even_exact(freqs, coeffs, 2),
+            lambda: lp_norm_taylor(freqs[1:], coeffs[1:], 3, EvalConfig()),
+        ]
+        for backend in backends:
+            with pytest.raises(DomainError, match="exact integer"):
+                backend()
+
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(DomainError):
             lp_norm_quadrature(((1,), (1,)), (0.5, 0.5), 2, TIGHT)
@@ -355,7 +368,11 @@ def half_grid_means(freqs, rows, p, n):
 
 
 def one_matmul_means(freqs, rows, p, n):
-    """Reference: means of |sum|^p from one matrix product over the half grid, slices weighted."""
+    """Reference: means of |sum|^p from one matrix product over the half grid, slices weighted.
+
+    A 1-D grid is the A x B grid of x = a + A b, with the width B that
+    `lp_engine._axes` gives: its tables are e(k a / n) and e(k b / B).
+    """
     m, d, h = len(freqs), len(freqs[0]), n // 2 + 1
     roots = np.exp((2j * np.pi / n) * np.arange(n))
     residues = np.array([[k % n for k in f] for f in freqs], dtype=np.int64)
@@ -363,10 +380,16 @@ def one_matmul_means(freqs, rows, p, n):
         roots[np.outer(residues[:, axis], np.arange(n if axis else h)) % n]
         for axis in range(d)
     ]
+    first = n
+    if d == 1:
+        first, width = lp_engine._axes(1, n)
+        h, ks = first // 2 + 1, np.array([k % width for (k,) in freqs], dtype=np.int64)
+        last = np.exp((2j * np.pi / width) * (np.outer(ks, np.arange(width)) % width))
+        tables = [tables[0][:, :h], last]
     head = np.ones((m, 1), dtype=complex)
     for table in tables[:-1]:
         head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
-    weights = np.where(2 * np.arange(h) % n == 0, 1.0, 2.0)
+    weights = np.where(2 * np.arange(h) % first == 0, 1.0, 2.0)
     means = []
     for row in rows:
         field = (np.asarray(row)[:, None] * head).T @ tables[-1]
@@ -396,7 +419,8 @@ def kernel_cases(draw):
     `lp_norm_quadrature`, which divides each row by a power of two first.
     """
     d = draw(st.integers(1, 4))
-    n = draw(st.sampled_from((4, 5, 8, 9, 12, 16) + ((33, 64) if d <= 2 else ())))
+    grids = (4, 5, 8, 9, 12, 16) + ((33, 64) if d <= 2 else ()) + ((67, 96, 256) if d == 1 else ())
+    n = draw(st.sampled_from(grids))
     entries = st.tuples(*[st.integers(-40, 40)] * d)
     freqs = draw(st.lists(entries, min_size=1, max_size=6, unique=True))
     if draw(st.booleans()):
@@ -436,6 +460,15 @@ class TestHalfGridKernel:
             got, want = half_grid_means(freqs, rows, p, 9), full_grid_means(freqs, rows, p, 9)
             assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 67, 96, 256, 1 << 12, 100003])
+    def test_one_dimensional_layouts_match_full_grid_reference(self, n):
+        # A x B = 1 x 64, 67 x 1 (a column of zeros pads the last axis), 2 x 48, 4 x 64,
+        # 64 x 64 and 100003 x 1
+        freqs, rows = random_case(n, 1)
+        for p in (1.0, 3.5):
+            got, want = half_grid_means(freqs, rows, p, n), full_grid_means(freqs, rows, p, n)
+            assert got == pytest.approx(want, rel=1e-12)
+
     @settings(max_examples=100, deadline=None)
     @given(kernel_cases())
     def test_quadrature_scales_as_the_pth_power(self, case):
@@ -464,7 +497,8 @@ class TestHalfGridKernel:
     @pytest.mark.parametrize(
         "d, n, block",
         [
-            (1, 2048, None),
+            (1, 1 << 16, None),  # 513 slices of 64 points in chunks of 128: a lone last slice
+            (1, 2048, 192),  # 17 slices of 64 points in chunks of three
             (2, 256, None),  # 129 slices in chunks of 32: a lone last slice
             (2, 200, None),
             (3, 100, None),
@@ -477,37 +511,38 @@ class TestHalfGridKernel:
     def test_blocked_build_equals_one_matrix_product(self, monkeypatch, d, n, block):
         if block:
             monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", block)
-        if d > 1:  # the first-axis slices, n^(d-1) points each, take several chunks
-            slices, step = n // 2 + 1, max(1, lp_engine._BLOCK_POINTS // n ** (d - 1))
-            assert slices > step and (d > 2 or slices % step)
+        # the first-axis slices take several chunks
+        widths = lp_engine._axes(d, n)
+        slices, step = widths[0] // 2 + 1, max(1, lp_engine._BLOCK_POINTS // math.prod(widths[1:]))
+        assert slices > step and (d > 2 or slices % step)
         freqs, rows = random_case(n + d, d)
         ps = [1.0, 2.5]
         got = _grid_means(freqs, rows, n, ps)[0]
         want = [one_matmul_means(freqs, rows, p, n) for p in ps]
-        if d > 1:
-            assert got == want
-        else:  # 1-D sums point by point, without a matrix product, in chunks of any size
-            for g, w in zip(got, want):
-                assert g == pytest.approx(w, rel=1e-13)
-            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 2 * n)
-            assert _grid_means(freqs, rows, n, ps)[0] == got
+        assert got == want
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [8, 12, 16, 24, 64])
+    @pytest.mark.parametrize(
+        "d, n",
+        [(d, n) for d in (1, 2, 3, 4) for n in (8, 12, 16, 24, 64)]
+        + [(1, 96), (1, 256), (1, 1 << 12)],
+    )
     def test_start_grid_half_equals_a_direct_build(self, monkeypatch, grid_passes, d, n):
         n = 32 if (d, n) == (4, 64) else n  # 32 is the 4-D start grid; 64 is 9e6 points
         freqs, rows = random_case(10 * n + d, d)
         ps = [1.0, 2.5]
         cfg = EvalConfig(grid_points_per_axis=n, backend_agreement_tol=math.inf)
         _paired_differences(freqs, rows[0], ps, cfg)
-        # read from the start grid's pass on multiples of 16, where BLAS column groups line up
-        assert grid_passes == ([n] if n % 16 == 0 else [n, n // 2])
-        if n % 16 == 0:
+        # read from the start grid's pass on multiples of 16, where BLAS column groups line
+        # up, and in 1-D where n//2 keeps the slice width: 96 = 2 x 48, 256 = 4 x 64
+        read = n in (96, 256, 1 << 12) if d == 1 else n % 16 == 0
+        assert grid_passes == ([n] if read else [n, n // 2])
+        if read:
             full, half = _grid_means(freqs, rows, n, ps, half=True)
             assert full == _grid_means(freqs, rows, n, ps)[0]
             assert half == _grid_means(freqs, rows, n // 2, ps)[0]
             # chunks of three first-axis slices, half of which start at an odd slice
-            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 3 * n ** (d - 1))
+            block = 3 * math.prod(lp_engine._axes(d, n)[1:])
+            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", block)
             assert _grid_means(freqs, rows, n, ps, half=True) == [full, half]
 
     def test_odd_start_grid_builds_its_half(self, grid_passes):
@@ -545,6 +580,9 @@ class TestBlasThreads:
         # 1-D with many frequencies, where a BLAS vector product would split across threads
         "line = tuple((k * k,) for k in range(12))\n"
         "cases += [(line, (1.0,) + (0.25, -0.25) * 5 + (0.25,), p) for p in (1.0, 2.5)]\n"
+        # 1-D grids of a prime, with 50 002 slices of one point, and of 2^20 points
+        "cases += [(line, (1.0,) + (0.25, -0.25) * 5 + (0.25,), 1.5)] * 2\n"
+        "grids += [100003, 1 << 20]\n"
         # half grids of 2.1e6 and 5.6e5 points: passes that run on two threads
         "grids += [2048, 32]\n"
         "cases.append((((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.25, 0.25, 0.25), 2.5))\n"
@@ -571,22 +609,27 @@ class TestBlasThreads:
                 check=True,
             )
             outputs.append(done.stdout)
-        assert len(outputs[0].splitlines()) == 7
+        assert len(outputs[0].splitlines()) == 9
         assert outputs[0] == outputs[1]
 
 
 class TestParallelPasses:
     @pytest.mark.parametrize(
-        "d, n", [(d, n) for d in (1, 2, 3, 4) for n in (8, 9, 12, 16, 64)] + [(2, 256), (2, 2048)]
+        "d, n",
+        [(d, n) for d in (1, 2, 3, 4) for n in (8, 9, 12, 16, 64)]
+        + [(1, 256), (1, 1 << 12), (1, 1 << 16), (1, 100003), (2, 256), (2, 2048)],
     )
     def test_means_do_not_depend_on_the_worker_count(self, monkeypatch, d, n):
         n = 32 if (d, n) == (4, 64) else n  # 64 is 9e6 points
         freqs, rows = random_case(7 * n + d, d)
         ps = [1.0, 2.5, 7.0]
         monkeypatch.setattr(lp_engine, "_PARALLEL_POINTS", 0)
-        if n <= 64:  # chunks of three slices, so that several start at an odd slice
-            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 3 * n ** (d - 1))
-        # else the default chunks, where 2-D 256 and 2048 each end with a lone slice
+        widths = lp_engine._axes(d, n)
+        halves = 2 * lp_engine._axes(d, n // 2)[0] == widths[0]  # n//2 is a subgrid of n
+        if widths[0] <= 64:  # chunks of three slices, so that several start at an odd slice
+            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 3 * math.prod(widths[1:]))
+        # else the default chunks, where 2-D 256 and 2048 and 1-D 2^16 each end with a lone
+        # slice, and the 1-D prime 100003 has slices of one point (and a column of zeros)
         chunk_threads = set()
         real = lp_engine._tensor_squares
 
@@ -600,10 +643,10 @@ class TestParallelPasses:
         for workers in (1, 2, 5):
             monkeypatch.setattr(lp_engine, "_WORKERS", workers)
             means[workers] = [
-                _grid_means(freqs, rows, n, ps, half) for half in (False, True)[: 1 + (n % 4 == 0)]
+                _grid_means(freqs, rows, n, ps, half) for half in (False, True)[: 1 + halves]
             ]
         assert means[2] == means[1] and means[5] == means[1]
-        if (d, n) == (2, 2048):  # 1 025 slices in 256 chunks: the pool takes some
+        if (d, n) in ((2, 2048), (1, 100003)):  # 256 and 7 chunks: the pool takes some
             assert any(name.startswith("majorant-grid") for name in chunk_threads)
 
     @pytest.mark.parametrize("scale, p", [(1e200, 3.0), (1.0, 2000.0)])
