@@ -31,6 +31,7 @@ from .cvector import (
     CVector,
     OpenInterval,
     Real,
+    _exponent,
     build_c,
     build_v,
     is_even_exponent,
@@ -46,6 +47,7 @@ from .exact_lattice import (
     Vec,
     _affine_basis,
     _as_vec,
+    _integer,
     _typed,
     abundance_scan,
     reduce_full_dim,
@@ -317,10 +319,8 @@ def construct_abundant(
     intervals march off to infinity without overlapping.
     """
     cfg = cfg or EvalConfig()
-    if how_many < 1:
-        raise DomainError("how_many must be at least 1")
-    if stream_budget < 1:
-        raise DomainError("stream budget must be positive")
+    _integer(how_many, "how_many", 1)
+    _integer(stream_budget, "stream budget", 1)
     scan = abundance_scan(g, scan_budget)
     if scan.status is Abundance.NO:
         raise HypothesisError("set is not affinely abundant; no escalating family exists")
@@ -375,10 +375,8 @@ def construct_certificates(
     its finite sample (the whole set when it is finite), which raises
     HypothesisError when the sample is affinely independent.
     """
-    if how_many < 1:
-        raise DomainError("how_many must be at least 1")
-    if stream_budget < 1:
-        raise DomainError("stream budget must be positive")
+    _integer(how_many, "how_many", 1)
+    _integer(stream_budget, "stream budget", 1)
     scan = abundance_scan(g, scan_budget)
     return _certificates(g, _sample(g), scan, how_many, cfg or EvalConfig(), stream_budget)
 
@@ -410,9 +408,7 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
     whole even-to-even gap around p.
     """
     cfg = cfg or EvalConfig()
-    if not isfinite(p) or p <= 0:
-        raise DomainError("exponent must be positive and finite")
-    if is_even_exponent(p):
+    if is_even_exponent(_exponent(p)):
         raise DomainError("even integer exponents admit no strict violation")
     k, cv = smallest_admissible_k(d, p)
     freqs = tuple(gamma_point(d, k + i) for i in range(d + 1))
@@ -483,8 +479,7 @@ def emit_plot_data(
     the settings are `cfg` or the defaults, and BudgetError is raised when a
     mean of |sum|^p at a sample is beyond floating-point range.
     """
-    if p_samples < 0:
-        raise DomainError("p_samples must be nonnegative")
+    _integer(p_samples, "p_samples", 0)
     cfg = cfg or EvalConfig()
     lo, hi = cert.p_interval
     span = hi - lo

@@ -11,16 +11,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, inf, lgamma, log, log2, pi, sin
-from typing import NamedTuple, Sequence, Union
+from sys import float_info
+from typing import Any, NamedTuple, Sequence, Union
 
 from .errors import DimensionError, DomainError, HypothesisError
-from .exact_lattice import Vec, _as_vec, _eliminate
+from .exact_lattice import Vec, _as_vec, _eliminate, _integer, _typed
 
 Real = Union[int, float, Fraction]
 
 
+def _exponent(p: Any) -> Real:
+    """`p` if it is a positive Real (never a bool) finite as a float, else DomainError."""
+    if not (_typed(p, Real) and 0 < p <= float_info.max):
+        raise DomainError(f"exponent must be a positive finite number, got {p!r}")
+    return p
+
+
 def multinomial(entries: Sequence[int]) -> int:
     """(|entries| choose entries), computed exactly."""
+    entries = _as_vec(entries)
     if any(e < 0 for e in entries):
         raise DomainError("multinomial needs nonnegative entries")
     out = factorial(sum(entries))
@@ -103,9 +112,10 @@ def build_c(v: Sequence[int]) -> CVector:
 
 
 def is_even_exponent(p: Real) -> bool:
-    """Whether p is a positive even integer (where every sign pattern ties)."""
-    q = Fraction(p)  # exact for floats too: binary floats are rationals
-    return q > 0 and q.denominator == 1 and q.numerator % 2 == 0
+    """Whether the Real p is a positive even integer (where every sign pattern ties)."""
+    if not _typed(p, Real):
+        raise DomainError(f"exponent must be a real number, got {p!r}")
+    return 0 < p < inf and p % 2 == 0  # exact for floats too: fmod rounds nothing
 
 
 def gen_binom(p: Real, j: int) -> Real:
@@ -115,11 +125,8 @@ def gen_binom(p: Real, j: int) -> Real:
     the return type follows the input (float in, float out).  For even p the
     product hits zero once j exceeds p/2, exactly.
     """
-    if j < 0:
-        raise DomainError("index must be nonnegative")
-    q = Fraction(p)
-    if q <= 0:
-        raise DomainError("exponent must be positive")
+    _integer(j, "index", 0)
+    q = Fraction(_exponent(p))
     num = Fraction(1)
     for l in range(j):
         num *= q - 2 * l
@@ -141,10 +148,8 @@ def sign_condition(p: Real, cv: CVector) -> bool:
     Even integer p is rejected: there every sign pattern gives the same norm
     and the product above is never probative.
     """
-    if is_even_exponent(p):
+    if is_even_exponent(_exponent(p)):
         raise DomainError("even integer exponents admit no strict violation")
-    if not p > 0:
-        raise DomainError("exponent must be positive")
     return (_negative_factors(p, cv.m_minus) + _negative_factors(p, cv.m_plus)) % 2 == 1
 
 

@@ -28,13 +28,20 @@ def _typed(value: Any, kinds: Any, is_list: bool = False) -> bool:
     return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
 
 
+def _integer(value: Any, name: str, least: Optional[int] = None, error: type = DomainError) -> int:
+    """`value` if it is an exact integer (never a bool) of at least `least`, else `error`."""
+    if not _typed(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an exact integer{bound}, got {value!r}")
+    return value
+
+
 def _as_vec(values: Sequence[int]) -> Vec:
-    out = []
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise DomainError(f"expected exact integer entries, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:  # a plain int passes with one test: matrices check every entry
+            _integer(x, "entry")
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,9 +217,7 @@ class PointGenerator:
             for v in vectors:
                 _as_vec(v)
         else:
-            t_start = self.params.get("t_start", 1)
-            if isinstance(t_start, bool) or not isinstance(t_start, int):
-                raise DomainError(f"t_start must be an integer, got {t_start!r}")
+            _integer(self.params.get("t_start", 1), "t_start")
 
     def iter_points(self, dim: int) -> Iterator[Vec]:
         if self.kind == "moment_curve":
@@ -236,7 +241,7 @@ class FrequencySet:
     """Finite list of integer frequency vectors, optionally with a generator tail.
 
     Points are pairwise distinct.  dim = 0 only occurs as the output of
-    reduce_full_dim on a single point; JSON input requires dim >= 1.
+    reduce_full_dim on a single point.
     """
 
     dim: int
@@ -244,8 +249,7 @@ class FrequencySet:
     generator: Optional[PointGenerator] = None
 
     def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise DimensionError("dimension must be nonnegative")
+        _integer(self.dim, "dimension", 0, DimensionError)
         pts = tuple(_as_vec(p) for p in self.points)
         if any(len(p) != self.dim for p in pts):
             raise DimensionError("point length differs from the set dimension")
@@ -259,9 +263,7 @@ class FrequencySet:
     def from_json(cls, obj: dict) -> "FrequencySet":
         if not isinstance(obj, dict):
             raise DomainError("frequency set JSON must be an object")
-        dim = obj.get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
+        dim = _integer(obj.get("dim"), "dim", 1)
         points = obj.get("points", [])
         if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
             raise DomainError("points must be a list of integer vectors")
@@ -396,8 +398,7 @@ def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
     provably finite or its affine dimension provably stays below d.
     inconclusive: the stream budget ran out first.
     """
-    if scan_budget < 1:
-        raise DomainError("scan budget must be positive")
+    _integer(scan_budget, "scan budget", 1)
     d = g.dim
     if not g.is_structurally_infinite():
         return AbundanceScan(Abundance.NO, None, None)

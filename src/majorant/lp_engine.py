@@ -40,14 +40,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cvector import Real, gen_binom, is_even_exponent
+from .cvector import Real, _exponent, gen_binom, is_even_exponent
 from .errors import (
     BudgetError,
     ConvergenceError,
     DimensionError,
     DomainError,
 )
-from .exact_lattice import Vec, _as_vec, _typed
+from .exact_lattice import Vec, _as_vec, _integer, _typed
 
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
@@ -70,11 +70,8 @@ class EvalConfig:
     margin_safety_factor: float = 10.0
 
     def __post_init__(self) -> None:
-        """Reject values of the wrong type (a bool is no number) or range."""
-        if not _typed(self.grid_points_per_axis, int) or self.grid_points_per_axis < 4:
-            raise DomainError(f"grid must be an integer >= 4, got {self.grid_points_per_axis!r}")
-        if not _typed(self.series_total_degree_cutoff, int) or self.series_total_degree_cutoff < 0:
-            raise DomainError("series cutoff must be a nonnegative integer")
+        _integer(self.grid_points_per_axis, "grid", 4)
+        _integer(self.series_total_degree_cutoff, "series cutoff", 0)
         tol, safety = self.backend_agreement_tol, self.margin_safety_factor
         if not (_typed(tol, (int, float)) and tol > 0):
             raise DomainError("tolerance must be a positive number")
@@ -96,11 +93,11 @@ def _check_freqs(freqs: Sequence[Vec]) -> int:
 
 
 def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> list[float]:
-    """The coefficients as floats; DomainError unless each is real and finite as a float."""
+    """The coefficients as floats; DomainError unless each is a Real finite as a float."""
     if len(coeffs) != count:
         raise DimensionError("coefficient count differs from frequency count")
-    if any(isinstance(x, complex) for x in coeffs):
-        raise DomainError("coefficients must be real")
+    if not all(_typed(x, Real) for x in coeffs):
+        raise DomainError("coefficients must be real numbers")
     try:
         floats = [float(x) for x in coeffs]
     except OverflowError:  # an exact number beyond the float range
@@ -198,23 +195,23 @@ class _Share:
 
 
 @cache
-def _helpers(count: int):
-    """The pool of `count` threads that run passes beside the calling thread, made at first use."""
+def _helper():
+    """The one-thread pool that runs passes beside the calling thread, made at first use."""
     from concurrent.futures import ThreadPoolExecutor  # here: most processes never need it
 
-    return ThreadPoolExecutor(count, thread_name_prefix="majorant-grid")
+    return ThreadPoolExecutor(1, thread_name_prefix="majorant-grid")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads: a new pool
-    os.register_at_fork(after_in_child=_helpers.cache_clear)
+    os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
-def _run_shared(work, chunks: list[tuple[int, int]], workers: int) -> None:
-    """Run work(share) on the calling thread and workers - 1 pooled ones, sharing `chunks`.
+def _run_shared(work, chunks: list[tuple[int, int]]) -> None:
+    """Run work(share) on the calling thread and the pooled one, sharing `chunks`.
 
-    A thread that raises stops the share, so the others take no further
-    chunk.  Every thread is done before this returns or raises; the calling
-    thread's exception comes first, then the pooled threads' in turn.
+    A thread that raises stops the share, so the other takes no further
+    chunk.  Both threads are done before this returns or raises; the calling
+    thread's exception comes first, then the pooled thread's.
     """
     share = _Share(chunks)
 
@@ -225,14 +222,12 @@ def _run_shared(work, chunks: list[tuple[int, int]], workers: int) -> None:
             share.stop()
             raise
 
-    futures = [_helpers(workers - 1).submit(guarded) for _ in range(workers - 1)]
+    future = _helper().submit(guarded)
     try:
         guarded()
     finally:
-        for future in futures:
-            future.exception()  # waits: no thread writes the sums once this returns
-    for future in futures:
-        future.result()
+        future.exception()  # waits: no thread writes the sums once this returns
+    future.result()
 
 
 def _beyond_range(p: float) -> BudgetError:
@@ -292,7 +287,7 @@ def _grid_means(
         np.add.reduce(even, axis=2, out=halves[i, :, (lo + 1) // 2 :][:, : even.shape[1]])
 
     if _WORKERS > 1 and slices * math.prod(widths[1:]) >= _PARALLEL_POINTS:
-        _run_shared(work, chunks, _WORKERS)
+        _run_shared(work, chunks)
     else:
         work(chunks)
     out = []
@@ -355,9 +350,7 @@ def _refine(
     """
     d = _check_freqs(freqs)
     row = _check_real_coeffs(coeffs, len(freqs))
-    pfs = [float(p) for p in ps]
-    if not all(0 < pf < math.inf for pf in pfs):
-        raise DomainError("exponent must be positive and finite")
+    pfs = [float(_exponent(p)) for p in ps]
     if d > QUAD_MAX_DIM:
         raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
     shift = math.frexp(max(map(abs, row)))[1] - 1
@@ -478,8 +471,7 @@ def lp_norm_even_exact(
     backend shares.  Raises BudgetError when C(m + s, m) exceeds `budget`.
     """
     _check_freqs(freqs)
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise DomainError("s must be a positive integer")
+    _integer(s, "s", 1)
     _check_real_coeffs(coeffs, len(freqs))
     u, w = _numerators(coeffs)
     groups = _frequency_groups(freqs, u, s, budget)
@@ -511,10 +503,9 @@ def lp_norm_taylor(
     means it is within the configured backend tolerance.
     """
     _check_freqs(freqs)
-    _check_real_coeffs(b, len(freqs))
-    if not float(p) > 0:
-        raise DomainError("exponent must be positive")
-    if max(abs(float(x)) for x in b) >= 1.0:
+    row = _check_real_coeffs(b, len(freqs))
+    _exponent(p)
+    if max(map(abs, row)) >= 1.0:
         raise ConvergenceError("series requires every |b_i| < 1")
     k_max = cfg.series_total_degree_cutoff
     u, w = _numerators(b)
@@ -545,4 +536,4 @@ def lp_norm_taylor(
 
 def g_function(r: Real, p: Real, cfg: EvalConfig) -> float:
     """G(r) = integral over one period of |1 + r e(t)|^p."""
-    return lp_norm_quadrature(((0,), (1,)), (1.0, float(r)), p, cfg).value
+    return lp_norm_quadrature(((0,), (1,)), (1.0, r), p, cfg).value

@@ -16,16 +16,16 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .cvector import CVector, Real, build_c
+from .cvector import CVector, Real, _exponent, build_c
 from .errors import BudgetError, DimensionError, DomainError
-from .exact_lattice import IntMatrix, Vec, det_exact
+from .exact_lattice import IntMatrix, Vec, _as_vec, _integer, det_exact
 from .lp_engine import ENUM_BUDGET, EvalConfig, _check_real_coeffs, lp_norm_quadrature
 
 
 def gamma_point(d: int, t: int) -> Vec:
     """Point (t, t^2, ..., t^d) on the d-dimensional moment curve."""
-    if d < 1:
-        raise DimensionError("dimension must be at least 1")
+    _integer(d, "dimension", 1, DimensionError)
+    _integer(t, "t")
     return tuple(t**i for i in range(1, d + 1))
 
 
@@ -51,10 +51,8 @@ def c_closed_form(d: int, k: int) -> CVector:
     each bracket an exact integer; the null vector is c scaled by the
     factorial product.  Integrality is asserted, never rounded.
     """
-    if d < 1:
-        raise DimensionError("dimension must be at least 1")
-    if k < 1:
-        raise DomainError("curve parameter k must be at least 1")
+    _integer(d, "dimension", 1, DimensionError)
+    _integer(k, "curve parameter k", 1)
     scale = factorial_product(d)
     c = []
     for i in range(d + 1):
@@ -76,9 +74,7 @@ def smallest_admissible_k(d: int, p: Real) -> tuple[int, CVector]:
     always qualifies and a bisection on [1, floor(p/2) + 1] finds the
     smallest k in O(log p) closed-form evaluations.
     """
-    pf = Fraction(p)
-    if pf <= 0:
-        raise DomainError("exponent must be positive")
+    pf = Fraction(_exponent(p))
     lo, hi = 1, pf // 2 + 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -91,8 +87,8 @@ def smallest_admissible_k(d: int, p: Real) -> tuple[int, CVector]:
 
 def vandermonde_check(d: int, k: int) -> bool:
     """Whether det[(k+j)^i, i,j = 0..d] equals d! (d-1)! ... 1! exactly."""
-    if d < 1:
-        raise DimensionError("dimension must be at least 1")
+    _integer(d, "dimension", 1, DimensionError)
+    _integer(k, "k")
     rows = [[(k + j) ** i for j in range(d + 1)] for i in range(d + 1)]
     return det_exact(IntMatrix.from_rows(rows)) == factorial_product(d)
 
@@ -116,12 +112,11 @@ def weak_majorant_ratio(
     entry.
     """
     cfg = cfg or EvalConfig()
-    if d < 1:
-        raise DimensionError("dimension must be at least 1")
-    pf = float(p)
+    _integer(d, "dimension", 1, DimensionError)
+    pf = float(_exponent(p))
     if not 2 <= pf <= 2 * d:
         raise DomainError(f"exponent must lie in [2, {2 * d}]")
-    ts = list(support)
+    ts = _as_vec(support)
     if not ts or len(ts) != len(set(ts)):
         raise DomainError("support must be nonempty distinct integers")
     if len(ts) > MAX_WEAK_SUPPORT:
@@ -145,8 +140,7 @@ def weak_majorant_ratio(
 
 def weak_majorant_bound(d: int) -> float:
     """(d!)^(1/2d), the uniform constant in the weak majorant bound."""
-    if d < 1:
-        raise DimensionError("dimension must be at least 1")
+    _integer(d, "dimension", 1, DimensionError)
     return float(factorial(d)) ** (1.0 / (2 * d))
 
 
@@ -157,10 +151,10 @@ def vinogradov_diagonal_count(values: Sequence[int], d: int) -> int:
     Vinogradov system with power sums up to degree d that share the right-
     hand side of `values`; there are no others.
     """
-    r = len(values)
+    r = len(_as_vec(values))
     if r < 1:
         raise DimensionError("tuple must be nonempty")
-    if r > d:
+    if r > _integer(d, "power-sum degree"):
         raise DomainError("tuple length must not exceed the power-sum degree")
     out = factorial(r)
     for mult in Counter(values).values():
@@ -177,12 +171,10 @@ def vinogradov_box_search(
     their first d power sums, and reports every pair inside one group whose
     sorted tuples differ.  For r <= d the expected result is the empty list.
     """
-    if r < 1:
-        raise DimensionError("tuple length must be at least 1")
-    if r > d:
+    _integer(r, "tuple length", 1, DimensionError)
+    if r > _integer(d, "power-sum degree"):
         raise DomainError("tuple length must not exceed the power-sum degree")
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
+    _integer(radius, "radius", 0)
     side = 2 * radius + 1
     if side**r > budget:
         raise BudgetError(f"{side}^{r} tuples exceed the budget of {budget}")

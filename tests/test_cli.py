@@ -394,7 +394,7 @@ class TestRejections:
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
         code, out, err = run(capsys, "construct", "--input", inp, flag, "0")
         assert (code, out) == (1, "")
-        assert err.count("\n") == 1 and "budget must be positive" in err
+        assert err.count("\n") == 1 and "budget must be an exact integer >= 1" in err
 
     def test_certificate_missing_keys(self, tmp_path, capsys):
         doc = line_certificate(tmp_path, capsys)

@@ -176,7 +176,7 @@ class TestConstructAbundant:
     @pytest.mark.parametrize("budget", [0, -2])
     def test_stream_budget_must_be_positive(self, budget):
         # an empty stream used to end as "stream budget exhausted", a BudgetError
-        with pytest.raises(DomainError, match="stream budget must be positive"):
+        with pytest.raises(DomainError, match="stream budget must be an exact integer >= 1"):
             construct_abundant(MOMENT_GEN, 1, stream_budget=budget)
 
     def test_rejects_non_abundant_set(self):

@@ -167,6 +167,22 @@ class TestGenBinom:
             assert gen_binom(4, j) == 0
 
 
+@pytest.mark.parametrize(
+    "p, even",
+    [(4, True), (4.0, True), (Fraction(8, 2), True), (2.0**60, True), (10**400, True)]
+    + [(3, False), (4.5, False), (Fraction(9, 2), False), (float("nan"), False), (inf, False)]
+    + [(0, False), (-2, False), (-4.0, False), (Fraction(-6), False)],
+)
+def test_is_even_exponent(p, even):
+    assert is_even_exponent(p) is even
+
+
+@pytest.mark.parametrize("p", [True, "4", None, 4j])
+def test_is_even_exponent_takes_only_real_numbers(p):
+    with pytest.raises(DomainError):
+        is_even_exponent(p)
+
+
 class TestSignCondition:
     def test_classical_case(self):
         cv = build_c((2, -1))

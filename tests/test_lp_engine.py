@@ -640,12 +640,12 @@ class TestParallelPasses:
 
         monkeypatch.setattr(lp_engine, "_tensor_squares", spy)
         means = {}
-        for workers in (1, 2, 5):
+        for workers in (1, 2):
             monkeypatch.setattr(lp_engine, "_WORKERS", workers)
             means[workers] = [
                 _grid_means(freqs, rows, n, ps, half) for half in (False, True)[: 1 + halves]
             ]
-        assert means[2] == means[1] and means[5] == means[1]
+        assert means[2] == means[1]
         if (d, n) in ((2, 2048), (1, 100003)):  # 256 and 7 chunks: the pool takes some
             assert any(name.startswith("majorant-grid") for name in chunk_threads)
 
@@ -687,7 +687,7 @@ class TestParallelPasses:
                     raise BudgetError("raised in the pool")
 
         with pytest.raises(BudgetError, match="raised in the pool"):
-            lp_engine._run_shared(work, [(i, i + 1) for i in range(400)], 2)
+            lp_engine._run_shared(work, [(i, i + 1) for i in range(400)])
         assert len(done) < 200  # 400 chunks at 5 ms would take 2 s
 
     def test_beyond_float_range_stops_at_the_first_chunk(self, monkeypatch, time_limit):

@@ -1,12 +1,45 @@
-"""The package namespace: every exported name exists, once, and every
-module uses the names it imports."""
+"""The package namespace: every exported name exists, once, every module
+uses the names it imports, and every entry point rejects a scalar argument
+of the wrong type with the error it raises for one out of range."""
 
 from __future__ import annotations
 
 import ast
+from functools import cache
 from pathlib import Path
 
+import pytest
+
 import majorant
+from majorant import (
+    DimensionError,
+    DomainError,
+    EvalConfig,
+    FrequencySet,
+    PointGenerator,
+    abundance_scan,
+    build_c,
+    c_closed_form,
+    construct_abundant,
+    construct_certificates,
+    construct_independent,
+    construct_moment,
+    emit_plot_data,
+    gamma_point,
+    gen_binom,
+    lp_norm_even_exact,
+    lp_norm_quadrature,
+    lp_norm_taylor,
+    multinomial,
+    paired_difference,
+    sign_condition,
+    smallest_admissible_k,
+    vandermonde_check,
+    vinogradov_box_search,
+    vinogradov_diagonal_count,
+    weak_majorant_bound,
+    weak_majorant_ratio,
+)
 
 
 def test_all_names_are_unique():
@@ -120,3 +153,86 @@ def test_every_private_name_is_referenced():
     package = Path(majorant.__file__).parent
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+LINE = ((0,), (1,), (2,))
+CURVE = FrequencySet(2, (), PointGenerator("moment_curve"))
+CFG = EvalConfig(grid_points_per_axis=16)
+WEAK = ((0.5, -0.5), (1.0, 1.0))  # coefficients and majorant on two curve points
+
+
+@cache
+def line_certificate():
+    return construct_independent(FrequencySet(1, LINE))
+
+
+DIM, DOM = DimensionError, DomainError
+
+# (entry point and argument, a valid value, the error for a bad one, the call on a value);
+# an integer argument is also given its valid value plus 0.5
+INTEGERS = [
+    ("EvalConfig-grid", 8, DOM, lambda v: EvalConfig(grid_points_per_axis=v)),
+    ("EvalConfig-cutoff", 1, DOM, lambda v: EvalConfig(series_total_degree_cutoff=v)),
+    ("lp_norm_even_exact-s", 1, DOM, lambda v: lp_norm_even_exact(LINE, (1, 1, 1), v)),
+    ("FrequencySet-dim", 1, DIM, lambda v: FrequencySet(v, ((1,), (2,)))),
+    ("from_json-dim", 1, DOM, lambda v: FrequencySet.from_json({"dim": v, "points": [[1]]})),
+    ("PointGenerator-t_start", 1, DOM, lambda v: PointGenerator("moment_curve", {"t_start": v})),
+    ("abundance_scan-budget", 1, DOM, lambda v: abundance_scan(CURVE, v)),
+    ("construct_abundant-how_many", 1, DOM, lambda v: construct_abundant(CURVE, v)),
+    ("construct_abundant-stream", 1, DOM, lambda v: construct_abundant(CURVE, 1, stream_budget=v)),
+    ("construct_certificates-how_many", 2, DOM, lambda v: construct_certificates(CURVE, v)),
+    (
+        "construct_certificates-stream",
+        1,
+        DOM,
+        lambda v: construct_certificates(CURVE, 1, stream_budget=v),
+    ),
+    ("construct_moment-d", 1, DIM, lambda v: construct_moment(v, 3)),
+    ("emit_plot_data-p_samples", 2, DOM, lambda v: emit_plot_data(line_certificate(), v)),
+    ("gen_binom-j", 2, DOM, lambda v: gen_binom(2.5, v)),
+    ("gamma_point-d", 1, DIM, lambda v: gamma_point(v, 2)),
+    ("gamma_point-t", 1, DOM, lambda v: gamma_point(2, v)),
+    ("c_closed_form-d", 1, DIM, lambda v: c_closed_form(v, 1)),
+    ("c_closed_form-k", 1, DOM, lambda v: c_closed_form(2, v)),
+    ("vandermonde_check-d", 1, DIM, lambda v: vandermonde_check(v, 1)),
+    ("vandermonde_check-k", 1, DOM, lambda v: vandermonde_check(2, v)),
+    ("weak_majorant_ratio-d", 1, DIM, lambda v: weak_majorant_ratio(v, 2, *WEAK, (1, 2))),
+    ("weak_majorant_ratio-support", 1, DOM, lambda v: weak_majorant_ratio(2, 2, *WEAK, (v, 2))),
+    ("weak_majorant_bound-d", 1, DIM, weak_majorant_bound),
+    ("vinogradov_box_search-r", 1, DIM, lambda v: vinogradov_box_search(v, 2, 1)),
+    ("vinogradov_box_search-d", 2, DOM, lambda v: vinogradov_box_search(1, v, 1)),
+    ("vinogradov_box_search-radius", 1, DOM, lambda v: vinogradov_box_search(1, 2, v)),
+    ("vinogradov_diagonal_count-values", 1, DOM, lambda v: vinogradov_diagonal_count((v, 2), 2)),
+    ("multinomial-entries", 1, DOM, lambda v: multinomial((v, 1))),
+]
+# the same for exponents and coefficients, where a float is valid, and also given 10**400:
+# a Real, but beyond the float range
+REALS = [
+    ("lp_norm_quadrature-p", 2.5, DOM, lambda v: lp_norm_quadrature(LINE, (1, 0.5, 0.5), v, CFG)),
+    ("lp_norm_quadrature-coeff", 0.5, DOM, lambda v: lp_norm_quadrature(LINE, (1, v, 1), 3, CFG)),
+    ("paired_difference-p", 2.5, DOM, lambda v: paired_difference(LINE, (1, -0.5, 0.5), v, CFG)),
+    ("lp_norm_taylor-p", 2.5, DOM, lambda v: lp_norm_taylor(LINE[1:], (0.25, 0.25), v, CFG)),
+    ("construct_moment-p", 2.5, DOM, lambda v: construct_moment(2, v)),
+    ("gen_binom-p", 2.5, DOM, lambda v: gen_binom(v, 2)),
+    ("sign_condition-p", 2.5, DOM, lambda v: sign_condition(v, build_c((1, -2, 1)))),
+    ("smallest_admissible_k-p", 2.5, DOM, lambda v: smallest_admissible_k(2, v)),
+    ("weak_majorant_ratio-p", 2, DOM, lambda v: weak_majorant_ratio(2, v, *WEAK, (1, 2))),
+]
+
+
+def malformed(sites, odd):
+    """Each site's call on True, odd(its valid value), that value as a string, and None."""
+    return [
+        pytest.param(call, bad, error, id=f"{name}-{bad!r}"[:60])
+        for name, valid, error, call in sites
+        for bad in (True, odd(valid), str(valid), None)
+    ]
+
+
+MALFORMED = malformed(INTEGERS, lambda v: v + 0.5) + malformed(REALS, lambda v: 10**400)
+
+
+@pytest.mark.parametrize("call, value, error", MALFORMED)
+def test_malformed_scalar_raises_the_error_of_its_argument(call, value, error):
+    with pytest.raises(error):
+        call(value)
