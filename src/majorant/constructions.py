@@ -99,8 +99,8 @@ def assign_signs(cv: CVector, magnitude: float) -> tuple[float, ...]:
     leading term is strictly positive.  An odd entry always exists because
     the certificate vector is primitive.
     """
-    if not 0.0 < magnitude < 1.0:
-        raise DomainError("magnitude must lie in (0, 1)")
+    if not (_typed(magnitude, Real) and 0 < magnitude < 1):
+        raise DomainError(f"magnitude must be a number in (0, 1), got {magnitude!r}")
     flip = next(i for i, x in enumerate(cv.c) if x % 2 != 0)
     return tuple(-magnitude if i == flip else magnitude for i in range(len(cv.c)))
 

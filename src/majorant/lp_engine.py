@@ -8,17 +8,20 @@ quadrature rule is the rectangle rule per axis, which on the torus is the
 trapezoid rule and converges spectrally for smooth integrands; error
 estimates come from comparing two successive grid doublings.
 
-The quadrature streams: one pass over a grid builds |F|^2 a chunk at a
-time, raises it to every exponent the grid serves and keeps per-slice sums
-only.  It covers half of a tensor grid (|F| is even) with matrix products
-of per-axis phase tables, in every dimension: a 1-D grid is the A x B grid
-of x = a + A b.  Exponents double grid by grid, so each grid is passed over
-once per call.  Rows are scaled by a power of two, so |F|^2 neither under-
-nor overflows for any coefficient size.  A pass over a half grid of at
-least 2^17 points splits its chunks between the calling thread and one
-pooled thread (one thread on a single CPU); the chunks and each one's
-arithmetic depend on neither our nor BLAS's thread count, so the results
-are bit for bit the same.
+The quadrature streams: one pass over a grid builds |F|^2 a chunk of
+about 2^16 values (points times rows) at a time, raises it to every
+exponent the grid serves and keeps per-slice sums only.  Each thread keeps
+one workspace between passes, a complex field buffer and a real squares
+buffer (1.5 MiB at that chunk size), so a pass allocates nothing of a
+chunk's size.  It covers half of a tensor grid (|F| is even) with matrix
+products of per-axis phase tables, in every dimension: a 1-D grid is the
+A x B grid of x = a + A b.  Exponents double grid by grid, so each grid is
+passed over once per call.  Rows are scaled by a power of two, so |F|^2
+neither under- nor overflows for any coefficient size.  A pass over a half
+grid of at least 2^17 points splits its chunks between the calling thread
+and one pooled thread (one thread on a single CPU); each slice's arithmetic
+depends on neither the chunk size nor our or BLAS's thread count, so the
+results are bit for bit the same.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -52,12 +55,14 @@ from .exact_lattice import Vec, _as_vec, _integer, _typed
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
 QUAD_MAX_DOUBLINGS = 16
-_BLOCK_POINTS = 1 << 13  # grid points per chunk of a grid pass
+_CHUNK_VALUES = 1 << 16  # |F|^2 values (points x rows) per chunk of a grid pass
+_BLOCK_POINTS = 1 << 13  # slice sums per block of a mean's weighted sum
 _PARALLEL_POINTS = 1 << 17  # a pass over fewer points runs on the calling thread alone
 # threads per larger pass, the calling one included; two keep a pass's buffers small
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
 _SLICE_POINTS = 64  # a 1-D grid's slices hold the most points up to this that divide n
 ENUM_BUDGET = 10_000_000
+_kept = threading.local()  # each thread's workspace, kept between passes
 
 
 @dataclass(frozen=True)
@@ -120,59 +125,88 @@ def _axes(d: int, n: int) -> tuple[int, ...]:
     return n // width, width
 
 
+def _phases(residues: np.ndarray, indices: np.ndarray, modulus: int) -> np.ndarray:
+    """The table of e(k i / modulus), a row per residue k and a column per index i.
+
+    Each phase is taken at k i mod modulus: exact for integers of any size.
+    """
+    phases = (2j * np.pi / modulus) * np.remainder(np.outer(residues, indices), modulus)
+    return np.exp(phases, out=phases)
+
+
 def _tensor_pass(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
     """The chunks (lo, hi) of a pass, and `_tensor_squares` bound to its tables.
 
     A chunk is the first-axis slices lo..hi-1 of the `_axes` grid, about
-    `_BLOCK_POINTS` points (or one slice).  A phase is a product of phases
-    e(k i / m) per axis, m = n on the first axis and its width on the others,
-    at k mod m (exact for integers of any size); the tables are built once
-    and only read by every thread.
+    `_CHUNK_VALUES` values of |F|^2 over all rows (or one slice).  A phase
+    is a product of `_phases` per axis, modulo n on the first axis and its
+    width on the others.  The tables of the other axes are built once and
+    only read by every thread; a chunk builds its own slices' first-axis
+    phases, so no table spans the first axis (in 1-D, n / 64 wide).
     """
     d, widths = len(freqs[0]), _axes(len(freqs[0]), n)
-    tables = []
-    for axis, width in enumerate(widths):
-        modulus, count = (n, width // 2 + 1) if axis == 0 else (width, width)
-        residues = np.array([f[min(axis, d - 1)] % modulus for f in freqs], dtype=np.int64)
-        indices = np.outer(residues, np.arange(count)) % modulus
-        tables.append(np.exp((2j * np.pi / modulus) * indices))
+    residues = [
+        np.array([f[min(axis, d - 1)] % modulus for f in freqs], dtype=np.int64)
+        for axis, modulus in enumerate((n, *widths[1:]))
+    ]
+    tables = [_phases(r, np.arange(w), w) for r, w in zip(residues[1:], widths[1:])]
     if widths[-1] == 1:  # numpy would take a vector product: a column of zeros adds nothing
         tables[-1] = np.pad(tables[-1], ((0, 0), (0, 1)))
-    h = widths[0] // 2 + 1
-    bounds = [*range(0, h, max(1, _BLOCK_POINTS // math.prod(widths[1:]))), h]
+    h, per_slice = widths[0] // 2 + 1, len(coeffs) * math.prod(t.shape[1] for t in tables)
+    bounds = [*range(0, h, max(1, _CHUNK_VALUES // per_slice)), h]
     if len(widths) == 2 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         # numpy takes a one-row product as a vector product, with other BLAS
         # arithmetic than a matrix product: a lone last slice joins the chunk before
         del bounds[-2]
     chunks = list(zip(bounds, bounds[1:]))
-    width = max(hi - lo for lo, hi in chunks)
-    return chunks, partial(_tensor_squares, tables, coeffs, width)
+    size = max(hi - lo for lo, hi in chunks) * per_slice
+    return chunks, partial(_tensor_squares, residues[0], n, tables, coeffs, size)
 
 
-def _tensor_squares(tables: list[np.ndarray], coeffs: np.ndarray, width: int, chunks):
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's complex field buffer and real squares buffer, each of `size` or more.
+
+    Both are kept between passes and hold at least `_CHUNK_VALUES` entries,
+    so the passes of a ladder share them; only a larger chunk replaces them.
+    """
+    kept = getattr(_kept, "buffers", None)
+    if kept is None or len(kept[1]) < size:
+        size = max(size, _CHUNK_VALUES)
+        kept = _kept.buffers = np.empty(size, dtype=complex), np.empty(size)
+    return kept
+
+
+def _tensor_squares(
+    first: np.ndarray, n: int, tables: list[np.ndarray], coeffs: np.ndarray, size: int, chunks
+):
     """Yield (lo, hi, squares, powers) for each chunk of `chunks`.
 
     The squares are |F|^2 of each row on the first-axis slices lo..hi-1, at
-    most `width` of them; powers is a buffer of their shape.  Both, and the
-    product's buffer, belong to this generator and are reused chunk to chunk.
-    The chunk's first-axis table and the tables of the other axes but the
-    last multiply into a (point x frequency) head, whose copies scaled by
-    each row take one matrix product with the last axis's table; shared
-    tables keep the rows' errors correlated, so their difference is stable.
+    most `size` values; powers is a buffer of their shape.  The chunk's
+    first-axis phases (residues `first`, modulo n) and the tables of the
+    other axes but the last multiply into a (point x frequency) head, whose
+    copies scaled by each row take one matrix product with the last axis's
+    table; shared tables keep the rows' errors correlated, so their
+    difference is stable.  The product fills this thread's field buffer and
+    its squares the squares buffer (see `_workspace`); once the squares are
+    taken the field is spent, and the powers are written over it.  So a
+    chunk allocates nothing of its size.
     """
-    m, last = len(tables[0]), tables[-1].shape[1]
-    most = width * math.prod(table.shape[1] for table in tables[1:-1]) * len(coeffs)
-    fields, buffers = np.empty((most, last), dtype=complex), np.empty((2, most * last))
+    m, last = len(first), tables[-1].shape[1]
+    fields, kept_squares = _workspace(size)
     for lo, hi in chunks:
         head = np.ones((m, 1), dtype=complex)
-        for table in (tables[0][:, lo:hi], *tables[1:-1]):
+        for table in (_phases(first, np.arange(lo, hi), n), *tables[:-1]):
             head = (head[:, :, None] * table[:, None, :]).reshape(m, -1)
         scaled = (np.ascontiguousarray(head.T) * coeffs[:, None, :]).reshape(-1, m)
-        parts = np.matmul(scaled, tables[-1], out=fields[: len(scaled)]).view(np.float64)
+        count = len(scaled) * last
+        field = fields[:count].reshape(len(scaled), last)
+        parts = np.matmul(scaled, tables[-1], out=field).view(np.float64)
         np.square(parts, out=parts)
-        squares, powers = (b[: parts.size // 2].reshape(len(coeffs), hi - lo, -1) for b in buffers)
+        shape = (len(coeffs), hi - lo, -1)
+        squares = kept_squares[:count].reshape(shape)
         np.add(parts[:, 0::2], parts[:, 1::2], out=squares.reshape(len(scaled), last))
-        yield lo, hi, squares, powers
+        yield lo, hi, squares, fields.view(np.float64)[:count].reshape(shape)
 
 
 class _Share:
@@ -246,15 +280,20 @@ def _grid_means(
     where 2i = 0 mod A and for two slices elsewhere.  With `half` (where the
     n//2 grid's first axis is half as wide) its means come back too, read
     from the even first-axis slices of the same powers, at the even points
-    of the later axes that n//2 halves, copied contiguous to add in the
-    order of a pass over n//2.  Returns means per grid, exponent and row.
+    of the later axes that n//2 halves; with two or more later axes (d >= 3)
+    they are copied contiguous, to add as one run in the order of a pass
+    over n//2.  Returns means per grid, exponent and row.
 
-    A pass whose half grid has at least `_PARALLEL_POINTS` points runs its
+    The powers of a chunk are held in its thread's spent field buffer (see
+    `_tensor_squares`), so a pass allocates per-slice sums, not powers.  A
+    pass whose half grid has at least `_PARALLEL_POINTS` points runs its
     chunks on `_WORKERS` threads.  The chunks do not depend on the thread
     count and each writes only its own slice sums, so neither do the means,
     which weigh slice sums in blocks of `_BLOCK_POINTS` that one BLAS thread
-    adds (a d >= 2 grid has fewer slices).  The powers are nonnegative: a
-    chunk whose sums are not finite raises BudgetError at once.
+    adds (a d >= 2 grid has fewer slices).  A slice's sums do not depend on
+    the chunk size either: only these blocks fix the last bits of a mean.
+    The powers are nonnegative: a chunk whose sums are not finite raises
+    BudgetError at once.
     """
     d, widths = len(freqs[0]), _axes(len(freqs[0]), n)
     coeffs = np.array(rows, dtype=float)
@@ -282,7 +321,6 @@ def _grid_means(
     def add_even_subgrid(i: int, lo: int, powers: np.ndarray) -> None:
         thin = (slice(lo % 2, None, 2), *(slice(None, None, step) for step in steps))
         even = powers.reshape(powers.shape[:2] + widths[1:])[(slice(None), *thin)]
-        even = np.ascontiguousarray(even)
         even = even.reshape(*even.shape[:2], math.prod(even.shape[2:]))
         np.add.reduce(even, axis=2, out=halves[i, :, (lo + 1) // 2 :][:, : even.shape[1]])
 
@@ -472,6 +510,7 @@ def lp_norm_even_exact(
     """
     _check_freqs(freqs)
     _integer(s, "s", 1)
+    _integer(budget, "budget", 0)
     _check_real_coeffs(coeffs, len(freqs))
     u, w = _numerators(coeffs)
     groups = _frequency_groups(freqs, u, s, budget)

@@ -175,6 +175,7 @@ def vinogradov_box_search(
     if r > _integer(d, "power-sum degree"):
         raise DomainError("tuple length must not exceed the power-sum degree")
     _integer(radius, "radius", 0)
+    _integer(budget, "budget", 0)
     side = 2 * radius + 1
     if side**r > budget:
         raise BudgetError(f"{side}^{r} tuples exceed the budget of {budget}")

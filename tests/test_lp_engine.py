@@ -398,6 +398,21 @@ def one_matmul_means(freqs, rows, p, n):
     return means
 
 
+def chunk_sizes(freqs, rows, n):
+    """The number of first-axis slices in each chunk of a pass over the n grid."""
+    chunks, _ = lp_engine._tensor_pass(freqs, np.array(rows), n)
+    return [hi - lo for lo, hi in chunks]
+
+
+def assert_chunks_of_three(sizes, widths):
+    """Every chunk but the last holds three first-axis slices, the last up to four.
+
+    The last one is four where a lone last slice joined it.
+    """
+    assert sum(sizes) == widths[0] // 2 + 1
+    assert sizes[:-1] == [3] * (len(sizes) - 1) and sizes[-1] <= 4
+
+
 def random_case(seed, d, m=5):
     """m distinct frequencies in Z^d (one entry 10^400 + 1) and a signed row with its majorant."""
     rng = random.Random(seed)
@@ -495,27 +510,26 @@ class TestHalfGridKernel:
         assert got.grid_points_per_axis == base.grid_points_per_axis == max(8, n)
 
     @pytest.mark.parametrize(
-        "d, n, block",
+        "d, n, block, chunks",
         [
-            (1, 1 << 16, None),  # 513 slices of 64 points in chunks of 128: a lone last slice
-            (1, 2048, 192),  # 17 slices of 64 points in chunks of three
-            (2, 256, None),  # 129 slices in chunks of 32: a lone last slice
-            (2, 200, None),
-            (3, 100, None),
-            (4, 36, None),
-            (2, 9, 40),
-            (2, 16, 64),
-            (3, 12, 100),
+            # 1025 slices of 64 points in chunks of 512: a lone last slice joins the one before
+            (1, 1 << 17, None, 2),
+            (1, 2048, 3, 6),  # 17 slices of 64 points in chunks of three
+            (2, 1024, None, 16),  # 513 slices in chunks of 32: a lone last slice
+            (2, 600, None, 6),  # 301 slices in chunks of 54
+            (3, 100, None, 17),  # 51 slices in chunks of three
+            (4, 36, None, 19),  # 19 slices, each over 2^16 values
+            (2, 9, 2, 2),  # 5 slices in chunks of two: a lone last slice
+            (2, 16, 4, 2),  # 9 slices in chunks of four: a lone last slice
+            (3, 12, 1, 7),  # 7 slices, one per chunk
         ],
     )
-    def test_blocked_build_equals_one_matrix_product(self, monkeypatch, d, n, block):
-        if block:
-            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", block)
-        # the first-axis slices take several chunks
-        widths = lp_engine._axes(d, n)
-        slices, step = widths[0] // 2 + 1, max(1, lp_engine._BLOCK_POINTS // math.prod(widths[1:]))
-        assert slices > step and (d > 2 or slices % step)
+    def test_blocked_build_equals_one_matrix_product(self, monkeypatch, d, n, block, chunks):
         freqs, rows = random_case(n + d, d)
+        if block:  # chunks of `block` first-axis slices
+            values = block * math.prod(lp_engine._axes(d, n)[1:]) * len(rows)
+            monkeypatch.setattr(lp_engine, "_CHUNK_VALUES", values)
+        assert len(chunk_sizes(freqs, rows, n)) == chunks
         ps = [1.0, 2.5]
         got = _grid_means(freqs, rows, n, ps)[0]
         want = [one_matmul_means(freqs, rows, p, n) for p in ps]
@@ -541,9 +555,39 @@ class TestHalfGridKernel:
             assert full == _grid_means(freqs, rows, n, ps)[0]
             assert half == _grid_means(freqs, rows, n // 2, ps)[0]
             # chunks of three first-axis slices, half of which start at an odd slice
-            block = 3 * math.prod(lp_engine._axes(d, n)[1:])
-            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", block)
+            widths = lp_engine._axes(d, n)
+            monkeypatch.setattr(lp_engine, "_CHUNK_VALUES", 3 * math.prod(widths[1:]) * len(rows))
+            assert_chunks_of_three(chunk_sizes(freqs, rows, n), widths)
             assert _grid_means(freqs, rows, n, ps, half=True) == [full, half]
+
+    @pytest.mark.parametrize(
+        "d, n, chunks",
+        [
+            (1, 1 << 17, 2),  # the lone last slice joins the chunk before
+            (1, 1 << 20, 16),
+            (2, 1024, 16),  # the lone last slice joins the chunk before
+            (3, 128, 33),
+            (4, 16, 2),  # at 32, a slice holds 2^16 values: one slice per chunk either way
+        ],
+    )
+    def test_default_chunks_equal_chunks_of_2_13_points(self, monkeypatch, d, n, chunks):
+        freqs, rows = random_case(3 * n + d, d)
+        ps = [1.0, 2.5]
+        assert len(chunk_sizes(freqs, rows, n)) == chunks
+        default = [_grid_means(freqs, rows, n, ps, half) for half in (False, True)]
+        monkeypatch.setattr(lp_engine, "_CHUNK_VALUES", (1 << 13) * len(rows))
+        assert len(chunk_sizes(freqs, rows, n)) > chunks
+        assert [_grid_means(freqs, rows, n, ps, half) for half in (False, True)] == default
+
+    def test_a_plot_is_the_same_in_chunks_of_2_13_points(self, monkeypatch):
+        # nine exponents share each pass, as in `emit_plot_data`; |F| has zeros, so
+        # most exponents take the ladder to 2048
+        freqs, signed = ((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.9, 0.8, 0.7)
+        ps = [1.0 + 0.5 * i for i in range(9)]
+        default = _paired_differences(freqs, signed, ps, TIGHT)
+        monkeypatch.setattr(lp_engine, "_CHUNK_VALUES", 2 * (1 << 13))
+        assert _paired_differences(freqs, signed, ps, TIGHT) == default
+        assert {res.grid_points_per_axis for res in default} == {256, 1024, 2048}
 
     def test_odd_start_grid_builds_its_half(self, grid_passes):
         freqs, row, p = ((0, 0), (1, 2), (3, 1), (2, 5)), (1.0, -0.25, 0.5, 0.25), 3.0
@@ -617,7 +661,7 @@ class TestParallelPasses:
     @pytest.mark.parametrize(
         "d, n",
         [(d, n) for d in (1, 2, 3, 4) for n in (8, 9, 12, 16, 64)]
-        + [(1, 256), (1, 1 << 12), (1, 1 << 16), (1, 100003), (2, 256), (2, 2048)],
+        + [(1, 256), (1, 1 << 12), (1, 1 << 17), (1, 100003), (2, 1024), (2, 2048)],
     )
     def test_means_do_not_depend_on_the_worker_count(self, monkeypatch, d, n):
         n = 32 if (d, n) == (4, 64) else n  # 64 is 9e6 points
@@ -627,9 +671,13 @@ class TestParallelPasses:
         widths = lp_engine._axes(d, n)
         halves = 2 * lp_engine._axes(d, n // 2)[0] == widths[0]  # n//2 is a subgrid of n
         if widths[0] <= 64:  # chunks of three slices, so that several start at an odd slice
-            monkeypatch.setattr(lp_engine, "_BLOCK_POINTS", 3 * math.prod(widths[1:]))
-        # else the default chunks, where 2-D 256 and 2048 and 1-D 2^16 each end with a lone
-        # slice, and the 1-D prime 100003 has slices of one point (and a column of zeros)
+            monkeypatch.setattr(lp_engine, "_CHUNK_VALUES", 3 * math.prod(widths[1:]) * len(rows))
+            assert_chunks_of_three(chunk_sizes(freqs, rows, n), widths)
+        else:
+            # the default chunks: 2-D 1024 and 2048 and 1-D 2^17 each end with a lone slice, and
+            # the 1-D prime 100003 has 50002 slices of one point (and a column of zeros)
+            chunks = {(1, 1 << 17): 2, (1, 100003): 4, (2, 1024): 16, (2, 2048): 64}[d, n]
+            assert len(chunk_sizes(freqs, rows, n)) == chunks
         chunk_threads = set()
         real = lp_engine._tensor_squares
 
@@ -646,7 +694,7 @@ class TestParallelPasses:
                 _grid_means(freqs, rows, n, ps, half) for half in (False, True)[: 1 + halves]
             ]
         assert means[2] == means[1]
-        if (d, n) in ((2, 2048), (1, 100003)):  # 256 and 7 chunks: the pool takes some
+        if (d, n) in ((2, 2048), (1, 100003)):  # 64 and 4 chunks: the pool takes some
             assert any(name.startswith("majorant-grid") for name in chunk_threads)
 
     @pytest.mark.parametrize("scale, p", [(1e200, 3.0), (1.0, 2000.0)])
@@ -765,6 +813,17 @@ class TestThreadLifecycle:
         assert done.stderr == f"wrote 9 plot rows to {tmp_path / 'rows.csv'}\n"
 
 
+@pytest.fixture
+def empty_workspaces():
+    """Drop the workspaces that this thread and the pooled one keep, so a test sees them made."""
+
+    def empty():
+        vars(lp_engine._kept).clear()
+
+    empty()
+    lp_engine._helper().submit(empty).result(timeout=10)
+
+
 class TestMemory:
     @pytest.mark.parametrize(
         "freqs, signed, p, grid",
@@ -777,10 +836,25 @@ class TestMemory:
         ],
         ids=["3d-128", "2d-2048", "1d-2^20"],
     )
-    def test_paired_difference_peak(self, monkeypatch, traced_peak_mb, freqs, signed, p, grid):
-        monkeypatch.setattr(lp_engine, "_WORKERS", 2)  # every thread holds buffers of its own
+    def test_paired_difference_peak(
+        self, monkeypatch, traced_peak_mb, empty_workspaces, freqs, signed, p, grid
+    ):
+        monkeypatch.setattr(lp_engine, "_WORKERS", 2)  # every thread holds a workspace of its own
         cfg = EvalConfig(grid_points_per_axis=grid)
-        assert traced_peak_mb(paired_difference, freqs, signed, p, cfg) <= 4
+        # the workspaces are made in the pass: 1.5 MiB per thread that takes a chunk
+        assert 1.5 <= traced_peak_mb(paired_difference, freqs, signed, p, cfg) <= 4
+
+    def test_a_second_pass_allocates_no_new_buffer(
+        self, monkeypatch, traced_peak_mb, empty_workspaces
+    ):
+        monkeypatch.setattr(lp_engine, "_WORKERS", 1)
+        freqs, rows = random_case(2, 2)
+        first = traced_peak_mb(_grid_means, freqs, rows, 512, [3.0])
+        kept = lp_engine._kept.buffers
+        second = traced_peak_mb(_grid_means, freqs, rows, 512, [3.0])
+        assert lp_engine._kept.buffers is kept
+        # the first pass made the 1.5 MiB workspace; the second only small per-pass arrays
+        assert first >= 1.5 and second <= 0.25
 
 
 class TestPairedDifference:

@@ -18,6 +18,7 @@ from majorant import (
     FrequencySet,
     PointGenerator,
     abundance_scan,
+    assign_signs,
     build_c,
     c_closed_form,
     construct_abundant,
@@ -174,6 +175,7 @@ INTEGERS = [
     ("EvalConfig-grid", 8, DOM, lambda v: EvalConfig(grid_points_per_axis=v)),
     ("EvalConfig-cutoff", 1, DOM, lambda v: EvalConfig(series_total_degree_cutoff=v)),
     ("lp_norm_even_exact-s", 1, DOM, lambda v: lp_norm_even_exact(LINE, (1, 1, 1), v)),
+    ("lp_norm_even_exact-budget", 1, DOM, lambda v: lp_norm_even_exact(LINE, (1, 1, 1), 1, v)),
     ("FrequencySet-dim", 1, DIM, lambda v: FrequencySet(v, ((1,), (2,)))),
     ("from_json-dim", 1, DOM, lambda v: FrequencySet.from_json({"dim": v, "points": [[1]]})),
     ("PointGenerator-t_start", 1, DOM, lambda v: PointGenerator("moment_curve", {"t_start": v})),
@@ -202,6 +204,7 @@ INTEGERS = [
     ("vinogradov_box_search-r", 1, DIM, lambda v: vinogradov_box_search(v, 2, 1)),
     ("vinogradov_box_search-d", 2, DOM, lambda v: vinogradov_box_search(1, v, 1)),
     ("vinogradov_box_search-radius", 1, DOM, lambda v: vinogradov_box_search(1, 2, v)),
+    ("vinogradov_box_search-budget", 1, DOM, lambda v: vinogradov_box_search(1, 2, 1, v)),
     ("vinogradov_diagonal_count-values", 1, DOM, lambda v: vinogradov_diagonal_count((v, 2), 2)),
     ("multinomial-entries", 1, DOM, lambda v: multinomial((v, 1))),
 ]
@@ -217,6 +220,7 @@ REALS = [
     ("sign_condition-p", 2.5, DOM, lambda v: sign_condition(v, build_c((1, -2, 1)))),
     ("smallest_admissible_k-p", 2.5, DOM, lambda v: smallest_admissible_k(2, v)),
     ("weak_majorant_ratio-p", 2, DOM, lambda v: weak_majorant_ratio(2, v, *WEAK, (1, 2))),
+    ("assign_signs-magnitude", 0.5, DOM, lambda v: assign_signs(build_c((1, -2, 1)), v)),
 ]
 
 
