@@ -6,7 +6,12 @@ constant term.  The two exact backends read one expansion, every multi-index
 up to an order grouped by its frequency, and share its budget check.  The
 quadrature rule is the rectangle rule per axis, which on the torus is the
 trapezoid rule and converges spectrally for smooth integrands; error
-estimates come from comparing two successive grid doublings.
+estimates come from comparing two successive grid doublings.  Grids double
+until that step is within the absolute tolerance or, since a step at
+float64's rounding floor cannot shrink by doubling, within 4 ulps of the
+largest mean (which stops a ladder early only for means of 2^21, about
+2e6, and above, where 4 ulps exceed the default tolerance of 1e-9); the
+estimate is the step either way.
 
 The quadrature streams: one pass over a grid builds |F|^2 a chunk of
 about 2^16 values (points times rows) at a time, raises it to every
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -61,13 +67,19 @@ _PARALLEL_POINTS = 1 << 17  # a pass over fewer points runs on the calling threa
 # threads per larger pass, the calling one included; two keep a pass's buffers small
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
 _SLICE_POINTS = 64  # a 1-D grid's slices hold the most points up to this that divide n
+# a step within this many ulps of the largest |row mean| is rounding, which doubling cannot shrink
+_FLOOR_ULPS = 4
 ENUM_BUDGET = 10_000_000
 _kept = threading.local()  # each thread's workspace, kept between passes
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Numerical knobs shared by the quadrature and series backends."""
+    """Numerical knobs shared by the quadrature and series backends.
+
+    The tolerance is absolute and finite, as is the safety factor; both are
+    plain JSON numbers (int or float), never inf, NaN or a Fraction.
+    """
 
     grid_points_per_axis: int = 256
     series_total_degree_cutoff: int = 12
@@ -78,10 +90,10 @@ class EvalConfig:
         _integer(self.grid_points_per_axis, "grid", 4)
         _integer(self.series_total_degree_cutoff, "series cutoff", 0)
         tol, safety = self.backend_agreement_tol, self.margin_safety_factor
-        if not (_typed(tol, (int, float)) and tol > 0):
-            raise DomainError("tolerance must be a positive number")
-        if not (_typed(safety, (int, float)) and safety > 1):
-            raise DomainError("safety factor must be a number above 1")
+        if not (_typed(tol, (int, float)) and 0 < tol <= sys.float_info.max):
+            raise DomainError(f"tolerance must be a positive finite number, got {tol!r}")
+        if not (_typed(safety, (int, float)) and 1 < safety <= sys.float_info.max):
+            raise DomainError(f"safety factor must be a finite number above 1, got {safety!r}")
 
 
 def _check_freqs(freqs: Sequence[Vec]) -> int:
@@ -373,9 +385,14 @@ def _refine(
     divided by the power of two 2^shift that brings the largest |entry| into
     [1, 2) (a row led by 1.0, as every certificate's is, stays as it is).
     An exponent stops doubling when two successive values agree within the
-    tolerance or the point budget, counted on the full grid, runs out; the
-    last successive difference is the error estimate.  The means and the
-    error come back multiplied by 2^(shift p); BudgetError beyond float range.
+    tolerance, or within `_FLOOR_ULPS` ulps of the largest |row mean| at the
+    finer grid (in the scaled units: a step at the rounding floor of the
+    means cannot shrink by doubling), or the point budget, counted on the
+    full grid, runs out; the last successive difference is the error
+    estimate.  Where `_FLOOR_ULPS` ulps are within the tolerance (means below
+    2^21, about 2e6, at the default 1e-9), the floor stops nothing.  The
+    means and the error come back multiplied by 2^(shift p); BudgetError
+    beyond float range.
 
     Every exponent is checked before any grid work; those still doubling
     share one pass per grid.  The start grid's pass gives the n//2 grid of
@@ -401,6 +418,10 @@ def _refine(
     def tracked(row_means: list[float]) -> float:
         return row_means[0] - row_means[1] if paired else row_means[0]
 
+    def settled(step: float, row_means: list[float]) -> bool:
+        floor = _FLOOR_ULPS * math.ulp(max(map(abs, row_means)))
+        return step <= cfg.backend_agreement_tol or step <= floor
+
     wide, narrow = _axes(d, n), _axes(d, n // 2)
     if 2 * narrow[0] == wide[0] and (narrow[1:] == wide[1:] or n % 16 == 0):
         means, coarse = _grid_means(freqs, rows, n, pfs, half=True)
@@ -410,7 +431,7 @@ def _refine(
     errs = [abs(v - tracked(c)) for v, c in zip(values, coarse)]
     grids = [n] * len(pfs)
     for _ in range(QUAD_MAX_DOUBLINGS):
-        active = [i for i, err in enumerate(errs) if not err <= cfg.backend_agreement_tol]
+        active = [i for i, err in enumerate(errs) if not settled(err, means[i])]
         if not active or (2 * n) ** d > QUAD_POINT_BUDGET:
             break
         n *= 2

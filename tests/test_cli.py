@@ -389,6 +389,16 @@ class TestRejections:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--safety", "inf")]
+    )
+    def test_non_finite_setting(self, tmp_path, capsys, flag, value):
+        doc = line_certificate(tmp_path, capsys)
+        cert_path = write_json(tmp_path / "c.json", doc)
+        code, out, err = run(capsys, "verify", "--input", cert_path, flag, value)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
+
     @pytest.mark.parametrize("flag", ["--scan-budget", "--stream-budget"])
     def test_non_positive_budget(self, tmp_path, capsys, flag):
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
@@ -482,8 +492,8 @@ BAD_VALUES = {
     "--d": ["0", "-1", "x", "1.5", ""],
     "--p": ["nan", "inf", "-inf", "abc", "0", "-2", "4"],
     "--grid": ["3", "0", "-8", "x", "2.5"],
-    "--tol": ["0", "-1", "nan", "x"],
-    "--safety": ["1", "0.5", "nan", "x"],
+    "--tol": ["0", "-1", "nan", "inf", "x"],
+    "--safety": ["1", "0.5", "nan", "inf", "x"],
     "--plot-samples": ["-1", "-7", "x"],
     "--scan-budget": ["0", "-3", "x"],
     "--count": ["0", "-1", "x"],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, fields, replace
-from math import inf, log2
+from math import inf, log2, ulp
 from pathlib import Path
 
 import jsonschema
@@ -445,10 +445,10 @@ class TestLeadingTermRule:
     @pytest.mark.parametrize(
         "params, count, p, c",
         [
-            # margin 0.1875 on lhs 1.6e14: a few ulps, the leading term is 5e-14
+            # margin 0.03125 on lhs 1.6e14: one ulp, the leading term is 5e-14
             ({"t_start": 1}, 6, 69, (-1, 15, 21)),
             ({"t_start": 25}, 4, 47, (-1, 10, 15)),
-            # margin 0.0312 on lhs 5.46e13
+            # margin 0.0234 on lhs 5.46e13: 3 ulps
             (
                 {"points": [[-2, 2], [0, -1], [3, -1]], "start": [0, 0], "step": [0, 2]},
                 3,
@@ -557,6 +557,27 @@ class TestLeadingTermRule:
         res = verify_certificate(forged)
         assert res.margin > 0 and abs(log2(res.margin) - lead) <= log2(10)
         assert res.verdict is False
+
+
+class TestRoundingFloor:
+    """A ladder stops at the first grid whose step is within 4 ulps of its largest mean."""
+
+    @pytest.mark.parametrize("p, c", [(47, (-1, 10, 15)), (69, (-1, 15, 21))])
+    def test_floor_bound_members_stop_at_512(self, grid_passes, p, c):
+        # the pinned moment-curve family (t_start 1)
+        member = next(m for m in family({"t_start": 1}, 6) if m.p_tested == p)
+        grid_passes.clear()
+        assert member.cvector.c == c
+        res = verify_certificate(member)
+        # 256 steps by 16 105 (p = 47) and 216 795 (p = 69) ulps; 512 by 1 ulp
+        assert grid_passes == [256, 512]
+        assert res.grid_points_per_axis == member.grid_points_per_axis == 512
+        step, sides = res.error_estimate, max(res.lhs, res.rhs)
+        assert member.eval_config.backend_agreement_tol < step <= 4 * ulp(sides)
+        # doubling on would chase rounding; at p = 69 grids 512 and 1024 tie
+        # exactly, an error of 0 that would read as False
+        assert res.verdict == "inconclusive"
+        assert not member.verified
 
 
 class TestCertificateJson:

@@ -92,6 +92,12 @@ class TestEvalConfig:
             {"series_total_degree_cutoff": 1.5},
             {"backend_agreement_tol": "1e-9"},
             {"margin_safety_factor": True},
+            {"backend_agreement_tol": math.inf},
+            {"backend_agreement_tol": math.nan},
+            {"backend_agreement_tol": 10**400},  # an exact integer beyond float range
+            {"backend_agreement_tol": Fraction(1, 10**9)},  # eval_config stays plain JSON
+            {"margin_safety_factor": math.inf},
+            {"margin_safety_factor": math.nan},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -195,6 +201,46 @@ class TestQuadrature:
             paired_difference(((0,), (1,), (2,)), (1.0, 0.5, -0.5), 2000, EvalConfig())
         # refused on the start grid, not after doubling to the point budget
         assert grid_passes == [256] * 3
+
+
+# the p = 47 member of the pinned moment-curve family (t_start 1): means near 1.28e9
+FLOOR_BOUND = ((0, 0), (5, 45), (-1, -3), (1, 5)), (1.0, -0.25, 0.25, 0.25), 47
+
+
+class TestRoundingFloor:
+    """A step within 4 ulps of the largest mean stops the ladder; smaller means never see it."""
+
+    @pytest.mark.parametrize("k", [-20, 20])
+    def test_a_power_of_two_rescaling_stops_on_the_same_grid(self, grid_passes, k):
+        freqs, row, p = FLOOR_BOUND
+        unit = paired_difference(freqs, row, p, EvalConfig())
+        res = paired_difference(freqs, [math.ldexp(x, k) for x in row], p, EvalConfig())
+        # the step from 256 to 512 is 1 ulp of the sides, 2.4e-7: above the tolerance
+        assert grid_passes == [256, 512] * 2
+        assert res == tuple(math.ldexp(x, k * p) for x in unit[:4]) + (512,)
+
+    @pytest.mark.parametrize(
+        "d, seed, tol, grids",
+        [
+            # the grids at which the tolerance alone stops each ladder
+            (1, 0, 1e-12, [524288, 524288, 65536, 16384]),
+            (1, 1, 1e-12, [524288, 524288, 131072, 32768]),
+            (1, 2, 1e-12, [131072, 131072, 65536, 16384]),
+            (1, 3, 1e-12, [65536, 65536, 32768, 8192]),
+            (1, 4, 1e-9, [262144, 65536, 8192, 4096]),
+            (1, 5, 1e-9, [32768, 32768, 16384, 4096]),
+            (2, 0, 1e-9, [2048, 2048, 2048, 1024]),
+            (2, 5, 1e-9, [2048, 2048, 1024, 1024]),
+        ],
+    )
+    def test_small_means_keep_the_tolerance_rule(self, d, seed, tol, grids):
+        # means below 60: 4 ulps are under 3e-14, within either tolerance
+        freqs, rows = random_case(seed, d)
+        cfg = EvalConfig(backend_agreement_tol=tol)
+        res = _paired_differences(freqs, rows[0], [1.0, 1.5, 3.0, 5.0], cfg)
+        assert [r.grid_points_per_axis for r in res] == grids
+        below_budget = [r for r in res if r.grid_points_per_axis**d < lp_engine.QUAD_POINT_BUDGET]
+        assert all(r.error_estimate <= tol for r in below_budget)
 
 
 class TestEvenExact:
@@ -488,9 +534,10 @@ class TestHalfGridKernel:
     @given(kernel_cases())
     def test_quadrature_scales_as_the_pth_power(self, case):
         freqs, (a, *_), p, n, t = case
-        # t a and a are scaled by different powers of two, so a finite tolerance
-        # could stop their ladders on different grids; both stay on the start grid
-        cfg = EvalConfig(grid_points_per_axis=n, backend_agreement_tol=math.inf)
+        # t a and a are scaled by different powers of two, so a tolerance that a
+        # step can reach could stop their ladders on different grids; with 1e300
+        # both stay on the start grid
+        cfg = EvalConfig(grid_points_per_axis=n, backend_agreement_tol=1e300)
         base = lp_norm_quadrature(freqs, a, p, cfg)
         ctx = Context(prec=40)
         factor = ctx.power(Decimal(t), Decimal(p))
@@ -544,7 +591,7 @@ class TestHalfGridKernel:
         n = 32 if (d, n) == (4, 64) else n  # 32 is the 4-D start grid; 64 is 9e6 points
         freqs, rows = random_case(10 * n + d, d)
         ps = [1.0, 2.5]
-        cfg = EvalConfig(grid_points_per_axis=n, backend_agreement_tol=math.inf)
+        cfg = EvalConfig(grid_points_per_axis=n, backend_agreement_tol=1e300)
         _paired_differences(freqs, rows[0], ps, cfg)
         # read from the start grid's pass on multiples of 16, where BLAS column groups line
         # up, and in 1-D where n//2 keeps the slice width: 96 = 2 x 48, 256 = 4 x 64
