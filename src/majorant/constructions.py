@@ -46,15 +46,16 @@ from .exact_lattice import (
     FrequencySet,
     Vec,
     _affine_basis,
-    _as_vec,
     _integer,
     _typed,
+    _vectors,
     abundance_scan,
     reduce_full_dim,
 )
 from .lp_engine import (
     EvalConfig,
     _check_freqs,
+    _check_real_coeffs,
     _paired_differences,
     paired_difference,
 )
@@ -182,9 +183,6 @@ class Certificate:
             for key, kinds in _ENTRY_TYPES.items():
                 if not _typed(data[key], kinds):
                     raise DomainError(f"entry {key!r} has the wrong type: {data[key]!r}")
-            for x in data["coefficients"]:
-                if not (_typed(x, _NUMBER) and isfinite(x)):
-                    raise DomainError(f"expected a finite number, got {x!r}")
             if set(data) - {"schema_version", *_DERIVED, *(f.name for f in fields(cls))}:
                 raise DomainError(f"unknown certificate keys in {sorted(data)}")
             if set(data["eval_config"]) != {f.name for f in fields(EvalConfig)}:
@@ -194,16 +192,15 @@ class Certificate:
             if data["theorem_tag"] not in ("independent", "abundant", "moment_curve"):
                 raise DomainError(f"unknown theorem tag {data['theorem_tag']!r}")
             red = data["reduction"]
-            if red is not None and set(red) != {"origin", "basis_columns"}:
-                raise DomainError(f"reduction needs origin and basis_columns, got {sorted(red)}")
-            for vec in [] if red is None else [red["origin"], *red["basis_columns"]]:
-                _as_vec(vec)
-            if len(data["frequencies"]) != len(data["coefficients"]):
-                raise DomainError("coefficient count differs from frequency count")
+            if red is not None:
+                if set(red) != {"origin", "basis_columns"}:
+                    raise DomainError(f"reduction needs origin and basis_columns: {sorted(red)}")
+                _vectors([red["origin"], *red["basis_columns"]], "reduction")
+            freqs = _vectors(data["frequencies"], "frequency")
             given = {f.name: data[f.name] for f in fields(cls)}
             given.update(
-                frequencies=tuple(_as_vec(f) for f in data["frequencies"]),
-                coefficients=tuple(float(x) for x in data["coefficients"]),
+                frequencies=freqs,
+                coefficients=tuple(_check_real_coeffs(data["coefficients"], len(freqs), _NUMBER)),
                 p_tested=float(data["p_tested"]),
                 eval_config=EvalConfig(**data["eval_config"]),
             )

@@ -15,7 +15,7 @@ from sys import float_info
 from typing import Any, NamedTuple, Sequence, Union
 
 from .errors import DimensionError, DomainError, HypothesisError
-from .exact_lattice import Vec, _as_vec, _eliminate, _integer, _typed
+from .exact_lattice import Vec, _as_vec, _eliminate, _integer, _typed, _vectors
 
 Real = Union[int, float, Fraction]
 
@@ -29,7 +29,7 @@ def _exponent(p: Any) -> Real:
 
 def multinomial(entries: Sequence[int]) -> int:
     """(|entries| choose entries), computed exactly."""
-    entries = _as_vec(entries)
+    entries = _as_vec(entries, "entries")
     if any(e < 0 for e in entries):
         raise DomainError("multinomial needs nonnegative entries")
     out = factorial(sum(entries))
@@ -46,15 +46,10 @@ def build_v(freqs: Sequence[Vec]) -> Vec:
     the top row.  Consequently (n_0 ... n_d) v = 0 exactly and the entries
     sum to det of the lifted (d+1) x (d+1) matrix.
     """
-    if not freqs:
-        raise DimensionError("no frequencies")
+    freqs = _vectors(freqs, "frequency")
     d = len(freqs[0])
     if len(freqs) != d + 1:
         raise DimensionError(f"need d+1 = {d + 1} frequency vectors, got {len(freqs)}")
-    if any(len(_as_vec(f)) != d for f in freqs):  # exact integers, each checked once
-        raise DimensionError("frequency vectors of mixed dimension")
-    if d == 0:
-        raise DimensionError("dimension must be at least 1")
     # the minors are determinants of row slices: a transpose keeps each one
     return tuple((-1) ** i * _eliminate([*freqs[:i], *freqs[i + 1 :]])[1] for i in range(d + 1))
 
@@ -90,7 +85,7 @@ class CVector(NamedTuple):
 
 def build_c(v: Sequence[int]) -> CVector:
     """Divide out the gcd of v and split the result into signed parts."""
-    v = tuple(v)
+    v = _as_vec(v, "null vector")
     d_gcd = 0
     for x in v:
         d_gcd = gcd(d_gcd, x)

@@ -5,6 +5,10 @@ integers; nothing here rounds.  One fraction-free Bareiss elimination gives
 every rank and determinant, a Euclidean sweep of row swaps and row additions
 gives the triangular factorization, and affine data of a frequency set is
 read off its lifted points (1, n) and its difference vectors.
+
+Each sequence argument of the package passes one of three checks, which take
+lists and tuples only: `_as_vec` (exact integers), `_vectors` (such vectors
+of one length) and `lp_engine._check_real_coeffs` (real coefficients).
 """
 
 from __future__ import annotations
@@ -36,12 +40,38 @@ def _integer(value: Any, name: str, least: Optional[int] = None, error: type = D
     return value
 
 
-def _as_vec(values: Sequence[int]) -> Vec:
+def _as_vec(values: Sequence[int], name: str = "vector") -> Vec:
+    """`values` as a tuple if it is a list or tuple of exact integers, else DomainError."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{name} must be a list or tuple of exact integers, got {values!r}")
     out = tuple(values)
     for x in out:
         if type(x) is not int:  # a plain int passes with one test: matrices check every entry
             _integer(x, "entry")
     return out
+
+
+def _vectors(
+    values: Sequence[Sequence[int]], name: str, dim: Optional[int] = None
+) -> tuple[Vec, ...]:
+    """`values` as a tuple of `_as_vec` vectors of length `dim`, or else of the
+    first vector's length, which must be at least 1.  A container other than a
+    list or tuple raises DomainError, a wrong length (or no vector) DimensionError."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{name} vectors must come in a list or tuple, got {values!r}")
+    out = tuple(_as_vec(v, name) for v in values)
+    lengths = {len(v) for v in out}
+    if (lengths <= {dim}) if dim is not None else (len(lengths) == 1 and 0 not in lengths):
+        return out
+    want = "one length of at least 1" if dim is None else f"length {dim}"
+    raise DimensionError(f"{name} vectors need {want}, got lengths {sorted(lengths)}")
+
+
+def _json_object(value: Any, keys: set[str], name: str) -> dict:
+    """`value` if it is a dict whose keys are among `keys`, else DomainError."""
+    if not (isinstance(value, dict) and keys.issuperset(value)):
+        raise DomainError(f"{name} must be an object with keys among {sorted(keys)}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,25 +81,15 @@ class IntMatrix:
     entries: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise DimensionError("matrix needs at least one row")
-        width = len(self.entries[0])
-        if width == 0:
-            raise DimensionError("matrix needs at least one column")
-        rows = []
-        for row in self.entries:
-            if len(row) != width:
-                raise DimensionError("ragged rows")
-            rows.append(_as_vec(row))
-        object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "entries", _vectors(self.entries, "row"))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(r) for r in rows))
+        return cls(rows)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls.from_rows(list(zip(*cols)))
+        return cls(tuple(zip(*_vectors(cols, "column"))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -197,7 +217,8 @@ def hnf(m: IntMatrix) -> HnfResult:
 # ---------------- Frequency sets ----------------
 
 
-_GENERATOR_KINDS = ("moment_curve", "arith_progression")
+# the parameters each generator kind takes
+_GENERATOR_PARAMS = {"moment_curve": {"t_start"}, "arith_progression": {"start", "step"}}
 
 
 @dataclass(frozen=True)
@@ -208,31 +229,29 @@ class PointGenerator:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _GENERATOR_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _GENERATOR_PARAMS):
             raise DomainError(f"unknown generator kind {self.kind!r}")
+        _json_object(self.params, _GENERATOR_PARAMS[self.kind], f"{self.kind} params")
+        object.__setattr__(self, "params", dict(self.params))  # not the caller's dict
         if self.kind == "arith_progression":
-            vectors = [self.params.get(key) for key in ("start", "step")]
-            if not all(isinstance(v, (list, tuple)) for v in vectors):
-                raise DomainError("arith_progression needs 'start' and 'step' vectors")
-            for v in vectors:
-                _as_vec(v)
+            _vectors([self.params.get("start"), self.params.get("step")], "generator")
         else:
             _integer(self.params.get("t_start", 1), "t_start")
 
     def iter_points(self, dim: int) -> Iterator[Vec]:
+        """The tail in dimension `dim`, without repeats: a zero step gives its start once."""
         if self.kind == "moment_curve":
             t = self.params.get("t_start", 1)
             while True:
                 yield tuple(t**i for i in range(1, dim + 1))
                 t += 1
         else:
-            start = _as_vec(self.params["start"])
-            step = _as_vec(self.params["step"])
-            if len(start) != dim or len(step) != dim:
-                raise DimensionError("generator vectors must match the set dimension")
+            start, step = self.params["start"], self.params["step"]
             k = 0
             while True:
                 yield tuple(s + k * d for s, d in zip(start, step))
+                if not any(step):
+                    return
                 k += 1
 
 
@@ -249,35 +268,29 @@ class FrequencySet:
     generator: Optional[PointGenerator] = None
 
     def __post_init__(self) -> None:
-        _integer(self.dim, "dimension", 0, DimensionError)
-        pts = tuple(_as_vec(p) for p in self.points)
-        if any(len(p) != self.dim for p in pts):
-            raise DimensionError("point length differs from the set dimension")
+        gen = self.generator  # a tail needs room: in dimension 0 it would repeat one point
+        _integer(self.dim, "dimension", 0 if gen is None else 1, DimensionError)
+        pts = _vectors(self.points, "point", self.dim)
         if len(set(pts)) != len(pts):
             raise DomainError("points must be pairwise distinct")
-        if not pts and self.generator is None:
+        if gen is None and not pts:
             raise DomainError("empty frequency set")
+        if gen is not None and gen.kind == "arith_progression":
+            _vectors([gen.params["start"], gen.params["step"]], "generator", self.dim)
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FrequencySet":
-        if not isinstance(obj, dict):
-            raise DomainError("frequency set JSON must be an object")
+        """Read a frequency set, rejecting (never coercing) what
+        docs/frequency_set.schema.json rejects, unknown keys included."""
+        _json_object(obj, {"dim", "points", "generator"}, "frequency set")
         dim = _integer(obj.get("dim"), "dim", 1)
-        points = obj.get("points", [])
-        if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
-            raise DomainError("points must be a list of integer vectors")
-        gen = None
-        if obj.get("generator") is not None:
-            g = obj["generator"]
-            if not isinstance(g, dict) or "kind" not in g:
-                raise DomainError("generator must be an object with a 'kind'")
-            params = g.get("params", {})
-            if not isinstance(params, dict):
-                raise DomainError("generator params must be an object")
-            gen = PointGenerator(kind=g["kind"], params=dict(params))
-        # entries are checked, never coerced, by the constructor
-        return cls(dim=dim, points=tuple(tuple(p) for p in points), generator=gen)
+        gen = obj.get("generator")
+        if gen is not None:
+            _json_object(gen, {"kind", "params"}, "generator")
+            gen = PointGenerator(gen.get("kind"), gen.get("params", {}))
+        # entries are checked, never coerced, by the constructors
+        return cls(dim, obj.get("points", []), gen)
 
     def to_json(self) -> dict:
         out: dict = {"dim": self.dim, "points": [list(p) for p in self.points]}
@@ -290,23 +303,17 @@ class FrequencySet:
         if limit < 1:
             return
         seen: set[Vec] = set()
-        emitted = 0
-        draws = 0
-        draw_cap = 4 * limit + 64
         sources: list[Iterator[Vec]] = [iter(self.points)]
         if self.generator is not None:
             sources.append(self.generator.iter_points(self.dim))
+        # no tail repeats itself, so only the finitely many prefix points repeat
         for source in sources:
             for p in source:
-                draws += 1
                 if p not in seen:
                     seen.add(p)
                     yield p
-                    emitted += 1
-                    if emitted >= limit:
+                    if len(seen) >= limit:
                         return
-                if draws >= draw_cap:
-                    return
 
     def is_structurally_infinite(self) -> bool:
         gen = self.generator
@@ -406,8 +413,8 @@ def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
     if gen is not None and gen.kind == "arith_progression":
         # a progression tail lies on one line, so the affine dimension of the
         # whole set is that of prefix + two line points, computable exactly
-        start = _as_vec(gen.params["start"])
-        second = tuple(s + t for s, t in zip(start, _as_vec(gen.params["step"])))
+        start = tuple(gen.params["start"])
+        second = tuple(s + t for s, t in zip(start, gen.params["step"]))
         if len(_affine_basis([*g.points, start, second])) <= d:
             return AbundanceScan(Abundance.NO, None, None)
     stream_cap = 4 * scan_budget + 64

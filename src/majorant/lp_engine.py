@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .exact_lattice import Vec, _as_vec, _integer, _typed
+from .exact_lattice import Vec, _integer, _typed, _vectors
 
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
 QUAD_MAX_DIM = 4
@@ -97,30 +97,29 @@ class EvalConfig:
 
 
 def _check_freqs(freqs: Sequence[Vec]) -> int:
-    if not freqs:
-        raise DimensionError("no frequencies")
-    d = len(freqs[0])
-    if d == 0:
-        raise DimensionError("dimension must be at least 1")
-    if any(len(f) != d for f in freqs):
-        raise DimensionError("frequency vectors of mixed dimension")
-    if len(set(map(_as_vec, freqs))) != len(freqs):
+    """The common length of the frequency vectors, which must be pairwise distinct."""
+    vecs = _vectors(freqs, "frequency")
+    if len(set(vecs)) != len(vecs):
         raise DomainError("frequencies must be pairwise distinct")
-    return d
+    return len(vecs[0])
 
 
-def _check_real_coeffs(coeffs: Sequence[Real], count: int) -> list[float]:
-    """The coefficients as floats; DomainError unless each is a Real finite as a float."""
+def _check_real_coeffs(coeffs: Sequence[Real], count: int, kinds: Any = Real) -> list[float]:
+    """The coefficients as floats: DomainError unless `coeffs` is a list or tuple
+    of `kinds` (never bools) finite as floats, DimensionError unless it has `count`."""
+    if not isinstance(coeffs, (list, tuple)):
+        raise DomainError(f"coefficients must be a list or tuple of real numbers, got {coeffs!r}")
     if len(coeffs) != count:
         raise DimensionError("coefficient count differs from frequency count")
-    if not all(_typed(x, Real) for x in coeffs):
-        raise DomainError("coefficients must be real numbers")
-    try:
-        floats = [float(x) for x in coeffs]
-    except OverflowError:  # an exact number beyond the float range
-        floats = [math.inf]
-    if not all(map(math.isfinite, floats)):
-        raise DomainError("coefficients must be finite floats")
+    floats = []
+    for x in coeffs:
+        try:
+            f = float(x) if _typed(x, kinds) else math.nan
+        except OverflowError:  # an exact number beyond the float range
+            f = math.inf
+        if not math.isfinite(f):
+            raise DomainError(f"coefficients must be real numbers finite as floats, got {x!r}")
+        floats.append(f)
     return floats
 
 

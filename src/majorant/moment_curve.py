@@ -116,7 +116,7 @@ def weak_majorant_ratio(
     pf = float(_exponent(p))
     if not 2 <= pf <= 2 * d:
         raise DomainError(f"exponent must lie in [2, {2 * d}]")
-    ts = _as_vec(support)
+    ts = _as_vec(support, "support")
     if not ts or len(ts) != len(set(ts)):
         raise DomainError("support must be nonempty distinct integers")
     if len(ts) > MAX_WEAK_SUPPORT:
@@ -151,7 +151,7 @@ def vinogradov_diagonal_count(values: Sequence[int], d: int) -> int:
     Vinogradov system with power sums up to degree d that share the right-
     hand side of `values`; there are no others.
     """
-    r = len(_as_vec(values))
+    r = len(_as_vec(values, "values"))
     if r < 1:
         raise DimensionError("tuple must be nonempty")
     if r > _integer(d, "power-sum degree"):

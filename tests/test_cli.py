@@ -11,7 +11,9 @@ import csv
 import inspect
 import json
 from dataclasses import replace
+from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,10 @@ from majorant import constructions
 from majorant.cli import _build_parser, main
 from majorant.constructions import construct_independent
 from majorant.cvector import build_c
+from majorant.errors import DomainError
 from majorant.exact_lattice import FrequencySet
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 LINE_SET = {"dim": 1, "points": [[0], [1], [2]]}
 INDEPENDENT_SET = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}
@@ -380,8 +385,53 @@ class TestVerifierSettings:
         assert err.count("\n") == 1 and err.startswith("error:")
 
 
+CURVE_FROM_3 = {"kind": "moment_curve", "params": {"t_start": 3}}
+STEP_ONE = {"kind": "arith_progression", "params": {"start": [1], "step": [1]}}
+SET_FILES = [
+    {"dim": 1, "points": [[1], [2]]},
+    {"dim": 2, "points": [], "generator": CURVE_FROM_3},
+    {"dim": 2, "generator": {"kind": "moment_curve"}},
+    {"dim": 1, "points": [[0]], "generator": STEP_ONE},
+    {"dim": 1, "points": [[0]], "generator": None},
+]
+# one misspelt or misplaced key or value in each; read leniently, the first
+# would be the set {1, 2} and the second the curve from t = 1
+TYPO_SETS = [
+    {"dim": 1, "points": [[1], [2]], "pionts": [[3]]},
+    {"dim": 2, "generator": {"kind": "moment_curve", "parmas": {"t_start": 3}}},
+    {"dmi": 1, "points": [[1], [2]]},
+    {"dim": 2, "generator": {"kind": "moment_curve", "params": {"t_strat": 3}}},
+    {"dim": 2, "generator": {"Kind": "moment_curve", "params": {"t_start": 3}}},
+    {"dim": 2, "generator": {"kind": "moment_curve", "params": {"start": [1, 1], "step": [1, 2]}}},
+    {"dim": 1, "generator": {"kind": "arith_progression", "params": {"start": [1], "stpe": [1]}}},
+    {"dim": 1, "generator": {"kind": "arith_progression", "params": {"t_start": 1}}},
+    {"dim": 1, "generator": {"kind": "arith_progression", "param": {"start": [1], "step": [1]}}},
+    {"dim": 1, "generator": {"kind": "arith_progresion", "params": {"start": [1], "step": [1]}}},
+    {"dim": 1, "points": [[0]], "generator": {**STEP_ONE, "params": {"start": [1]}}},
+    {"dim": 1, "points": [[0]], "generators": STEP_ONE},
+]
+
+
+@pytest.mark.parametrize("doc", SET_FILES + TYPO_SETS)
+def test_set_files_are_read_as_the_schema_reads_them(doc):
+    schema = json.loads((DOCS / "frequency_set.schema.json").read_text())
+    valid = jsonschema.Draft202012Validator(schema).is_valid(doc)
+    try:
+        FrequencySet.from_json(doc)
+        read = True
+    except DomainError:
+        read = False
+    assert read == valid == (doc in SET_FILES)
+
+
 class TestRejections:
     """Malformed requests end with exit 1 and one line on stderr."""
+
+    @pytest.mark.parametrize("doc", TYPO_SETS)
+    def test_typo_in_a_set_file(self, tmp_path, capsys, doc):
+        code, out, err = run(capsys, "classify", "--input", write_json(tmp_path / "g.json", doc))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
     def test_non_finite_moment_exponent(self, capsys, p):

@@ -630,7 +630,13 @@ class TestCertificateJson:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("frequencies", [["a"]]), ("coefficients", 3), ("cvector", None), ("eval_config", [])],
+        [
+            ("frequencies", [["a"]]),
+            ("coefficients", 3),
+            ("cvector", None),
+            ("eval_config", []),
+            ("reduction", {"origin": [0, 0], "basis_columns": [[1]]}),
+        ],
     )
     def test_malformed_value_is_a_domain_error(self, cert, key, value):
         doc = dict(cert.to_json(), **{key: value})

@@ -257,6 +257,16 @@ class TestFrequencySet:
         with pytest.raises(DimensionError):
             FrequencySet(2, ((1,),))
 
+    def test_generator_vectors_are_checked_when_the_set_is_built(self):
+        # a progression in Z^2 does not fit a set in Z^3, and the set says so at once
+        gen = PointGenerator("arith_progression", {"start": [0, 0], "step": [1, 1]})
+        with pytest.raises(DimensionError):
+            FrequencySet(3, ((0, 0, 1),), gen)
+
+    def test_a_generator_needs_dimension_at_least_one(self):
+        with pytest.raises(DimensionError):
+            FrequencySet(0, (), PointGenerator("moment_curve"))
+
     def test_non_positive_stream_yields_nothing(self):
         g = FrequencySet(1, ((0,),), PointGenerator("moment_curve"))
         assert list(g.stream(0)) == []

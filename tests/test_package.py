@@ -1,6 +1,8 @@
 """The package namespace: every exported name exists, once, every module
-uses the names it imports, and every entry point rejects a scalar argument
-of the wrong type with the error it raises for one out of range."""
+uses the names it imports, every entry point rejects a scalar argument of
+the wrong type with the error it raises for one out of range, and every
+sequence argument rejects anything but a list or tuple with the error of
+its site."""
 
 from __future__ import annotations
 
@@ -12,14 +14,17 @@ import pytest
 
 import majorant
 from majorant import (
+    Certificate,
     DimensionError,
     DomainError,
     EvalConfig,
     FrequencySet,
+    IntMatrix,
     PointGenerator,
     abundance_scan,
     assign_signs,
     build_c,
+    build_v,
     c_closed_form,
     construct_abundant,
     construct_certificates,
@@ -240,3 +245,73 @@ MALFORMED = malformed(INTEGERS, lambda v: v + 0.5) + malformed(REALS, lambda v: 
 def test_malformed_scalar_raises_the_error_of_its_argument(call, value, error):
     with pytest.raises(error):
         call(value)
+
+
+def certificate_with(key):
+    return lambda v: Certificate.from_json({**line_certificate().to_json(), key: v})
+
+
+def progression(start, step):
+    return PointGenerator("arith_progression", {"start": start, "step": step})
+
+
+def weak(coeffs=WEAK[0], majorant=WEAK[1], support=(1, 2)):
+    return weak_majorant_ratio(2, 2, coeffs, majorant, support)
+
+
+# (entry point and argument, a valid value, the error for a bad container, the call on a value)
+SEQUENCES = [
+    ("IntMatrix-entries", ((1, 2),), DOM, IntMatrix),
+    ("IntMatrix.from_rows-rows", [[1, 2]], DOM, IntMatrix.from_rows),
+    ("IntMatrix.from_columns-cols", [[1, 2]], DOM, IntMatrix.from_columns),
+    ("FrequencySet-points", LINE, DOM, lambda v: FrequencySet(1, v)),
+    ("from_json-points", [[0]], DOM, lambda v: FrequencySet.from_json({"dim": 1, "points": v})),
+    (
+        "from_json-params",
+        {"t_start": 2},
+        DOM,
+        lambda v: FrequencySet.from_json(
+            {"dim": 1, "generator": {"kind": "moment_curve", "params": v}}
+        ),
+    ),
+    ("PointGenerator-params", {"t_start": 2}, DOM, lambda v: PointGenerator("moment_curve", v)),
+    ("PointGenerator-start", [0], DOM, lambda v: progression(v, [1])),
+    ("PointGenerator-step", [1], DOM, lambda v: progression([0], v)),
+    ("build_v-freqs", LINE[:2], DOM, build_v),
+    ("build_c-v", (1, -2, 1), DOM, build_c),
+    ("multinomial-entries", (1, 1), DOM, multinomial),
+    ("lp_norm_quadrature-freqs", LINE, DOM, lambda v: lp_norm_quadrature(v, (1, 1, 1), 3, CFG)),
+    ("lp_norm_quadrature-coeffs", (1, 1, 1), DOM, lambda v: lp_norm_quadrature(LINE, v, 3, CFG)),
+    ("paired_difference-freqs", LINE, DOM, lambda v: paired_difference(v, (1, -1, 1), 3, CFG)),
+    ("paired_difference-signed", (1, -1, 1), DOM, lambda v: paired_difference(LINE, v, 3, CFG)),
+    ("lp_norm_taylor-freqs", LINE[1:], DOM, lambda v: lp_norm_taylor(v, (0.25, 0.25), 3, CFG)),
+    ("lp_norm_taylor-b", (0.25, 0.25), DOM, lambda v: lp_norm_taylor(LINE[1:], v, 3, CFG)),
+    ("lp_norm_even_exact-freqs", LINE, DOM, lambda v: lp_norm_even_exact(v, (1, 1, 1), 1)),
+    ("lp_norm_even_exact-coeffs", (1, 1, 1), DOM, lambda v: lp_norm_even_exact(LINE, v, 1)),
+    ("weak_majorant_ratio-coeffs", WEAK[0], DOM, lambda v: weak(coeffs=v)),
+    ("weak_majorant_ratio-majorant", WEAK[1], DOM, lambda v: weak(majorant=v)),
+    ("weak_majorant_ratio-support", (1, 2), DOM, lambda v: weak(support=v)),
+    ("vinogradov_diagonal_count-values", (1, 2), DOM, lambda v: vinogradov_diagonal_count(v, 2)),
+    ("Certificate.from_json-frequencies", [[0], [1], [2]], DOM, certificate_with("frequencies")),
+    ("Certificate.from_json-coefficients", [1, 0.5, 0.5], DOM, certificate_with("coefficients")),
+]
+# a scalar, null, a string and bytes (each iterable or indexable in some way), a mapping and a float
+NOT_SEQUENCES = (5, None, "12", b"\x01\x02", {"a": 1}, 2.5)
+
+
+@pytest.mark.parametrize(
+    "call, value, error",
+    [
+        pytest.param(call, bad, error, id=f"{name}-{bad!r}")
+        for name, _, error, call in SEQUENCES
+        for bad in NOT_SEQUENCES
+    ],
+)
+def test_sequence_argument_refuses_other_containers(call, value, error):
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", [pytest.param(c, v, id=n) for n, v, _, c in SEQUENCES])
+def test_sequence_table_calls_are_valid(call, value):
+    call(value)
