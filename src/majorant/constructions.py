@@ -46,7 +46,9 @@ from .exact_lattice import (
     FrequencySet,
     Vec,
     _affine_basis,
+    _hull,
     _integer,
+    _sample,
     _typed,
     _vectors,
     abundance_scan,
@@ -176,7 +178,8 @@ class Certificate:
         theorem tag and entries of the wrong JSON type raise DomainError.
         So do a stored dim, cvector or p_interval other than the one the
         frequencies determine (compared as JSON, so 2.0 is not 2 and true is
-        not 1), and a p_tested outside that interval.
+        not 1), a reduction whose basis column count is not that dim, and a
+        p_tested outside that interval.
         """
         try:
             data = {"note": "", "reduction": None, **data}
@@ -209,6 +212,8 @@ class Certificate:
             for key, value in zip(_DERIVED, derived):
                 if json.dumps(data[key], sort_keys=True) != json.dumps(value, sort_keys=True):
                     raise DomainError(f"{key} {data[key]!r} is not the frequencies' {value!r}")
+            if red is not None and len(red["basis_columns"]) != cert.dim:
+                raise DomainError(f"reduction needs {cert.dim} basis_columns: {red!r}")
             if not (cert.p_tested > 0 and cert.p_interval.contains(cert.p_tested)):
                 raise DomainError(f"p_tested {cert.p_tested:g} is not inside {derived[2]}")
             return cert
@@ -269,15 +274,16 @@ def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Cer
     """Counterexample for a finite, affinely dependent frequency set.
 
     Finite means not structurally infinite, so a zero-step progression tail
-    counts as one more point.  The set's points are taken in listed order;
-    the first whose removal leaves a greedy affine basis (`_affine_basis`)
-    of full dimension is translated to the origin, and the certificate is
-    made at the odd midpoint 2 m_plus - 3 of the violation interval.
+    counts as one more point.  The points of `_sample(g)`, the whole set, are
+    taken in order; the first whose removal leaves a greedy affine basis
+    (`_affine_basis`) of full dimension is translated to the origin, and the
+    certificate is made at the odd midpoint 2 m_plus - 3 of the violation
+    interval.
     """
     cfg = cfg or EvalConfig()
     if g.is_structurally_infinite():
         raise HypothesisError("set is structurally infinite; use construct_abundant")
-    work = FrequencySet(g.dim, tuple(g.stream(len(g.points) + 1)))
+    work = _sample(g)
     basis = _affine_basis(work.points)
     if len(basis) == len(work.points):
         raise HypothesisError("affinely independent set: the majorant property holds for every p")
@@ -375,26 +381,16 @@ def construct_certificates(
     _integer(how_many, "how_many", 1)
     _integer(stream_budget, "stream budget", 1)
     scan = abundance_scan(g, scan_budget)
-    return _certificates(g, _sample(g), scan, how_many, cfg or EvalConfig(), stream_budget)
-
-
-def _sample(g: FrequencySet) -> FrequencySet:
-    """The finite sample that `classify` judges `g` by: the whole set when it is finite."""
-    return FrequencySet(g.dim, tuple(g.stream(max(g.dim + 2, len(g.points) + 1, 8))))
+    return _certificates(g, scan, how_many, cfg or EvalConfig(), stream_budget)
 
 
 def _certificates(
-    g: FrequencySet,
-    sample: FrequencySet,
-    scan: AbundanceScan,
-    how_many: int,
-    cfg: EvalConfig,
-    stream_budget: int,
+    g: FrequencySet, scan: AbundanceScan, how_many: int, cfg: EvalConfig, stream_budget: int
 ) -> list[Certificate]:
-    """An abundant set's escalating family, up to `how_many`, else the certificate of `sample`."""
+    """An abundant set's escalating family, up to `how_many`, else the one of `_sample(g)`."""
     if scan.status is Abundance.YES:
         return _abundant_family(g, scan, how_many, cfg, stream_budget)
-    return [construct_independent(sample, cfg)]
+    return [construct_independent(_sample(g), cfg)]
 
 
 def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certificate:
@@ -497,19 +493,19 @@ def classify(
     """Full structural report: dimension, independence, abundance, verdict.
 
     Dimension and independence come from the greedy affine basis of a
-    sample, the whole set when it is finite (not structurally infinite).
-    The majorant property holds at every p exactly when the set is finite
-    and affinely independent.  Otherwise a certificate is attached when one
-    can be built, as `construct_certificates` builds it.
+    sample (`_hull`), which spans the affine hull of the whole set.  The
+    majorant property holds at every p exactly when the set is finite (not
+    structurally infinite) and affinely independent.  Otherwise a
+    certificate is attached when one can be built, as
+    `construct_certificates` builds it.
     """
     cfg = cfg or EvalConfig()
-    sample = _sample(g)
-    basis = _affine_basis(sample.points)
-    independent = not g.is_structurally_infinite() and len(basis) == len(sample.points)
     scan = abundance_scan(g, scan_budget)
+    hull = scan.witness or _hull(g)  # a witness is the hull
+    independent = not g.is_structurally_infinite() and len(hull) == len(_sample(g).points)
     report: dict[str, Any] = {
         "dim": g.dim,
-        "affine_dimension": len(basis) - 1,
+        "affine_dimension": len(hull) - 1,
         "affinely_independent": independent,
         "abundance": scan.status.value,
         "note": "",
@@ -524,7 +520,7 @@ def classify(
     if not with_certificate:
         return report
     try:
-        cert = _certificates(g, sample, scan, 1, cfg, STREAM_BUDGET)[0]
+        cert = _certificates(g, scan, 1, cfg, STREAM_BUDGET)[0]
         report["certificate"] = cert.to_json()
     except MajorantError as exc:
         report["note"] = f"certificate construction failed: {exc}"

@@ -20,10 +20,11 @@ from .exact_lattice import Vec, _as_vec, _eliminate, _integer, _typed, _vectors
 Real = Union[int, float, Fraction]
 
 
-def _exponent(p: Any) -> Real:
-    """`p` if it is a positive Real (never a bool) finite as a float, else DomainError."""
+def _exponent(p: Any, name: str = "p") -> Real:
+    """`p` if it is a positive Real (never a bool) finite as a float, else
+    DomainError quoting the argument's `name`."""
     if not (_typed(p, Real) and 0 < p <= float_info.max):
-        raise DomainError(f"exponent must be a positive finite number, got {p!r}")
+        raise DomainError(f"exponent {name!r} must be a positive finite number, got {p!r}")
     return p
 
 

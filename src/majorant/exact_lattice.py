@@ -4,7 +4,9 @@ Everything in this module is computed with arbitrary-precision Python
 integers; nothing here rounds.  One fraction-free Bareiss elimination gives
 every rank and determinant, a Euclidean sweep of row swaps and row additions
 gives the triangular factorization, and affine data of a frequency set is
-read off its lifted points (1, n) and its difference vectors.
+read off its lifted points (1, n) and its difference vectors.  Every
+structural answer reads a set through one finite sample (`_sample`) and that
+sample's greedy affine basis (`_hull`).
 
 Each sequence argument of the package passes one of three checks, which take
 lists and tuples only: `_as_vec` (exact integers), `_vectors` (such vectors
@@ -17,18 +19,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, HypothesisError
 
 Vec = tuple[int, ...]
 
 
-def _typed(value: Any, kinds: Any, is_list: bool = False) -> bool:
-    """Whether value has one of `kinds` (a list of such when is_list).
+def _typed(value: Any, kinds: Any) -> bool:
+    """Whether value has one of `kinds`.
 
     A bool has a kind only when `kinds` is bool: it never counts as a number.
     """
-    if is_list:
-        return isinstance(value, list) and all(_typed(x, kinds) for x in value)
     return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
 
 
@@ -338,17 +338,30 @@ def _affine_basis(points: Iterable[Vec]) -> tuple[Vec, ...]:
     return tuple(kept)
 
 
+def _sample(g: FrequencySet) -> FrequencySet:
+    """The finite set every structural answer reads `g` by: the listed points
+    and dim + 2 more streamed points, so every point of a set that is not
+    structurally infinite.  It has at least dim + 2 points, so the sample of
+    a structurally infinite set is always dependent."""
+    return FrequencySet(g.dim, tuple(g.stream(len(g.points) + g.dim + 2)))
+
+
+def _hull(g: FrequencySet) -> tuple[Vec, ...]:
+    """The greedy affine basis of `_sample(g)`, which spans the affine hull of
+    the whole set: two points of a progression tail span its line, and any
+    dim + 1 distinct points of the moment curve span Z^dim."""
+    return _affine_basis(_sample(g).points)
+
+
 def affine_dimension(g: FrequencySet) -> int:
-    """Affine dimension of the listed points: the size of their greedy
-    affine basis (`_affine_basis`), less one.  Translation does not change it.
-    """
-    if not g.points:
-        raise DimensionError("affine dimension needs at least one listed point")
-    return len(_affine_basis(g.points)) - 1
+    """Affine dimension of the whole set, tail included: the size of its
+    hull (`_hull`), less one.  Translation does not change it."""
+    return len(_hull(g)) - 1
 
 
 def is_affinely_independent(g: FrequencySet) -> bool:
-    return len(g.points) == affine_dimension(g) + 1
+    """Whether the set is finite and its hull keeps every point of it."""
+    return not g.is_structurally_infinite() and len(_hull(g)) == len(_sample(g).points)
 
 
 class Reduction(NamedTuple):
@@ -358,19 +371,21 @@ class Reduction(NamedTuple):
 
 
 def reduce_full_dim(g: FrequencySet) -> Reduction:
-    """Rewrite g as n_star + basis . g' with g' full-dimensional in Z^d'.
+    """Rewrite the finite set g as n_star + basis . g' with g' full-dimensional
+    in Z^d'; a structurally infinite set raises HypothesisError.
 
-    n_star is the first listed point.  hnf factors the matrix whose rows are
-    the difference vectors as e . b, with the r nonzero rows of b first and
+    The points are those of `_sample(g)`, a zero-step tail's start included,
+    and n_star is the first.  hnf factors the matrix whose rows are the
+    difference vectors as e . b, with the r nonzero rows of b first and
     zeros below; those rows are the basis columns, which generate the lattice
     the differences span as e is unimodular.  So a difference's row of e, cut
     at r, holds its exact lattice coordinates.  Cardinality is preserved and
     n_star itself maps to the origin.
     """
-    if not g.points:
-        raise DomainError("reduce_full_dim needs at least one listed point")
-    n_star = g.points[0]
-    diffs = [tuple(a - b for a, b in zip(p, n_star)) for p in g.points[1:]]
+    if g.is_structurally_infinite():
+        raise HypothesisError("set is structurally infinite; only a finite set reduces")
+    n_star, *rest = _sample(g).points
+    diffs = [tuple(a - b for a, b in zip(p, n_star)) for p in rest]
     if not diffs:
         reduced = FrequencySet(dim=0, points=((),))
         return Reduction(n_star, None, reduced)
@@ -398,29 +413,19 @@ class AbundanceScan(NamedTuple):
 def abundance_scan(g: FrequencySet, scan_budget: int) -> AbundanceScan:
     """Tri-state abundance decision with the witness subsets the scan found.
 
-    The witness is the greedy affine basis (`_affine_basis`) of the streamed
-    points.  yes: some d-subset of the witness, completed by streamed points,
-    produced more than scan_budget distinct lifted determinants; the count
-    is judged after each point beyond the witness's last.  no: the set is
-    provably finite or its affine dimension provably stays below d.
-    inconclusive: the stream budget ran out first.
+    no: the set is finite (not structurally infinite) or its affine
+    dimension, read from its hull (`_hull`), is below d.  Otherwise the hull
+    is the witness.  yes: some d-subset of the witness, completed by
+    streamed points, produced more than scan_budget distinct lifted
+    determinants; the count is judged after each point beyond the witness's
+    last.  inconclusive: the 4 scan_budget + 64 streamed points ran out first.
     """
     _integer(scan_budget, "scan budget", 1)
     d = g.dim
-    if not g.is_structurally_infinite():
+    witness = _hull(g) if g.is_structurally_infinite() else ()
+    if len(witness) <= d:
         return AbundanceScan(Abundance.NO, None, None)
-    gen = g.generator
-    if gen is not None and gen.kind == "arith_progression":
-        # a progression tail lies on one line, so the affine dimension of the
-        # whole set is that of prefix + two line points, computable exactly
-        start = tuple(gen.params["start"])
-        second = tuple(s + t for s, t in zip(start, gen.params["step"]))
-        if len(_affine_basis([*g.points, start, second])) <= d:
-            return AbundanceScan(Abundance.NO, None, None)
     stream_cap = 4 * scan_budget + 64
-    witness = _affine_basis(g.stream(stream_cap))
-    if len(witness) < d + 1:
-        return AbundanceScan(Abundance.INCONCLUSIVE, None, None)
     # candidate tuples: every d-subset of the witness
     det_sets = [(witness[:i] + witness[i + 1 :], set()) for i in range(d + 1)]
     judged = False

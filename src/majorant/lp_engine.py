@@ -104,13 +104,16 @@ def _check_freqs(freqs: Sequence[Vec]) -> int:
     return len(vecs[0])
 
 
-def _check_real_coeffs(coeffs: Sequence[Real], count: int, kinds: Any = Real) -> list[float]:
+def _check_real_coeffs(
+    coeffs: Sequence[Real], count: int, kinds: Any = Real, name: str = "coefficients"
+) -> list[float]:
     """The coefficients as floats: DomainError unless `coeffs` is a list or tuple
-    of `kinds` (never bools) finite as floats, DimensionError unless it has `count`."""
+    of `kinds` (never bools) finite as floats, DimensionError unless it has
+    `count`.  Both messages quote the argument's `name`."""
     if not isinstance(coeffs, (list, tuple)):
-        raise DomainError(f"coefficients must be a list or tuple of real numbers, got {coeffs!r}")
+        raise DomainError(f"{name!r} must be a list or tuple of real numbers, got {coeffs!r}")
     if len(coeffs) != count:
-        raise DimensionError("coefficient count differs from frequency count")
+        raise DimensionError(f"{name!r} has {len(coeffs)} entries for {count} frequencies")
     floats = []
     for x in coeffs:
         try:
@@ -118,7 +121,7 @@ def _check_real_coeffs(coeffs: Sequence[Real], count: int, kinds: Any = Real) ->
         except OverflowError:  # an exact number beyond the float range
             f = math.inf
         if not math.isfinite(f):
-            raise DomainError(f"coefficients must be real numbers finite as floats, got {x!r}")
+            raise DomainError(f"{name!r} must hold real numbers finite as floats, got {x!r}")
         floats.append(f)
     return floats
 
@@ -562,7 +565,7 @@ def lp_norm_taylor(
     means it is within the configured backend tolerance.
     """
     _check_freqs(freqs)
-    row = _check_real_coeffs(b, len(freqs))
+    row = _check_real_coeffs(b, len(freqs), name="b")
     _exponent(p)
     if max(map(abs, row)) >= 1.0:
         raise ConvergenceError("series requires every |b_i| < 1")

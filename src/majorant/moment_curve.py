@@ -121,7 +121,7 @@ def weak_majorant_ratio(
         raise DomainError("support must be nonempty distinct integers")
     if len(ts) > MAX_WEAK_SUPPORT:
         raise DomainError(f"support limited to {MAX_WEAK_SUPPORT} points")
-    big = _check_real_coeffs(majorant, len(ts))
+    big = _check_real_coeffs(majorant, len(ts), name="majorant")
     small = _check_real_coeffs(coeffs, len(ts))
     if any(b < 0 for b in big):
         raise DomainError("majorant coefficients must be nonnegative")

@@ -333,6 +333,12 @@ class TestWeakMajorant:
         assert code == 1
         assert "missing" in err
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "w.json", {**WEAK_QUERY, "magnitude": 0.5})
+        code, out, err = run(capsys, "weak-majorant", "--input", inp)
+        assert (code, out) == (1, "")
+        assert err == "error: weak-majorant input has the unknown key 'magnitude'\n"
+
 
 class TestDiagnostics:
     def test_malformed_json_reports_position(self, tmp_path, capsys):
@@ -462,6 +468,13 @@ class TestRejections:
         code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
         assert (code, out) == (1, "")
         assert "coefficients" in err and err.count("\n") == 1
+
+    def test_reduction_contradicting_the_dimension(self, tmp_path, capsys):
+        doc = line_certificate(tmp_path, capsys)
+        doc["reduction"] = {"origin": [0, 5], "basis_columns": [[1, 0], [2, 3], [4, 4]]}
+        code, out, err = run(capsys, "verify", "--input", write_json(tmp_path / "c.json", doc))
+        assert (code, out) == (1, "")
+        assert "basis_columns" in err and err.count("\n") == 1
 
     def test_weak_majorant_exponent_not_a_number(self, tmp_path, capsys):
         inp = write_json(tmp_path / "w.json", {**WEAK_QUERY, "p": "abc"})

@@ -643,6 +643,12 @@ class TestCertificateJson:
         with pytest.raises(DomainError):
             Certificate.from_json(doc)
 
+    def test_reduction_needs_one_column_per_dimension(self, cert):
+        # three basis columns for the 1-D certificate of {0, 1, 2}
+        reduction = {"origin": [0, 5], "basis_columns": [[1, 0], [2, 3], [4, 4]]}
+        with pytest.raises(DomainError, match="reduction needs 1 basis_columns"):
+            Certificate.from_json({**cert.to_json(), "reduction": reduction})
+
     @pytest.mark.parametrize(
         "change",
         [

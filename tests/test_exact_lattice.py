@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from majorant.constructions import classify
 from majorant.errors import DimensionError, DomainError, HypothesisError
 from majorant.exact_lattice import (
     Abundance,
@@ -358,6 +359,94 @@ class TestAffineStructure:
         shifted = tuple(tuple(x + 7 for x in p) for p in pts)
         assert affine_dimension(FrequencySet(2, pts)) == affine_dimension(
             FrequencySet(2, shifted)
+        )
+
+
+def tailed(dim, points, generator):
+    return FrequencySet.from_json({"dim": dim, "points": points, "generator": generator})
+
+
+MOMENT = {"kind": "moment_curve"}
+# (set, affine dimension, independent, reduce_full_dim's reduced points or
+# HypothesisError); the affine data is that of the whole set, tail included
+STRUCTURE = {
+    "finite-line": (FrequencySet(2, ((1, 1), (3, 3), (7, 7))), 1, False, ((0,), (1,), (3,))),
+    "finite-simplex": (FrequencySet(2, ((0, 0), (1, 0), (0, 1))), 2, True, ((0, 0), (1, 0), (0, 1))),
+    # the dependent set {0, 1, 2}: a zero-step tail is one more point
+    "zero-step-tail": (
+        tailed(1, [[0], [1]], {"kind": "arith_progression", "params": {"start": [2], "step": [0]}}),
+        1,
+        False,
+        ((0,), (1,), (2,)),
+    ),
+    "moment-two-listed": (tailed(2, [[0, 0], [1, 1]], MOMENT), 2, False, HypothesisError),
+    "moment-one-listed": (tailed(2, [[0, 0]], MOMENT), 2, False, HypothesisError),
+    "moment-none-listed": (tailed(2, [], MOMENT), 2, False, HypothesisError),
+    # seven listed points on the x-axis; the tail leaves it along y
+    "x-axis-and-y-line": (
+        tailed(
+            3,
+            [[x, 0, 0] for x in range(7)],
+            {"kind": "arith_progression", "params": {"start": [7, 0, 0], "step": [0, 1, 0]}},
+        ),
+        2,
+        False,
+        HypothesisError,
+    ),
+    # seven listed points spanning a hyperplane; the tail's second point leaves it
+    "6d-progression": (
+        tailed(
+            6,
+            [
+                [-3, 1, -1, -1, 2, 0],
+                [-3, 2, -2, 1, -3, 0],
+                [-3, -2, -3, 2, 1, 0],
+                [0, -2, -1, -3, -2, 3],
+                [0, -3, -3, -1, 1, 3],
+                [-1, 0, 0, 0, -3, 2],
+                [0, -2, -2, 2, 1, 3],
+            ],
+            {
+                "kind": "arith_progression",
+                "params": {"start": [0, -1, 2, -3, 1, 3], "step": [2, -2, 2, 0, 0, 0]},
+            },
+        ),
+        6,
+        False,
+        HypothesisError,
+    ),
+}
+
+
+class TestStructuralAnswers:
+    """Every structural answer reads the whole set, a generator tail included."""
+
+    @pytest.fixture(params=sorted(STRUCTURE))
+    def row(self, request):
+        return STRUCTURE[request.param]
+
+    def test_affine_dimension(self, row):
+        g, dimension, _, _ = row
+        assert affine_dimension(g) == dimension
+
+    def test_independence(self, row):
+        g, _, independent, _ = row
+        assert is_affinely_independent(g) is independent
+
+    def test_reduction(self, row):
+        g, _, _, reduced = row
+        if reduced is HypothesisError:
+            with pytest.raises(HypothesisError, match="structurally infinite"):
+                reduce_full_dim(g)
+        else:
+            assert reduce_full_dim(g).reduced.points == reduced
+
+    def test_classify(self, row):
+        g, dimension, independent, _ = row
+        report = classify(g, with_certificate=False)
+        assert (report["affine_dimension"], report["affinely_independent"]) == (
+            dimension,
+            independent,
         )
 
 
