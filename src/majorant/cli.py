@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable
 
@@ -27,22 +28,20 @@ from .constructions import (
     verify_certificate,
 )
 from .errors import BudgetError, DomainError, MajorantError
-from .exact_lattice import FrequencySet
+from .exact_lattice import FrequencySet, affine_dimension
 from .lp_engine import EvalConfig
 from .moment_curve import weak_majorant_bound, weak_majorant_ratio
 
 
 def _load_json(path: str) -> Any:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, too deep, too many digits
+        raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
 # flag: (EvalConfig field, type, help); every subcommand takes these
@@ -99,8 +98,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             note = f"a finite set gives one certificate; --count {args.count} ignored"
         elif certs[0].theorem_tag == "abundant":
             note = f"{found} within --stream-budget {args.stream_budget}"
-        else:
+        elif affine_dimension(g) < g.dim:  # exactly when an infinite set is not abundant
             note = f"{found}: the set is not affinely abundant"
+        else:
+            note = f"{found}: abundance scan inconclusive within --scan-budget {args.scan_budget}"
         print(note, file=sys.stderr)
     return 0
 
@@ -160,6 +161,7 @@ def _cmd_weak_majorant(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # one parser per process: building it costs as much as a small request
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="majorant",

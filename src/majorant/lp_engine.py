@@ -1,6 +1,6 @@
 """L^p norms of trigonometric polynomials on the torus, three ways.
 
-Backends: tensor-grid quadrature (any p > 0, d <= 4), exact rational values
+Backends: tensor-grid quadrature (any p > 0), exact rational values
 at even integer p, and a series truncated at a total order around a dominant
 constant term.  The two exact backends read one expansion, every multi-index
 up to an order grouped by its frequency, and share its budget check.  The
@@ -11,7 +11,9 @@ until that step is within the absolute tolerance or, since a step at
 float64's rounding floor cannot shrink by doubling, within 4 ulps of the
 largest mean (which stops a ladder early only for means of 2^21, about
 2e6, and above, where 4 ulps exceed the default tolerance of 1e-9); the
-estimate is the step either way.
+estimate is the step either way.  The point budget is the quadrature's one
+limit: a grid of any dimension runs when it fits at 8 or more points per
+axis, and BudgetError refuses one that does not.
 
 The quadrature streams: one pass over a grid builds |F|^2 a chunk of
 about 2^16 values (points times rows) at a time, raises it to every
@@ -58,9 +60,7 @@ from .errors import (
 )
 from .exact_lattice import Vec, _integer, _typed, _vectors
 
-QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation
-QUAD_MAX_DIM = 4
-QUAD_MAX_DOUBLINGS = 16
+QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation, the quadrature's one limit
 _CHUNK_VALUES = 1 << 16  # |F|^2 values (points x rows) per chunk of a grid pass
 _BLOCK_POINTS = 1 << 13  # slice sums per block of a mean's weighted sum
 _PARALLEL_POINTS = 1 << 17  # a pass over fewer points runs on the calling thread alone
@@ -396,26 +396,29 @@ def _refine(
     means and the error come back multiplied by 2^(shift p); BudgetError
     beyond float range.
 
-    Every exponent is checked before any grid work; those still doubling
-    share one pass per grid.  The start grid's pass gives the n//2 grid of
-    the first error estimate where that grid's slices are its even ones,
-    whole (1-D, as at 256) or at even columns of a multiple of 16: only there
-    does each column fall in the same kind of OpenBLAS column group (4 wide,
-    or the rest) as in a pass over n//2.  A pass whose half grid has at least
-    2^17 points runs on two threads (see `_grid_means`), with the same result
-    as on one.  Returns (means, err, n).
+    The start grid is the configured one, lifted to 8 and halved while it
+    exceeds the point budget, but never below 8 points per axis; where 8^d
+    exceeds the budget, BudgetError before any pass.  Every exponent is
+    checked before any grid work; those still doubling share one pass per
+    grid.  The start grid's pass gives the n//2 grid of the first error
+    estimate where that grid's slices are its even ones, whole (1-D, as at
+    256) or at even columns of a multiple of 16: only there does each column
+    fall in the same kind of OpenBLAS column group (4 wide, or the rest) as
+    in a pass over n//2.  A pass whose half grid has at least 2^17 points
+    runs on two threads (see `_grid_means`), with the same result as on one.
+    Returns (means, err, n).
     """
     d = _check_freqs(freqs)
     row = _check_real_coeffs(coeffs, len(freqs))
     pfs = [float(_exponent(p)) for p in ps]
-    if d > QUAD_MAX_DIM:
-        raise DomainError(f"tensor quadrature is limited to dimension {QUAD_MAX_DIM}")
+    n, budget = max(8, cfg.grid_points_per_axis), QUAD_POINT_BUDGET
+    while n**d > budget:
+        if n == 8:
+            raise BudgetError(f"the 8^{d} grid exceeds the quadrature budget of {budget} points")
+        n = max(8, n // 2)
     shift = math.frexp(max(map(abs, row)))[1] - 1
     row = [math.ldexp(x, -shift) for x in row]
     rows = [row, [abs(x) for x in row]] if paired else [row]
-    n = max(8, cfg.grid_points_per_axis)
-    while n**d > QUAD_POINT_BUDGET and n > 8:
-        n //= 2
 
     def tracked(row_means: list[float]) -> float:
         return row_means[0] - row_means[1] if paired else row_means[0]
@@ -432,9 +435,9 @@ def _refine(
     values = [tracked(m) for m in means]
     errs = [abs(v - tracked(c)) for v, c in zip(values, coarse)]
     grids = [n] * len(pfs)
-    for _ in range(QUAD_MAX_DOUBLINGS):
+    while (2 * n) ** d <= budget:
         active = [i for i, err in enumerate(errs) if not settled(err, means[i])]
-        if not active or (2 * n) ** d > QUAD_POINT_BUDGET:
+        if not active:
             break
         n *= 2
         [finer] = _grid_means(freqs, rows, n, [pfs[i] for i in active])

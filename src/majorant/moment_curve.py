@@ -93,9 +93,6 @@ def vandermonde_check(d: int, k: int) -> bool:
     return det_exact(IntMatrix.from_rows(rows)) == factorial_product(d)
 
 
-MAX_WEAK_SUPPORT = 6  # keeps the even-p cross-check enumerations feasible
-
-
 def weak_majorant_ratio(
     d: int,
     p: Real,
@@ -119,8 +116,6 @@ def weak_majorant_ratio(
     ts = _as_vec(support, "support")
     if not ts or len(ts) != len(set(ts)):
         raise DomainError("support must be nonempty distinct integers")
-    if len(ts) > MAX_WEAK_SUPPORT:
-        raise DomainError(f"support limited to {MAX_WEAK_SUPPORT} points")
     big = _check_real_coeffs(majorant, len(ts), name="majorant")
     small = _check_real_coeffs(coeffs, len(ts))
     if any(b < 0 for b in big):

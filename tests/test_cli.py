@@ -131,6 +131,18 @@ class TestConstruct:
         assert (code, json.loads(out)) == (0, [report["certificate"]])
         assert err == "found 1 of 3 certificates: the set is not affinely abundant\n"
 
+    def test_inconclusive_scan_is_not_called_not_abundant(self, tmp_path, capsys):
+        # the 400 listed points outlast the scan's stream, though the tail spans the plane
+        tail = {"kind": "arith_progression", "params": {"start": [0, 1], "step": [0, 1]}}
+        doc = {"dim": 2, "points": [[x, 0] for x in range(400)], "generator": tail}
+        inp = write_json(tmp_path / "g.json", doc)
+        _, out, _ = run(capsys, "classify", "--input", inp, "--scan-budget", "64")
+        assert json.loads(out)["abundance"] == "inconclusive"
+        code, out, err = run(capsys, "construct", "--input", inp, "--count", "3")
+        assert (code, len(json.loads(out))) == (0, 1)
+        note = "found 1 of 3 certificates: abundance scan inconclusive within --scan-budget 64"
+        assert err == note + "\n"
+
     def test_generator_set_emits_array(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
         code, out, err = run(capsys, "construct", "--input", inp, "--count", "2")
@@ -259,6 +271,12 @@ class TestMoment:
 
 
 class TestParserDefaults:
+    def test_the_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = _build_parser()
+        monkeypatch.setattr("argparse.ArgumentParser.__init__", None)  # no parser can be made
+        assert run(capsys, "moment", "--d", "2", "--p", "3")[0] == 0
+        assert _build_parser() is built
+
     def test_budgets_and_samples_are_the_library_constants(self, tmp_path):
         inp = str(tmp_path / "g.json")
         parse = _build_parser().parse_args
@@ -347,6 +365,23 @@ class TestDiagnostics:
         code, _, err = run(capsys, "classify", "--input", str(bad))
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'\xff\xfe{"dim": 1}', "codec can't decode"),
+            (b"[" * 200_000, "recursion"),
+            (b'{"dim": ' + b"7" * 5000 + b"}", "digits"),
+        ],
+        ids=["not-utf-8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_unreadable_json_is_one_line(self, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "classify", "--input", str(bad))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot read {bad}: ")
+        assert reason in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "classify", "--input", str(tmp_path / "absent.json"))

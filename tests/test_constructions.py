@@ -8,6 +8,7 @@ pinned here; everything else checks structure and invariants.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict, fields, replace
 from math import inf, log2, ulp
 from pathlib import Path
@@ -28,7 +29,7 @@ from majorant.constructions import (
 )
 from majorant.cvector import OpenInterval, build_c, build_v, log2_leading_term
 from majorant.errors import BudgetError, DomainError, HypothesisError, MajorantError
-from majorant.exact_lattice import FrequencySet
+from majorant.exact_lattice import FrequencySet, affine_dimension
 from majorant.lp_engine import EvalConfig, paired_difference
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -153,6 +154,52 @@ class TestConstructIndependent:
         assert calls[0] == SPACE_SET.points
         # the rest come from the bullet loop, one point left out each
         assert [len(c) for c in calls[1:]] == [4] * (len(calls) - 1)
+
+
+def unit_vectors_and_diagonal(d: int) -> FrequencySet:
+    """{0, e1, ..., ed, e1 + e2}: d + 2 points of full affine dimension in Z^d."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return FrequencySet(d, ((0,) * d, *units, tuple(a + b for a, b in zip(*units[:2]))))
+
+
+def reach_corpus():
+    """(d, sets): d + 2 distinct points of full affine dimension, 30 sets in
+    [0, 2]^5, 20 in [0, 1]^6 and 10 in [0, 1]^7."""
+    rng = random.Random(20)
+    for d, side, count in ((5, 2, 30), (6, 1, 20), (7, 1, 10)):
+        sets: list[FrequencySet] = []
+        while len(sets) < count:
+            points = {tuple(rng.randint(0, side) for _ in range(d)) for _ in range(d + 2)}
+            g = FrequencySet(d, tuple(sorted(points)))
+            if len(points) == d + 2 and affine_dimension(g) == d:
+                sets.append(g)
+        yield d, sets
+
+
+class TestBeyondFourDimensions:
+    """The quadrature's point budget is its one limit: 8 points per axis fit up to 7-D."""
+
+    def test_seeded_corpus_never_raises(self):
+        for d, sets in reach_corpus():
+            certs = [construct_independent(g) for g in sets]
+            assert any(c.verified for c in certs), d
+            for cert in certs:
+                assert cert.dim == d and bool(cert.note) != cert.verified
+                if cert.verified:  # on the largest grid within the budget, never below 8
+                    assert cert.grid_points_per_axis == (16 if d == 5 else 8)
+
+    def test_classify_attaches_a_five_dimensional_certificate(self):
+        cert = classify(unit_vectors_and_diagonal(5))["certificate"]
+        assert cert["dim"] == 5 and cert["verified"] and cert["grid_points_per_axis"] == 16
+        assert verify_certificate(Certificate.from_json(cert)).verdict is True
+
+    def test_eight_dimensions_exceed_the_budget_without_a_pass(self, grid_passes):
+        rep = classify(unit_vectors_and_diagonal(8))
+        assert rep["smp_status"] == "violated_with_certificate" and rep["note"] == ""
+        cert = rep["certificate"]
+        assert not cert["verified"] and cert["margin"] is None
+        assert cert["note"] == "the 8^8 grid exceeds the quadrature budget of 4194304 points"
+        assert grid_passes == []
 
 
 class TestConstructAbundant:

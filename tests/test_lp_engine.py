@@ -130,10 +130,27 @@ class TestQuadrature:
         assert res.grid_points_per_axis >= 256
         assert res.error_estimate <= 1e-9
 
-    def test_dimension_cap(self):
-        freqs = ((1, 0, 0, 0, 0),)
-        with pytest.raises(DomainError):
-            lp_norm_quadrature(freqs, (0.5,), 2, TIGHT)
+    def test_the_point_budget_is_the_only_limit(self, grid_passes):
+        # 5-D runs on the 256 grid halved to 16, the largest within 2^22 points
+        assert lp_norm_quadrature(((1, 0, 0, 0, 2),), (0.5,), 2, TIGHT) == (0.25, 0.0, 16)
+        # 8^8 points exceed the budget: refused before any pass, as out of reach
+        with pytest.raises(BudgetError, match="the 8\\^8 grid exceeds the quadrature budget"):
+            lp_norm_quadrature(((1, 0, 0, 0, 0, 0, 0, 0),), (0.5,), 2, TIGHT)
+        assert grid_passes == [16]  # the 8 grid read from the 16 pass, and no 8-D pass
+
+    @pytest.mark.parametrize("d, grid, start", [(6, 15, 8), (7, 9, 8), (4, 45, 45), (4, 46, 23)])
+    def test_start_grid_halves_to_no_fewer_than_eight_points(self, grid_passes, d, grid, start):
+        # 15 // 2 would be 7 in 6-D; in 4-D nothing changes: 45^4 fits, 46^4 does not
+        freqs = (tuple(range(1, d + 1)),)
+        lp_norm_quadrature(freqs, (0.5,), 3, EvalConfig(grid_points_per_axis=grid))
+        assert grid_passes[0] == start
+
+    def test_a_small_one_dimensional_start_grid_doubles_to_the_budget(self):
+        # |1 + e(x)| has a kink: each step stays above 1e-15, so only the budget ends the ladder
+        cfg = EvalConfig(grid_points_per_axis=8, backend_agreement_tol=1e-15)
+        res = lp_norm_quadrature(((0,), (1,)), (1.0, 1.0), 1, cfg)
+        assert res.grid_points_per_axis == lp_engine.QUAD_POINT_BUDGET
+        assert res.value == pytest.approx(4 / math.pi, abs=1e-12)
 
     def test_rejects_bad_exponent_and_coeffs(self):
         with pytest.raises(DomainError):
@@ -146,6 +163,16 @@ class TestQuadrature:
             lp_norm_quadrature(((1,),), (10**400,), 1, TIGHT)
         with pytest.raises(DimensionError):
             lp_norm_quadrature(((1,), (2,)), (0.5,), 2, TIGHT)
+
+    @pytest.mark.parametrize("d, n", [(5, 6), (5, 8), (6, 4), (6, 5)])
+    def test_kernel_matches_full_grid_reference_beyond_four_dimensions(self, d, n):
+        rng = random.Random(d * n)
+        freqs = sorted({tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(6)})
+        row = [1.0, *(rng.uniform(-1, 1) for _ in freqs[1:])]
+        rows = [row, [abs(x) for x in row]]
+        for p in (1.0, 3.5):
+            got, want = half_grid_means(freqs, rows, p, n), full_grid_means(freqs, rows, p, n)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_huge_frequency_reduces_to_its_residue(self):
         # 10^400 + 1 is 1 mod every power-of-two grid; as a float it overflows

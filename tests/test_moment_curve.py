@@ -154,11 +154,17 @@ class TestWeakMajorant:
         with pytest.raises(DomainError):
             weak_majorant_ratio(2, 2, (0.6,), (0.5,), (1,))
 
-    def test_support_limits(self):
-        with pytest.raises(DomainError):
-            weak_majorant_ratio(2, 2, (0.5,) * 7, (0.5,) * 7, tuple(range(1, 8)))
+    def test_support_must_be_distinct(self):
         with pytest.raises(DomainError):
             weak_majorant_ratio(2, 2, (0.5, 0.5), (0.5, 0.5), (3, 3))
+
+    def test_seven_point_support_is_accepted(self):
+        # only the quadrature's point budget limits the support: at p = 2 the
+        # ratio is 1 by Parseval, and at p = 4 it is within the bound
+        signs = (0.5, -0.5, 0.5, 0.5, -0.5, 0.5, -0.5)
+        support = tuple(range(1, 8))
+        assert weak_majorant_ratio(2, 2, signs, (0.5,) * 7, support) == pytest.approx(1.0)
+        assert weak_majorant_ratio(2, 4, signs, (0.5,) * 7, support) <= weak_majorant_bound(2)
 
     @pytest.mark.parametrize("t", [1e200, 1e-200])
     def test_ratio_ignores_a_common_scale(self, t):
