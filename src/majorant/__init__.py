@@ -72,8 +72,6 @@ from .moment_curve import (
     gamma_point,
     smallest_admissible_k,
     vandermonde_check,
-    vinogradov_box_search,
-    vinogradov_diagonal_count,
     weak_majorant_bound,
     weak_majorant_ratio,
 )
@@ -134,8 +132,6 @@ __all__ = [
     "smallest_admissible_k",
     "vandermonde_check",
     "verify_certificate",
-    "vinogradov_box_search",
-    "vinogradov_diagonal_count",
     "weak_majorant_bound",
     "weak_majorant_ratio",
 ]

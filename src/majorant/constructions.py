@@ -15,6 +15,12 @@ margins unrelated to a term above the floor, so they cannot pass.  A
 constructed certificate is `verified` exactly when `verify_certificate` with
 the same settings returns True; construction skips the evaluation when the
 term is below the floor, where that cannot happen.
+
+Within one process `verify_certificate` reuses its last evaluation when
+every input of it matches (frequencies, coefficients, p and settings), so
+verifying the certificate just constructed, or its JSON round trip, passes
+over no grid again; the judgment always reruns.  Another process always
+evaluates.
 """
 
 from __future__ import annotations
@@ -56,9 +62,11 @@ from .exact_lattice import (
 )
 from .lp_engine import (
     EvalConfig,
+    PairedDifference,
     _check_freqs,
     _check_real_coeffs,
     _paired_differences,
+    _pass_inputs,
     paired_difference,
 )
 from .moment_curve import gamma_point, smallest_admissible_k
@@ -92,6 +100,9 @@ _ENTRY_TYPES = {
 }
 # JSON entries that the frequencies determine; loading checks them against the derivation
 _DERIVED = ("dim", "cvector", "p_interval")
+# `verify_certificate`'s last evaluation in this process, (its checked inputs, its
+# result); replaced whole, so a thread racing another can only miss
+_last_evaluation: tuple[Any, PairedDifference | None] = (None, None)
 
 
 def assign_signs(cv: CVector, magnitude: float) -> tuple[float, ...]:
@@ -445,9 +456,20 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     The grid, tolerance and safety factor are `cfg` (defaults when omitted),
     never the certificate's.  Raises BudgetError when a mean of |sum|^p is
     beyond floating-point range.
+
+    Within one process the last evaluation is reused when its inputs, the
+    checked frequencies, the coefficients and p as floats and `cfg`, all
+    equal this call's; the judgment below always reruns, and an evaluation
+    that raised was never kept.  Another process always evaluates.
     """
+    global _last_evaluation
     cfg = cfg or EvalConfig()
-    res = paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, cfg)
+    freqs, coeffs, [p] = _pass_inputs(cert.frequencies, cert.coefficients, [cert.p_tested])
+    key = (freqs, coeffs, p, cfg)
+    last_key, res = _last_evaluation
+    if res is None or last_key != key:
+        res = paired_difference(freqs, coeffs, p, cfg)
+        _last_evaluation = key, res
     log2_lead = -inf
     if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
         with suppress(MajorantError):  # the frequencies determine no c

@@ -96,12 +96,12 @@ class EvalConfig:
             raise DomainError(f"safety factor must be a finite number above 1, got {safety!r}")
 
 
-def _check_freqs(freqs: Sequence[Vec]) -> int:
-    """The common length of the frequency vectors, which must be pairwise distinct."""
+def _check_freqs(freqs: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The frequency vectors, which must share one length and be pairwise distinct."""
     vecs = _vectors(freqs, "frequency")
     if len(set(vecs)) != len(vecs):
         raise DomainError("frequencies must be pairwise distinct")
-    return len(vecs[0])
+    return vecs
 
 
 def _check_real_coeffs(
@@ -124,6 +124,15 @@ def _check_real_coeffs(
             raise DomainError(f"{name!r} must hold real numbers finite as floats, got {x!r}")
         floats.append(f)
     return floats
+
+
+def _pass_inputs(
+    freqs: Sequence[Vec], coeffs: Sequence[Real], ps: Sequence[Real]
+) -> tuple[tuple[Vec, ...], tuple[float, ...], list[float]]:
+    """Everything of its arguments that `_refine` reads: the checked frequencies,
+    the coefficients as floats and the exponents as floats."""
+    vecs = _check_freqs(freqs)
+    return vecs, tuple(_check_real_coeffs(coeffs, len(vecs))), [float(_exponent(p)) for p in ps]
 
 
 def _axes(d: int, n: int) -> tuple[int, ...]:
@@ -408,16 +417,15 @@ def _refine(
     runs on two threads (see `_grid_means`), with the same result as on one.
     Returns (means, err, n).
     """
-    d = _check_freqs(freqs)
-    row = _check_real_coeffs(coeffs, len(freqs))
-    pfs = [float(_exponent(p)) for p in ps]
+    vecs, coeff_row, pfs = _pass_inputs(freqs, coeffs, ps)
+    d = len(vecs[0])
     n, budget = max(8, cfg.grid_points_per_axis), QUAD_POINT_BUDGET
     while n**d > budget:
         if n == 8:
             raise BudgetError(f"the 8^{d} grid exceeds the quadrature budget of {budget} points")
         n = max(8, n // 2)
-    shift = math.frexp(max(map(abs, row)))[1] - 1
-    row = [math.ldexp(x, -shift) for x in row]
+    shift = math.frexp(max(map(abs, coeff_row)))[1] - 1
+    row = [math.ldexp(x, -shift) for x in coeff_row]
     rows = [row, [abs(x) for x in row]] if paired else [row]
 
     def tracked(row_means: list[float]) -> float:

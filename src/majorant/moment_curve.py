@@ -4,22 +4,19 @@ Consecutive points t, t+1, ..., t+d on the curve (t, t^2, ..., t^d) carry
 fully explicit certificate vectors: the null-vector entries are signed
 products of binomial factors, the primitive entries sum to 1, and every
 entry grows like k^d.  This module provides those closed forms plus the
-small Vinogradov-system facts behind the weak (constant-loss) majorant
-bound on the curve.
+weak (constant-loss) majorant bound on the curve.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
 from .cvector import CVector, Real, _exponent, build_c
-from .errors import BudgetError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .exact_lattice import IntMatrix, Vec, _as_vec, _integer, det_exact
-from .lp_engine import ENUM_BUDGET, EvalConfig, _check_real_coeffs, lp_norm_quadrature
+from .lp_engine import EvalConfig, _check_real_coeffs, lp_norm_quadrature
 
 
 def gamma_point(d: int, t: int) -> Vec:
@@ -137,51 +134,3 @@ def weak_majorant_bound(d: int) -> float:
     """(d!)^(1/2d), the uniform constant in the weak majorant bound."""
     _integer(d, "dimension", 1, DimensionError)
     return float(factorial(d)) ** (1.0 / (2 * d))
-
-
-def vinogradov_diagonal_count(values: Sequence[int], d: int) -> int:
-    """Number of permutations of `values` that match it as a multiset.
-
-    For r = len(values) <= d these are exactly the solutions of the r-point
-    Vinogradov system with power sums up to degree d that share the right-
-    hand side of `values`; there are no others.
-    """
-    r = len(_as_vec(values, "values"))
-    if r < 1:
-        raise DimensionError("tuple must be nonempty")
-    if r > _integer(d, "power-sum degree"):
-        raise DomainError("tuple length must not exceed the power-sum degree")
-    out = factorial(r)
-    for mult in Counter(values).values():
-        out //= factorial(mult)
-    return out
-
-
-def vinogradov_box_search(
-    r: int, d: int, radius: int, budget: int = ENUM_BUDGET
-) -> list[tuple[Vec, Vec]]:
-    """Exhaustive search for non-permutation solution pairs in a box.
-
-    Enumerates all r-tuples with entries in [-radius, radius], groups them by
-    their first d power sums, and reports every pair inside one group whose
-    sorted tuples differ.  For r <= d the expected result is the empty list.
-    """
-    _integer(r, "tuple length", 1, DimensionError)
-    if r > _integer(d, "power-sum degree"):
-        raise DomainError("tuple length must not exceed the power-sum degree")
-    _integer(radius, "radius", 0)
-    _integer(budget, "budget", 0)
-    side = 2 * radius + 1
-    if side**r > budget:
-        raise BudgetError(f"{side}^{r} tuples exceed the budget of {budget}")
-    groups: dict[Vec, dict[Vec, Vec]] = {}
-    offenders: list[tuple[Vec, Vec]] = []
-    for combo in itertools.product(range(-radius, radius + 1), repeat=r):
-        key = tuple(sum(x**j for x in combo) for j in range(1, d + 1))
-        canon = tuple(sorted(combo))
-        bucket = groups.setdefault(key, {})
-        if canon not in bucket:
-            for other in bucket.values():
-                offenders.append((other, combo))
-            bucket[canon] = combo
-    return offenders

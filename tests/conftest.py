@@ -8,7 +8,18 @@ from contextlib import contextmanager
 
 import pytest
 
-from majorant import lp_engine
+from majorant import constructions, lp_engine
+
+
+@pytest.fixture(autouse=True)
+def forget_evaluation():
+    """Empties `verify_certificate`'s memo before each test; call it to empty it again."""
+
+    def forget() -> None:
+        constructions._last_evaluation = (None, None)
+
+    forget()
+    return forget
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, fields, replace
-from math import inf, log2, ulp
+from math import inf, log2, nextafter, ulp
 from pathlib import Path
 
 import jsonschema
@@ -315,6 +315,71 @@ class TestOneRule:
             assert (cert.lhs, cert.rhs, cert.margin) == (res.lhs, res.rhs, res.margin)
 
 
+class TestLastEvaluation:
+    """Within a process, verify_certificate reuses its last evaluation when every input matches."""
+
+    def test_verify_after_a_json_round_trip_makes_no_pass(self, grid_passes, forget_evaluation):
+        cert = construct_independent(SPACE_SET)
+        assert grid_passes
+        back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+        grid_passes.clear()
+        reused = verify_certificate(back)
+        assert grid_passes == []
+        forget_evaluation()
+        fresh = verify_certificate(back)
+        assert grid_passes
+        assert reused._asdict() == fresh._asdict()
+        assert (reused.margin, reused.error_estimate) == (cert.margin, cert.error_estimate)
+
+    def test_the_judgment_reruns(self, grid_passes, monkeypatch):
+        cert = construct_independent(LINE)
+        assert verify_certificate(cert).verdict is True
+        monkeypatch.setattr(constructions, "LEAD_FLOOR", 1.0)
+        grid_passes.clear()
+        assert verify_certificate(cert).verdict is not True
+        assert grid_passes == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c: (replace(c, coefficients=(1.0, nextafter(0.25, 1), -0.25)), None),
+            lambda c: (replace(c, p_tested=1.5), None),
+            lambda c: (replace(c, frequencies=((0,), (1,), (3,))), None),
+            lambda c: (c, EvalConfig(backend_agreement_tol=2e-9)),
+        ],
+        ids=["coefficient-ulp", "p_tested", "frequency", "tolerance"],
+    )
+    def test_any_other_input_evaluates(self, grid_passes, change):
+        cert = construct_independent(LINE)
+        assert cert.coefficients == (1.0, 0.25, -0.25) and cert.p_tested == 1.0
+        other, cfg = change(cert)
+        grid_passes.clear()
+        verify_certificate(other, cfg)
+        assert grid_passes
+        # one entry: the original is now a miss too
+        grid_passes.clear()
+        verify_certificate(cert)
+        assert grid_passes
+
+    def test_inputs_are_checked_on_a_hit(self):
+        cert = construct_independent(LINE)
+        # True == 1, but a frequency entry is never a bool
+        with pytest.raises(DomainError, match="True"):
+            verify_certificate(replace(cert, frequencies=((0,), (True,), (2,))))
+
+    def test_an_evaluation_that_raises_is_not_kept(self, grid_passes, time_limit):
+        cert = construct_independent(LINE)
+        huge = construct_moment(2, 10**15 + 1)  # below the floor: construction does not evaluate
+        for _ in range(2):
+            grid_passes.clear()
+            with time_limit(1), pytest.raises(BudgetError, match="beyond floating-point range"):
+                verify_certificate(huge)
+            assert grid_passes
+        grid_passes.clear()
+        assert verify_certificate(cert).verdict is True
+        assert grid_passes == []
+
+
 class TestEmitPlotData:
     def test_samples_are_interior_and_positive(self, cert):
         rows = emit_plot_data(cert, 5)
@@ -610,9 +675,11 @@ class TestRoundingFloor:
     """A ladder stops at the first grid whose step is within 4 ulps of its largest mean."""
 
     @pytest.mark.parametrize("p, c", [(47, (-1, 10, 15)), (69, (-1, 15, 21))])
-    def test_floor_bound_members_stop_at_512(self, grid_passes, p, c):
-        # the pinned moment-curve family (t_start 1)
+    def test_floor_bound_members_stop_at_512(self, grid_passes, forget_evaluation, p, c):
+        # the pinned moment-curve family (t_start 1); its last evaluation is
+        # forgotten, so verification runs the ladder afresh
         member = next(m for m in family({"t_start": 1}, 6) if m.p_tested == p)
+        forget_evaluation()
         grid_passes.clear()
         assert member.cvector.c == c
         res = verify_certificate(member)

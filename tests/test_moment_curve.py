@@ -1,12 +1,11 @@
-"""Closed-form certificate data on the moment curve and Vinogradov facts.
+"""Closed-form certificate data on the moment curve and the weak majorant bound.
 
 The closed form runs against the cofactor route (two genuinely different
-derivations); diagonal solution counts run against brute-force search.
+derivations).
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorant.cvector import build_c, build_v, is_even_exponent, sign_condition
-from majorant.errors import BudgetError, DimensionError, DomainError
+from majorant.errors import DimensionError, DomainError
 from majorant.lp_engine import EvalConfig
 from majorant.moment_curve import (
     c_closed_form,
@@ -23,8 +22,6 @@ from majorant.moment_curve import (
     gamma_point,
     smallest_admissible_k,
     vandermonde_check,
-    vinogradov_box_search,
-    vinogradov_diagonal_count,
     weak_majorant_bound,
     weak_majorant_ratio,
 )
@@ -183,50 +180,3 @@ class TestWeakMajorant:
     def test_majorant_beyond_float_range_rejected(self):
         with pytest.raises(DomainError):
             weak_majorant_ratio(2, 2, (1, 1), (10**400, 1), (1, 2))
-
-
-def brute_force_matches(values: tuple[int, ...], d: int, radius: int) -> int:
-    """Count tuples in the box sharing the first d power sums with values."""
-    target = tuple(sum(x**j for x in values) for j in range(1, d + 1))
-    count = 0
-    for combo in itertools.product(range(-radius, radius + 1), repeat=len(values)):
-        if tuple(sum(x**j for x in combo) for j in range(1, d + 1)) == target:
-            count += 1
-    return count
-
-
-class TestVinogradov:
-    def test_diagonal_count_values(self):
-        assert vinogradov_diagonal_count((1, 3), 2) == 2
-        assert vinogradov_diagonal_count((2, 2), 2) == 1
-        assert vinogradov_diagonal_count((1, 2, 3), 3) == 6
-        assert vinogradov_diagonal_count((5,), 1) == 1
-
-    @given(
-        values=st.lists(st.integers(-4, 4), min_size=1, max_size=3),
-        extra=st.integers(0, 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_count_matches_brute_force(self, values, extra):
-        r = len(values)
-        d = r + extra
-        assert vinogradov_diagonal_count(tuple(values), d) == brute_force_matches(
-            tuple(values), d, 4 + max(abs(x) for x in values)
-        )
-
-    def test_box_search_is_empty_at_or_below_degree(self):
-        assert vinogradov_box_search(2, 2, 4) == []
-        assert vinogradov_box_search(1, 1, 6) == []
-        assert vinogradov_box_search(2, 3, 3) == []
-
-    def test_box_search_rejects_excess_length(self):
-        # Beyond the degree non-permutation solutions exist (x + y alone
-        # does not pin the pair), so the regime is excluded by contract.
-        with pytest.raises(DomainError):
-            vinogradov_box_search(2, 1, 3)
-        with pytest.raises(DomainError):
-            vinogradov_diagonal_count((1, 2), 1)
-
-    def test_box_search_budget(self):
-        with pytest.raises(BudgetError):
-            vinogradov_box_search(3, 3, 50, budget=1000)

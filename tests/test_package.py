@@ -41,8 +41,6 @@ from majorant import (
     sign_condition,
     smallest_admissible_k,
     vandermonde_check,
-    vinogradov_box_search,
-    vinogradov_diagonal_count,
     weak_majorant_bound,
     weak_majorant_ratio,
 )
@@ -206,11 +204,6 @@ INTEGERS = [
     ("weak_majorant_ratio-d", 1, DIM, lambda v: weak_majorant_ratio(v, 2, *WEAK, (1, 2))),
     ("weak_majorant_ratio-support", 1, DOM, lambda v: weak_majorant_ratio(2, 2, *WEAK, (v, 2))),
     ("weak_majorant_bound-d", 1, DIM, weak_majorant_bound),
-    ("vinogradov_box_search-r", 1, DIM, lambda v: vinogradov_box_search(v, 2, 1)),
-    ("vinogradov_box_search-d", 2, DOM, lambda v: vinogradov_box_search(1, v, 1)),
-    ("vinogradov_box_search-radius", 1, DOM, lambda v: vinogradov_box_search(1, 2, v)),
-    ("vinogradov_box_search-budget", 1, DOM, lambda v: vinogradov_box_search(1, 2, 1, v)),
-    ("vinogradov_diagonal_count-values", 1, DOM, lambda v: vinogradov_diagonal_count((v, 2), 2)),
     ("multinomial-entries", 1, DOM, lambda v: multinomial((v, 1))),
 ]
 # the same for exponents and coefficients, where a float is valid, and also given 10**400:
@@ -291,7 +284,6 @@ SEQUENCES = [
     ("weak_majorant_ratio-coeffs", WEAK[0], DOM, lambda v: weak(coeffs=v)),
     ("weak_majorant_ratio-majorant", WEAK[1], DOM, lambda v: weak(majorant=v)),
     ("weak_majorant_ratio-support", (1, 2), DOM, lambda v: weak(support=v)),
-    ("vinogradov_diagonal_count-values", (1, 2), DOM, lambda v: vinogradov_diagonal_count(v, 2)),
     ("Certificate.from_json-frequencies", [[0], [1], [2]], DOM, certificate_with("frequencies")),
     ("Certificate.from_json-coefficients", [1, 0.5, 0.5], DOM, certificate_with("coefficients")),
 ]
