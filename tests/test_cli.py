@@ -199,6 +199,20 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["verdict"] is True
 
+    def test_verify_after_construct_reuses_the_evaluation(
+        self, tmp_path, capsys, grid_passes, forget_evaluation
+    ):
+        inp = write_json(tmp_path / "g.json", SPACE_SET)
+        _, out, _ = run(capsys, "construct", "--input", inp)
+        assert grid_passes
+        cert_path = write_json(tmp_path / "cert.json", json.loads(out))
+        grid_passes.clear()
+        reused = run(capsys, "verify", "--input", cert_path)
+        assert grid_passes == []
+        forget_evaluation()  # as in another process
+        assert run(capsys, "verify", "--input", cert_path) == reused
+        assert grid_passes and reused[0] == 0
+
     def test_tampered_certificate_exits_one(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", LINE_SET)
         _, out, _ = run(capsys, "construct", "--input", inp)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
+from fractions import Fraction
 from math import inf, log2, nextafter, ulp
 from pathlib import Path
 
@@ -315,21 +317,78 @@ class TestOneRule:
             assert (cert.lhs, cert.rhs, cert.margin) == (res.lhs, res.rhs, res.margin)
 
 
+GRID64 = EvalConfig(grid_points_per_axis=64)
+
+# (certificate, the settings it was made with), one of each kind the package
+# makes; construction evaluated each of them last
+MADE = {
+    "line": lambda: (construct_independent(LINE), None),
+    "collinear-plane": lambda: (
+        construct_independent(FrequencySet(2, ((1, 1), (3, 3), (7, 7)))),
+        None,
+    ),
+    "unit-square": lambda: (
+        construct_independent(FrequencySet(2, ((0, 0), (1, 0), (0, 1), (1, 1)))),
+        None,
+    ),
+    "space": lambda: (construct_independent(SPACE_SET), None),
+    "four-dim": lambda: (construct_independent(unit_vectors_and_diagonal(4)), None),
+    "zero-step-tail": lambda: (construct_independent(ZERO_STEP), None),
+    "grid64": lambda: (construct_independent(SPACE_SET, GRID64), GRID64),
+    "moment-plane-quintic": lambda: (construct_moment(2, 5), None),
+    # margin -2.1e-6 against error 3.5e-6: inconclusive
+    "moment-space-linear": lambda: (construct_moment(3, 1), None),
+    "abundant-last": lambda: (construct_abundant(MOMENT_GEN, 2)[-1], None),
+    # p = 47, a roundoff margin that does not verify
+    "abundant-roundoff": lambda: (family({"t_start": 25}, 4)[-1], None),
+    "classify-five-dim": lambda: (
+        Certificate.from_json(classify(unit_vectors_and_diagonal(5))["certificate"]),
+        None,
+    ),
+}
+
+
 class TestLastEvaluation:
     """Within a process, verify_certificate reuses its last evaluation when every input matches."""
 
-    def test_verify_after_a_json_round_trip_makes_no_pass(self, grid_passes, forget_evaluation):
-        cert = construct_independent(SPACE_SET)
-        assert grid_passes
+    @pytest.mark.parametrize("make", MADE.values(), ids=MADE.keys())
+    def test_verify_after_a_json_round_trip_makes_no_pass(
+        self, grid_passes, forget_evaluation, make
+    ):
+        cert, cfg = make()
+        assert grid_passes and cert.margin is not None
         back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
         grid_passes.clear()
-        reused = verify_certificate(back)
+        reused = verify_certificate(back, cfg)
         assert grid_passes == []
         forget_evaluation()
-        fresh = verify_certificate(back)
+        fresh = verify_certificate(back, cfg)
         assert grid_passes
         assert reused._asdict() == fresh._asdict()
         assert (reused.margin, reused.error_estimate) == (cert.margin, cert.error_estimate)
+        assert cert.verified is (reused.verdict is True)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c: (replace(c, p_tested=1), None),
+            lambda c: (replace(c, frequencies=[list(f) for f in c.frequencies]), None),
+            lambda c: (replace(c, coefficients=(1, Fraction(1, 4), Fraction(-1, 4))), None),
+            lambda c: (c, EvalConfig()),
+            lambda c: (c, EvalConfig(margin_safety_factor=10)),
+        ],
+        ids=["int-exponent", "list-frequencies", "fraction-coefficients", "default", "int-safety"],
+    )
+    def test_equal_inputs_of_another_type_reuse(self, grid_passes, forget_evaluation, change):
+        cert = construct_independent(LINE)
+        assert cert.coefficients == (1.0, 0.25, -0.25) and cert.p_tested == 1.0
+        other, cfg = change(cert)
+        grid_passes.clear()
+        reused = verify_certificate(other, cfg)
+        assert grid_passes == []
+        forget_evaluation()
+        assert verify_certificate(other, cfg)._asdict() == reused._asdict()
+        assert reused.verdict is True
 
     def test_the_judgment_reruns(self, grid_passes, monkeypatch):
         cert = construct_independent(LINE)
@@ -346,8 +405,25 @@ class TestLastEvaluation:
             lambda c: (replace(c, p_tested=1.5), None),
             lambda c: (replace(c, frequencies=((0,), (1,), (3,))), None),
             lambda c: (c, EvalConfig(backend_agreement_tol=2e-9)),
+            lambda c: (c, EvalConfig(grid_points_per_axis=128)),
+            lambda c: (c, EvalConfig(series_total_degree_cutoff=11)),
+            lambda c: (c, EvalConfig(margin_safety_factor=20.0)),
+            # the same sum, its terms in another order
+            lambda c: (
+                replace(c, frequencies=((0,), (2,), (1,)), coefficients=(1.0, -0.25, 0.25)),
+                None,
+            ),
         ],
-        ids=["coefficient-ulp", "p_tested", "frequency", "tolerance"],
+        ids=[
+            "coefficient-ulp",
+            "p_tested",
+            "frequency",
+            "tolerance",
+            "grid",
+            "series-cutoff",
+            "safety",
+            "permuted",
+        ],
     )
     def test_any_other_input_evaluates(self, grid_passes, change):
         cert = construct_independent(LINE)
@@ -378,6 +454,54 @@ class TestLastEvaluation:
         grid_passes.clear()
         assert verify_certificate(cert).verdict is True
         assert grid_passes == []
+
+    def test_a_certificate_construction_did_not_evaluate_is_evaluated(self, grid_passes):
+        cert = construct_moment(3, 3)  # leading term 2^-86.3, below the floor
+        assert grid_passes == [] and cert.margin is None
+        first = verify_certificate(cert)
+        assert grid_passes
+        grid_passes.clear()
+        assert verify_certificate(cert) == first
+        assert grid_passes == []
+        assert first.verdict is not True
+
+    def test_only_the_last_member_of_a_family_is_kept(self, grid_passes):
+        certs = construct_abundant(MOMENT_GEN, 3)
+        grid_passes.clear()
+        verify_certificate(certs[-1])
+        assert grid_passes == []
+        verify_certificate(certs[0])
+        assert grid_passes
+
+    def test_plot_data_and_the_engine_stay_uncached(self, grid_passes):
+        cert = construct_independent(LINE)
+        for _ in range(2):
+            grid_passes.clear()
+            emit_plot_data(cert, 2)
+            assert grid_passes
+        for _ in range(2):
+            grid_passes.clear()
+            paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, EvalConfig())
+            assert grid_passes
+        # neither replaced the entry
+        grid_passes.clear()
+        verify_certificate(cert)
+        assert grid_passes == []
+
+    def test_threads_racing_on_two_certificates_get_fresh_results(self, forget_evaluation):
+        certs = [construct_independent(LINE), construct_independent(SPACE_SET)]
+        fresh = []
+        for cert in certs:
+            forget_evaluation()
+            fresh.append(verify_certificate(cert))
+
+        def alternate(start: int) -> list:
+            return [verify_certificate(certs[(start + i) % 2]) for i in range(20)]
+
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(alternate, (0, 1)))
+        for start, results in zip((0, 1), runs):
+            assert results == [fresh[(start + i) % 2] for i in range(20)]
 
 
 class TestEmitPlotData:
