@@ -16,11 +16,11 @@ constructed certificate is `verified` exactly when `verify_certificate` with
 the same settings returns True; construction skips the evaluation when the
 term is below the floor, where that cannot happen.
 
-Within one process `verify_certificate` reuses its last evaluation when
-every input of it matches (frequencies, coefficients, p and settings), so
-verifying the certificate just constructed, or its JSON round trip, passes
-over no grid again; the judgment always reruns.  Another process always
-evaluates.
+Within one process `verify_certificate` reuses its last evaluation, kept
+by a one-entry `functools.lru_cache`, when every input of it matches
+(frequencies, coefficients, p and settings), so verifying the certificate
+just constructed, or its JSON round trip, passes over no grid again; the
+judgment always reruns.  A new interpreter always evaluates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import inf, isfinite, log2
 from typing import Any, NamedTuple, Sequence
 
@@ -100,9 +100,6 @@ _ENTRY_TYPES = {
 }
 # JSON entries that the frequencies determine; loading checks them against the derivation
 _DERIVED = ("dim", "cvector", "p_interval")
-# `verify_certificate`'s last evaluation in this process, (its checked inputs, its
-# result); replaced whole, so a thread racing another can only miss
-_last_evaluation: tuple[Any, PairedDifference | None] = (None, None)
 
 
 def assign_signs(cv: CVector, magnitude: float) -> tuple[float, ...]:
@@ -441,6 +438,14 @@ class VerifyResult(NamedTuple):
         return self._asdict()
 
 
+@lru_cache(maxsize=1)
+def _evaluation(
+    freqs: tuple[Vec, ...], coeffs: tuple[float, ...], p: float, cfg: EvalConfig
+) -> PairedDifference:
+    """`verify_certificate`'s paired evaluation of its checked inputs."""
+    return paired_difference(freqs, coeffs, p, cfg)
+
+
 def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> VerifyResult:
     """Recompute both sides on a paired grid and judge the margin; see VerifyResult.
 
@@ -457,19 +462,15 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     never the certificate's.  Raises BudgetError when a mean of |sum|^p is
     beyond floating-point range.
 
-    Within one process the last evaluation is reused when its inputs, the
-    checked frequencies, the coefficients and p as floats and `cfg`, all
-    equal this call's; the judgment below always reruns, and an evaluation
-    that raised was never kept.  Another process always evaluates.
+    Within one process the last evaluation, kept by a one-entry
+    `functools.lru_cache`, is reused when its inputs, the checked
+    frequencies, the coefficients and p as floats and `cfg`, all equal this
+    call's; the judgment below always reruns, and an evaluation that raised
+    was never kept.  A new interpreter always evaluates.
     """
-    global _last_evaluation
     cfg = cfg or EvalConfig()
     freqs, coeffs, [p] = _pass_inputs(cert.frequencies, cert.coefficients, [cert.p_tested])
-    key = (freqs, coeffs, p, cfg)
-    last_key, res = _last_evaluation
-    if res is None or last_key != key:
-        res = paired_difference(freqs, coeffs, p, cfg)
-        _last_evaluation = key, res
+    res = _evaluation(freqs, coeffs, p, cfg)
     log2_lead = -inf
     if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
         with suppress(MajorantError):  # the frequencies determine no c

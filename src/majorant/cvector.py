@@ -87,9 +87,7 @@ class CVector(NamedTuple):
 def build_c(v: Sequence[int]) -> CVector:
     """Divide out the gcd of v and split the result into signed parts."""
     v = _as_vec(v, "null vector")
-    d_gcd = 0
-    for x in v:
-        d_gcd = gcd(d_gcd, x)
+    d_gcd = gcd(*v)
     if d_gcd == 0:
         raise HypothesisError("null vector is zero; the frequency tuple is degenerate")
     c = tuple(x // d_gcd for x in v)

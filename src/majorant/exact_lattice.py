@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, DomainError, HypothesisError
@@ -300,20 +301,10 @@ class FrequencySet:
 
     def stream(self, limit: int) -> Iterator[Vec]:
         """Yield up to `limit` distinct points: the prefix first, then the tail."""
-        if limit < 1:
-            return
-        seen: set[Vec] = set()
-        sources: list[Iterator[Vec]] = [iter(self.points)]
-        if self.generator is not None:
-            sources.append(self.generator.iter_points(self.dim))
-        # no tail repeats itself, so only the finitely many prefix points repeat
-        for source in sources:
-            for p in source:
-                if p not in seen:
-                    seen.add(p)
-                    yield p
-                    if len(seen) >= limit:
-                        return
+        listed = set(self.points)
+        tail = () if self.generator is None else self.generator.iter_points(self.dim)
+        # no tail repeats itself, so only the listed points can repeat
+        return islice(chain(self.points, (p for p in tail if p not in listed)), max(limit, 0))
 
     def is_structurally_infinite(self) -> bool:
         gen = self.generator

@@ -499,7 +499,7 @@ def _numerators(coeffs: Sequence[Real]) -> tuple[list[int], int]:
 
 
 def _frequency_groups(
-    freqs: Sequence[Vec], u: Sequence[int], max_order: int, budget: int
+    freqs: Sequence[Vec], u: Sequence[int], max_order: int
 ) -> dict[Vec, dict[int, list[int]]]:
     """Every multi-index beta with |beta| <= max_order, grouped by its frequency.
 
@@ -508,11 +508,13 @@ def _frequency_groups(
     is the coefficient of e(F . x) in (sum_j u_j e(n_j . x))^k, and of their
     sizes.  Summed by order, the pairs formed at one F stay (max_order + 1)^2
     however many beta reach it.  Raises BudgetError, before walking, when the
-    C(m + max_order, m) multi-indices exceed `budget`.
+    C(m + max_order, m) multi-indices exceed ENUM_BUDGET.
     """
     m = len(freqs)
-    if math.comb(m + max_order, m) > budget:
-        raise BudgetError(f"C({m} + {max_order}, {m}) multi-indices exceed the budget of {budget}")
+    if math.comb(m + max_order, m) > ENUM_BUDGET:
+        raise BudgetError(
+            f"C({m} + {max_order}, {m}) multi-indices exceed the budget of {ENUM_BUDGET}"
+        )
     groups: dict[Vec, dict[int, list[int]]] = {}
     # (next index j, order, frequency and weight of the entries before j)
     stack = [(0, 0, (0,) * len(freqs[0]), 1)]
@@ -531,23 +533,20 @@ def _frequency_groups(
     return groups
 
 
-def lp_norm_even_exact(
-    freqs: Sequence[Vec], coeffs: Sequence[Real], s: int, budget: int = ENUM_BUDGET
-) -> Fraction:
+def lp_norm_even_exact(freqs: Sequence[Vec], coeffs: Sequence[Real], s: int) -> Fraction:
     """Exact rational value of the L^{2s} norm power for rational coefficients.
 
     The 2s-th power is the s-th power times its conjugate, so the value is
     the sum over frequencies F of the squared coefficient of e(F . x) in the
     s-th power: of (sum of multinomial(beta) a^beta over the multi-indices of
     order s reaching F)^2, read from the grouped expansion that the series
-    backend shares.  Raises BudgetError when C(m + s, m) exceeds `budget`.
+    backend shares.  Raises BudgetError when C(m + s, m) exceeds ENUM_BUDGET.
     """
     _check_freqs(freqs)
     _integer(s, "s", 1)
-    _integer(budget, "budget", 0)
     _check_real_coeffs(coeffs, len(freqs))
     u, w = _numerators(coeffs)
-    groups = _frequency_groups(freqs, u, s, budget)
+    groups = _frequency_groups(freqs, u, s)
     total = sum(orders[s][0] ** 2 for orders in groups.values() if s in orders)
     return Fraction(total, w ** (2 * s))
 
@@ -586,7 +585,7 @@ def lp_norm_taylor(
     g, den = _numerators([gen_binom(Fraction(p), k) / w**k for k in range(k_max + 1)])
     # sums of x y and of the size products over the pairs at one frequency, by orders
     signed, size = Counter(), Counter()
-    for orders in _frequency_groups(freqs, u, k_max, ENUM_BUDGET).values():
+    for orders in _frequency_groups(freqs, u, k_max).values():
         for k, (x, x_size) in orders.items():
             for l, (y, y_size) in orders.items():
                 if k + l <= k_max:

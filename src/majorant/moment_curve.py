@@ -10,7 +10,7 @@ weak (constant-loss) majorant bound on the curve.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .cvector import CVector, Real, _exponent, build_c
@@ -28,40 +28,21 @@ def gamma_point(d: int, t: int) -> Vec:
 
 def factorial_product(d: int) -> int:
     """d! (d-1)! ... 1!, the gcd of the closed-form null vector."""
-    out = 1
-    for j in range(1, d + 1):
-        out *= factorial(j)
-    return out
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r != 0:
-        raise ArithmeticError(f"expected {num} divisible by {den}")
-    return q
+    return prod(factorial(j) for j in range(1, d + 1))
 
 
 def c_closed_form(d: int, k: int) -> CVector:
     """Certificate vector of gamma(k), ..., gamma(k+d) from the closed form.
 
-    c_i = (-1)^i [k (k+1) ... (k+i-1) / i!] [(k+i+1) ... (k+d) / (d-i)!],
-    each bracket an exact integer; the null vector is c scaled by the
-    factorial product.  Integrality is asserted, never rounded.
+    c_i = (-1)^i C(k+i-1, i) C(k+d, d-i), exact binomials; the null vector
+    is c scaled by the factorial product.
     """
     _integer(d, "dimension", 1, DimensionError)
     _integer(k, "curve parameter k", 1)
     scale = factorial_product(d)
-    c = []
-    for i in range(d + 1):
-        rising = 1
-        for j in range(i):
-            rising *= k + j
-        falling = 1
-        for j in range(i + 1, d + 1):
-            falling *= k + j
-        entry = _exact_div(rising, factorial(i)) * _exact_div(falling, factorial(d - i))
-        c.append(-entry if i % 2 else entry)
-    return build_c(tuple(x * scale for x in c))
+    return build_c(
+        tuple((-1) ** i * comb(k + i - 1, i) * comb(k + d, d - i) * scale for i in range(d + 1))
+    )
 
 
 def smallest_admissible_k(d: int, p: Real) -> tuple[int, CVector]:

@@ -15,9 +15,7 @@ from majorant import constructions, lp_engine
 def forget_evaluation():
     """Empties `verify_certificate`'s memo before each test; call it to empty it again."""
 
-    def forget() -> None:
-        constructions._last_evaluation = (None, None)
-
+    forget = constructions._evaluation.cache_clear
     forget()
     return forget
 

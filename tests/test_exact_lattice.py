@@ -7,6 +7,7 @@ implementations never certify themselves.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -315,6 +316,13 @@ class TestFrequencySet:
         got = list(g.stream(5))
         assert len(got) == len(set(got)) == 5
         assert (2,) in got
+
+    def test_stream_holds_no_per_point_state(self, traced_peak_mb):
+        # the tail starts at t = 1, so the listed (1, 1) comes again and is dropped
+        g = FrequencySet(2, ((0, 0), (1, 1)), PointGenerator("moment_curve"))
+        assert list(g.stream(4)) == [(0, 0), (1, 1), (2, 4), (3, 9)]
+        assert traced_peak_mb(deque, g.stream(50_000), 0) < 1
+        assert sum(p == (1, 1) for p in g.stream(50_000)) == 1
 
     def test_stream_exhausts_zero_step_progression(self):
         g = FrequencySet.from_json(

@@ -306,9 +306,10 @@ class TestEvenExact:
             grouped[total] = grouped.get(total, 0) + math.prod(coeffs[j] for j in combo)
         assert lp_norm_even_exact(freqs, coeffs, s) == sum(t * t for t in grouped.values())
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            lp_norm_even_exact(((0,), (1,), (2,), (3,)), (1, 1, 1, 1), 3, budget=10)
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(lp_engine, "ENUM_BUDGET", 10)  # C(4 + 3, 4) = 35 multi-indices
+        with pytest.raises(BudgetError, match="budget of 10"):
+            lp_norm_even_exact(((0,), (1,), (2,), (3,)), (1, 1, 1, 1), 3)
 
     def test_invalid_s(self):
         with pytest.raises(DomainError):

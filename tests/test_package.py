@@ -178,7 +178,6 @@ INTEGERS = [
     ("EvalConfig-grid", 8, DOM, lambda v: EvalConfig(grid_points_per_axis=v)),
     ("EvalConfig-cutoff", 1, DOM, lambda v: EvalConfig(series_total_degree_cutoff=v)),
     ("lp_norm_even_exact-s", 1, DOM, lambda v: lp_norm_even_exact(LINE, (1, 1, 1), v)),
-    ("lp_norm_even_exact-budget", 1, DOM, lambda v: lp_norm_even_exact(LINE, (1, 1, 1), 1, v)),
     ("FrequencySet-dim", 1, DIM, lambda v: FrequencySet(v, ((1,), (2,)))),
     ("from_json-dim", 1, DOM, lambda v: FrequencySet.from_json({"dim": v, "points": [[1]]})),
     ("PointGenerator-t_start", 1, DOM, lambda v: PointGenerator("moment_curve", {"t_start": v})),
