@@ -311,6 +311,12 @@ class TestEvenExact:
         with pytest.raises(BudgetError, match="budget of 10"):
             lp_norm_even_exact(((0,), (1,), (2,), (3,)), (1, 1, 1, 1), 3)
 
+    def test_budget_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            lp_norm_even_exact(((0,), (1,)), (1, 1), 2, 10)
+        with pytest.raises(TypeError):
+            lp_norm_even_exact(((0,), (1,)), (1, 1), 2, budget=10)
+
     def test_invalid_s(self):
         with pytest.raises(DomainError):
             lp_norm_even_exact(((1,),), (1,), 0)

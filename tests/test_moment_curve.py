@@ -7,7 +7,7 @@ derivations).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +47,23 @@ class TestClosedForm:
     def test_scale_is_factorial_product(self):
         assert factorial_product(3) == 12
         assert c_closed_form(3, 4).d_gcd == 12
+
+    def test_factorial_product_values(self):
+        assert [factorial_product(d) for d in range(1, 7)] == [1, 2, 12, 288, 34560, 24883200]
+        for d in range(1, 7):
+            assert c_closed_form(d, 3).d_gcd == factorial_product(d)
+
+    @given(d=st.integers(1, 7), k=st.integers(1, 40))
+    @settings(max_examples=120)
+    def test_matches_rising_and_falling_products(self, d, k):
+        # c_i = (-1)^i [k (k+1) ... (k+i-1) / i!] [(k+i+1) ... (k+d) / (d-i)!]
+        expected = []
+        for i in range(d + 1):
+            rising, r = divmod(prod(range(k, k + i)), factorial(i))
+            falling, f = divmod(prod(range(k + i + 1, k + d + 1)), factorial(d - i))
+            assert r == f == 0
+            expected.append((-1) ** i * rising * falling)
+        assert c_closed_form(d, k).c == tuple(expected)
 
     @given(d=st.integers(1, 4), k=st.integers(1, 12))
     @settings(max_examples=80)
