@@ -6,6 +6,13 @@ derives both from its frequencies), chooses signed coefficients of one
 magnitude whose majorant comparison fails on that interval, and certifies
 the failure by one quadrature evaluation in `verify_certificate`.
 
+A `Certificate` derives c at most once per object.  A constructor hands
+the relation it chose the tuple by to every certificate it makes, so c is
+derived once per construction and once per `Certificate.from_json`, which
+compares the stored dim, cvector and p_interval with the derived ones by
+JSON type (2.0 is not 2, true is not 1, a list equals a tuple).  A
+`dataclasses.replace` copy derives c again from its own frequencies.
+
 `verify_certificate` is the only code that evaluates and judges a margin.
 It certifies when the exact leading coupled term, which depends only on the
 certificate vector, the magnitude and p, is at least LEAD_FLOOR, and the
@@ -25,10 +32,8 @@ judgment always reruns.  A new interpreter always evaluates.
 
 from __future__ import annotations
 
-import json
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields, replace
-from fractions import Fraction
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from math import inf, isfinite, log2
 from typing import Any, NamedTuple, Sequence
@@ -149,7 +154,11 @@ class Certificate:
 
     @cached_property
     def cvector(self) -> CVector:
-        """The primitive relation of the frequencies after the origin (all distinct, one dim)."""
+        """The primitive relation of the frequencies after the origin (all distinct, one dim).
+
+        It is derived once per object; `dataclasses.replace` makes a new
+        object, which derives it again from its own frequencies.
+        """
         _check_freqs(self.frequencies)
         return build_c(build_v(self.frequencies[1:]))
 
@@ -165,7 +174,7 @@ class Certificate:
             return p_interval(cv)
         if not sign_condition(self.p_tested, cv):  # floor(p/2) fixes it, so it holds on the gap
             raise HypothesisError(f"the sign condition fails at p_tested {self.p_tested:g}")
-        half = Fraction(self.p_tested) // 2
+        half = int(self.p_tested // 2)
         return OpenInterval(2 * half, 2 * half + 2)
 
     def to_json(self) -> dict[str, Any]:
@@ -175,7 +184,8 @@ class Certificate:
         out["cvector"] = self.cvector.to_json()
         out["p_interval"] = list(self.p_interval)
         out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name not in out)
-        return {**out, "eval_config": asdict(self.eval_config)}
+        cfg = self.eval_config
+        return {**out, "eval_config": {f.name: getattr(cfg, f.name) for f in fields(cfg)}}
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Certificate":
@@ -185,16 +195,18 @@ class Certificate:
         eval_config, a schema version other than SCHEMA_VERSION, an unknown
         theorem tag and entries of the wrong JSON type raise DomainError.
         So do a stored dim, cvector or p_interval other than the one the
-        frequencies determine (compared as JSON, so 2.0 is not 2 and true is
-        not 1), a reduction whose basis column count is not that dim, and a
-        p_tested outside that interval.
+        frequencies determine (compared by JSON type, so 2.0 is not 2, true
+        is not 1 and a list equals a tuple), a reduction whose basis column
+        count is not that dim, and a p_tested outside that interval.  The
+        relation c is derived once, and the certificate keeps it.
         """
         try:
             data = {"note": "", "reduction": None, **data}
             for key, kinds in _ENTRY_TYPES.items():
                 if not _typed(data[key], kinds):
                     raise DomainError(f"entry {key!r} has the wrong type: {data[key]!r}")
-            if set(data) - {"schema_version", *_DERIVED, *(f.name for f in fields(cls))}:
+            names = [f.name for f in fields(cls)]
+            if set(data) - {"schema_version", *_DERIVED, *names}:
                 raise DomainError(f"unknown certificate keys in {sorted(data)}")
             if set(data["eval_config"]) != {f.name for f in fields(EvalConfig)}:
                 raise DomainError(f"bad eval_config keys {sorted(data['eval_config'])}")
@@ -207,28 +219,54 @@ class Certificate:
                 if set(red) != {"origin", "basis_columns"}:
                     raise DomainError(f"reduction needs origin and basis_columns: {sorted(red)}")
                 _vectors([red["origin"], *red["basis_columns"]], "reduction")
-            freqs = _vectors(data["frequencies"], "frequency")
-            given = {f.name: data[f.name] for f in fields(cls)}
+            freqs = _check_freqs(data["frequencies"])
+            given = {name: data[name] for name in names}
             given.update(
                 frequencies=freqs,
                 coefficients=tuple(_check_real_coeffs(data["coefficients"], len(freqs), _NUMBER)),
                 p_tested=float(data["p_tested"]),
                 eval_config=EvalConfig(**data["eval_config"]),
             )
-            cert = cls(**given)
-            derived = cert.dim, cert.cvector.to_json(), list(cert.p_interval)
+            cv = build_c(build_v(freqs[1:]))
+            cert = _holding(cls(**given), cv)
+            interval = cert.p_interval
+            derived = cert.dim, cv.to_json(), list(interval)
             for key, value in zip(_DERIVED, derived):
-                if json.dumps(data[key], sort_keys=True) != json.dumps(value, sort_keys=True):
+                if not _same_json(data[key], value):
                     raise DomainError(f"{key} {data[key]!r} is not the frequencies' {value!r}")
             if red is not None and len(red["basis_columns"]) != cert.dim:
                 raise DomainError(f"reduction needs {cert.dim} basis_columns: {red!r}")
-            if not (cert.p_tested > 0 and cert.p_interval.contains(cert.p_tested)):
+            if not (cert.p_tested > 0 and interval.contains(cert.p_tested)):
                 raise DomainError(f"p_tested {cert.p_tested:g} is not inside {derived[2]}")
             return cert
         except MajorantError as exc:  # the package's own message, not wrapped again
             raise DomainError(str(exc)) from exc
         except (LookupError, ArithmeticError, AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate: {exc!r}") from exc
+
+
+def _holding(cert: Certificate, cv: CVector) -> Certificate:
+    """`cert` with `cv`, the relation already derived from its frequencies, as its `cvector`."""
+    vars(cert)["cvector"] = cv  # where the cached_property keeps its value
+    return cert
+
+
+def _same_json(given: Any, derived: Any) -> bool:
+    """Whether `given` is the JSON value `derived`, made of ints, lists and string-keyed
+    dicts: a list or tuple matches a list, and only an int (never a bool or float) an int."""
+    if isinstance(derived, dict):
+        return (
+            isinstance(given, dict)
+            and given.keys() == derived.keys()
+            and all(_same_json(given[k], v) for k, v in derived.items())
+        )
+    if isinstance(derived, list):
+        return (
+            isinstance(given, (list, tuple))
+            and len(given) == len(derived)
+            and all(map(_same_json, given, derived))
+        )
+    return _typed(given, int) and given == derived
 
 
 def _certify(
@@ -246,6 +284,8 @@ def _certify(
     otherwise the candidate is verified with `cfg`, the settings it records,
     and takes its measured fields from the result, unless the engine finds a
     mean of |sum|^p beyond floating-point range; its message is then the note.
+    `cv`, the relation of `freqs`, is the certificate's `cvector`: it is not
+    derived again.
     """
     coeffs = assign_signs(cv, MAGNITUDE)
     log2_lead = log2_leading_term(p, cv, coeffs)
@@ -263,6 +303,8 @@ def _certify(
         eval_config=cfg,
         reduction=reduction,
     )
+    _holding(cert, cv)
+    measured: dict[str, Any] = {}
     note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
     if log2_lead >= log2(LEAD_FLOOR):
         try:
@@ -271,11 +313,12 @@ def _certify(
             note = str(exc)
         else:
             measured = {k: v for k, v in res._asdict().items() if k != "verdict"}
-            cert = replace(cert, verified=res.verdict is True, **measured)
+            measured["verified"] = res.verdict is True
             note = f"margin {res.margin:.3g} does not certify against error "
             note += f"{res.error_estimate:.3g} and leading term 2^{log2_lead:.1f}"
-    note = "" if cert.verified else note
-    return replace(cert, note="; ".join(x for x in (note_prefix, note) if x))
+    note = "" if measured.get("verified") else note
+    note = "; ".join(x for x in (note_prefix, note) if x)
+    return _holding(replace(cert, note=note, **measured), cv)
 
 
 def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Certificate:

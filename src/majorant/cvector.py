@@ -5,19 +5,28 @@ of the d x (d+1) matrix (n_0 ... n_d) form an exact integer null vector v;
 dividing by the gcd gives the primitive direction c, whose positive and
 negative parts drive everything else: which exponents p make a coordinated
 sign flip raise the L^p norm, and by how much at leading order.
+
+That leading order, `log2_leading_term`, takes p/2 in floats for an int or
+float p in [2^-1021, 2^53) when m_plus is below 2^53, and as a `Fraction`
+otherwise (a `Fraction` p, larger p or entries); both give the same bits,
+because each float step there is exact or rounds once, as the conversion of
+the exact value does.  `sign_condition` needs only floor(p/2), which p // 2
+gives exactly for every p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, inf, lgamma, log, log2, pi, sin
+from math import factorial, gcd, inf, isfinite, lgamma, log, log2, nan, pi, sin
 from sys import float_info
-from typing import Any, NamedTuple, Sequence, Union
+from typing import Any, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, HypothesisError
 from .exact_lattice import Vec, _as_vec, _eliminate, _integer, _typed, _vectors
 
-Real = Union[int, float, Fraction]
+Real = int | float | Fraction  # a types.UnionType: isinstance checks it natively
+# p/2 of a float p at least this is a normal float, so it is exact
+_HALF_EXACT = 2 * float_info.min
 
 
 def _exponent(p: Any, name: str = "p") -> Real:
@@ -26,6 +35,28 @@ def _exponent(p: Any, name: str = "p") -> Real:
     if not (_typed(p, Real) and 0 < p <= float_info.max):
         raise DomainError(f"exponent {name!r} must be a positive finite number, got {p!r}")
     return p
+
+
+def _check_real_coeffs(
+    coeffs: Sequence[Real], count: int, kinds: Any = Real, name: str = "coefficients"
+) -> list[float]:
+    """The coefficients as floats: DomainError unless `coeffs` is a list or tuple
+    of `kinds` (never bools) finite as floats, DimensionError unless it has
+    `count`.  Both messages quote the argument's `name`."""
+    if not isinstance(coeffs, (list, tuple)):
+        raise DomainError(f"{name!r} must be a list or tuple of real numbers, got {coeffs!r}")
+    if len(coeffs) != count:
+        raise DimensionError(f"{name!r} has {len(coeffs)} entries for {count} frequencies")
+    floats = []
+    for x in coeffs:
+        try:
+            f = float(x) if _typed(x, kinds) else nan
+        except OverflowError:  # an exact number beyond the float range
+            f = inf
+        if not isfinite(f):
+            raise DomainError(f"{name!r} must hold real numbers finite as floats, got {x!r}")
+        floats.append(f)
+    return floats
 
 
 def multinomial(entries: Sequence[int]) -> int:
@@ -129,8 +160,11 @@ def gen_binom(p: Real, j: int) -> Real:
 
 
 def _negative_factors(p: Real, j: int) -> int:
-    """How many factors p/2 - l (l < j) of (p/2 choose j) are negative, for non-even p > 0."""
-    return max(0, j - Fraction(p) // 2 - 1)
+    """How many factors p/2 - l (l < j) of (p/2 choose j) are negative, for non-even p > 0.
+
+    p // 2 is exact for a float p too: floor division by 2 rounds nothing.
+    """
+    return max(0, j - int(p // 2) - 1)
 
 
 def sign_condition(p: Real, cv: CVector) -> bool:
@@ -147,40 +181,59 @@ def sign_condition(p: Real, cv: CVector) -> bool:
     return (_negative_factors(p, cv.m_minus) + _negative_factors(p, cv.m_plus)) % 2 == 1
 
 
-def _log_abs_gamma(x: Fraction) -> float:
-    """log |Gamma(x)|; below 1/2 by reflection, keeping the distance to a pole exact."""
-    if x >= Fraction(1, 2):
+def _log_abs_gamma(half: Real, m: int) -> float:
+    """log |Gamma(half - m + 1)|; below 1/2 by reflection, with the distance to a
+    pole of Gamma taken exactly from the fractional part of `half`.
+
+    For a Fraction `half` every step is exact until a float function takes
+    it.  For a float `half` that is p/2 exactly, with m below 2^53, each float
+    operation is exact or rounds once, so it hands each float function the
+    same float as the Fraction steps do.
+    """
+    x = half - (m - 1)
+    if x >= 0.5:
         return lgamma(x)
-    return log(pi) - log(abs(sin(pi * (x - round(x))))) - lgamma(1 - x)
+    frac = half % 1  # x - floor(x), exact
+    if frac > 0.5:  # now +-(x - round(x)), whose sine has the same size
+        frac -= 1
+    return log(pi) - log(abs(sin(pi * frac))) - lgamma(m - half)
 
 
 def log2_leading_term(p: Real, cv: CVector, a: Sequence[Real]) -> float:
     """log2 of the leading coupled term, or -inf unless that term is positive.
 
     The term is -2 (p/2 choose |c-|)(p/2 choose |c+|) (|c-| choose c-)
-    (|c+| choose c+) (|a^|c|| - a^|c|) for the coefficients `a` (the
-    origin's coefficient is 1).  Only its sign and log-size are formed, in
-    O(len c) time whatever the size of the entries: for each part e of c,
-    (p/2 choose |e|)(|e| choose e) has log size lgamma(p/2+1) -
-    lgamma(p/2-|e|+1) - sum lgamma(e_i+1).  The term is
-    positive exactly when p is not even, the sign condition holds and a^|c|
-    is negative (a zero coefficient makes it vanish).  Entries too large for
-    float arithmetic also give -inf: no float margin can be compared with
-    such a term.
+    (|c+| choose c+) (|a^|c|| - a^|c|) for the coefficients `a`, one per
+    entry of c (the origin's coefficient is 1); a length other than len(c)
+    raises DimensionError, an entry that is not a real number finite as a
+    float (a bool included) DomainError.  Only its sign and log-size are
+    formed, in O(len c) time whatever the size of the entries: for each
+    part e of c, (p/2 choose |e|)(|e| choose e) has log size lgamma(p/2+1)
+    - lgamma(p/2-|e|+1) - sum lgamma(e_i+1).  The term is positive exactly
+    when p is not even, the sign condition holds and a^|c| is negative (a
+    zero coefficient makes it vanish).  Entries too large for float
+    arithmetic also give -inf: no float margin can be compared with such a
+    term.
+
+    p/2 is formed in floats when p is an int or float in [2^-1021, 2^53) and
+    m_plus is below 2^53, where that gives the bits the exact `Fraction`
+    p/2 gives (see `_log_abs_gamma`), and as a `Fraction` otherwise.
     """
+    a = _check_real_coeffs(a, len(cv.c), name="a")
     if is_even_exponent(p) or not sign_condition(p, cv):
         return -inf
     w = [x + y for x, y in zip(cv.c_plus, cv.c_minus)]
     if sum(e for x, e in zip(a, w) if x < 0) % 2 == 0:
         return -inf
-    half = Fraction(p) / 2  # exact, as p/2 - |e| + 1 may lie near a pole of Gamma
+    in_floats = _typed(p, (int, float)) and _HALF_EXACT <= p < 2**53 and cv.m_plus < 2**53
+    half = p / 2 if in_floats else Fraction(p) / 2
     try:
         log_coef = sum(
-            lgamma(half + 1) - _log_abs_gamma(half - sum(e) + 1) - sum(lgamma(x + 1) for x in e)
+            lgamma(half + 1) - _log_abs_gamma(half, sum(e)) - sum(lgamma(x + 1) for x in e)
             for e in (cv.c_minus, cv.c_plus)
         )
         # the factor 4 is the -2 above times |a^|c|| - a^|c| = 2 |a^|c||
-        return 2.0 + log_coef / log(2) + sum(e * log2(abs(float(x))) for x, e in zip(a, w) if e)
+        return 2.0 + log_coef / log(2) + sum(e * log2(abs(x)) for x, e in zip(a, w) if e)
     except (OverflowError, ValueError):  # entries beyond float range; log2(0)
         return -inf
 

@@ -10,7 +10,7 @@ sample's greedy affine basis (`_hull`).
 
 Each sequence argument of the package passes one of three checks, which take
 lists and tuples only: `_as_vec` (exact integers), `_vectors` (such vectors
-of one length) and `lp_engine._check_real_coeffs` (real coefficients).
+of one length) and `cvector._check_real_coeffs` (real coefficients).
 """
 
 from __future__ import annotations

@@ -47,17 +47,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import add
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cvector import Real, _exponent, gen_binom, is_even_exponent
-from .errors import (
-    BudgetError,
-    ConvergenceError,
-    DimensionError,
-    DomainError,
-)
+from .cvector import Real, _check_real_coeffs, _exponent, gen_binom, is_even_exponent
+from .errors import BudgetError, ConvergenceError, DomainError
 from .exact_lattice import Vec, _integer, _typed, _vectors
 
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation, the quadrature's one limit
@@ -102,28 +97,6 @@ def _check_freqs(freqs: Sequence[Vec]) -> tuple[Vec, ...]:
     if len(set(vecs)) != len(vecs):
         raise DomainError("frequencies must be pairwise distinct")
     return vecs
-
-
-def _check_real_coeffs(
-    coeffs: Sequence[Real], count: int, kinds: Any = Real, name: str = "coefficients"
-) -> list[float]:
-    """The coefficients as floats: DomainError unless `coeffs` is a list or tuple
-    of `kinds` (never bools) finite as floats, DimensionError unless it has
-    `count`.  Both messages quote the argument's `name`."""
-    if not isinstance(coeffs, (list, tuple)):
-        raise DomainError(f"{name!r} must be a list or tuple of real numbers, got {coeffs!r}")
-    if len(coeffs) != count:
-        raise DimensionError(f"{name!r} has {len(coeffs)} entries for {count} frequencies")
-    floats = []
-    for x in coeffs:
-        try:
-            f = float(x) if _typed(x, kinds) else math.nan
-        except OverflowError:  # an exact number beyond the float range
-            f = math.inf
-        if not math.isfinite(f):
-            raise DomainError(f"{name!r} must hold real numbers finite as floats, got {x!r}")
-        floats.append(f)
-    return floats
 
 
 def _pass_inputs(

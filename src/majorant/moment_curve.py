@@ -13,10 +13,10 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .cvector import CVector, Real, _exponent, build_c
+from .cvector import CVector, Real, _check_real_coeffs, _exponent, build_c
 from .errors import DimensionError, DomainError
 from .exact_lattice import IntMatrix, Vec, _as_vec, _integer, det_exact
-from .lp_engine import EvalConfig, _check_real_coeffs, lp_norm_quadrature
+from .lp_engine import EvalConfig, lp_norm_quadrature
 
 
 def gamma_point(d: int, t: int) -> Vec:

@@ -974,6 +974,11 @@ class TestDerivedEntries:
             {"dim": True},
             {"cvector": build_c((5, -3)).to_json()},
             {"cvector": {**build_c((2, -1)).to_json(), "m_minus": 1.0}},
+            {"cvector": {**build_c((2, -1)).to_json(), "c": [2.0, -1]}},
+            {"cvector": {**build_c((2, -1)).to_json(), "c_plus": [2, False]}},
+            {"cvector": {**build_c((2, -1)).to_json(), "extra": 1}},
+            {"cvector": {**build_c((2, -1)).to_json(), "c": [2, -1, 0]}},
+            {"cvector": {**build_c((2, -1)).to_json(), "c": {"0": 2, "1": -1}}},
             {"p_tested": 5},
             {"p_tested": 2.0},
             {"p_tested": 3.0},
@@ -988,6 +993,17 @@ class TestDerivedEntries:
     def test_load_rejects_what_the_frequencies_contradict(self, cert, change):
         with pytest.raises(DomainError):
             Certificate.from_json({**cert.to_json(), **change})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"cvector": dict(reversed(build_c((2, -1)).to_json().items()))},
+            {"cvector": {**build_c((2, -1)).to_json(), "c": (2, -1)}, "p_interval": (0, 2)},
+        ],
+        ids=["reordered-keys", "tuples"],
+    )
+    def test_load_accepts_the_same_json(self, cert, change):
+        assert Certificate.from_json({**cert.to_json(), **change}) == cert
 
     @pytest.mark.parametrize(
         "change, message",
@@ -1011,6 +1027,50 @@ class TestDerivedEntries:
         for p in (6.5, 4.0, -0.5, inf):
             with pytest.raises(DomainError):
                 Certificate.from_json({**doc, "p_tested": p})
+
+
+class TestOneDerivation:
+    """A certificate derives its relation c once; construction hands over the one it built."""
+
+    @pytest.fixture
+    def build_v_calls(self, monkeypatch):
+        calls: list[tuple] = []
+        real = constructions.build_v
+
+        def spy(freqs):
+            calls.append(tuple(freqs))
+            return real(freqs)
+
+        monkeypatch.setattr(constructions, "build_v", spy)
+        return calls
+
+    def test_a_certify_request_derives_c_twice(self, build_v_calls):
+        cert = construct_independent(SPACE_SET)
+        back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+        assert verify_certificate(back).verdict is True
+        # once to choose the certificate, once to check the loaded one
+        assert len(build_v_calls) == 2
+
+    def test_replace_derives_c_again(self, cert, build_v_calls):
+        moved = replace(cert, frequencies=((0, 0), (1, 0), (0, 1), (1, 1)))
+        assert moved.cvector.c == (-1, -1, 1) != cert.cvector.c
+        assert moved.dim == 2 and moved.p_interval == (0, 2)
+        assert build_v_calls == [((1, 0), (0, 1), (1, 1))]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: construct_independent(SPACE_SET),
+            lambda: construct_abundant(MOMENT_GEN, 2)[1],
+            lambda: construct_moment(3, 2.5),
+            lambda: construct_moment(2, Fraction(11, 3)),
+        ],
+        ids=["independent", "abundant", "moment", "moment-fraction"],
+    )
+    def test_the_relation_handed_over_is_the_frequencies_own(self, make):
+        cert = make()
+        assert replace(cert).cvector == cert.cvector
+        assert Certificate.from_json(cert.to_json()) == cert
 
 
 class TestConstructMomentExponent:

@@ -6,8 +6,9 @@ lifted determinants; binomial values against hand-reduced fractions.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import ceil, comb, factorial, inf, log2
+from math import ceil, comb, factorial, inf, lgamma, log, log2, pi, sin
 
 import pytest
 from hypothesis import example, given, settings
@@ -288,12 +289,118 @@ class TestLog2LeadingTerm:
         assert log2_leading_term(1, cv, (0.25, 0.25)) == -inf
         assert log2_leading_term(3, cv, (0.25, -0.25)) == -inf  # sign condition fails
 
+    @pytest.mark.parametrize(
+        "a, error",
+        [
+            ((0.25, -0.25), DimensionError),
+            ((0.25, -0.25, 0.25, 9.0), DimensionError),
+            ((True, -0.25, 0.25), DomainError),
+            ((0.25, -0.25, "0.25"), DomainError),
+            ((0.25, -0.25, 1j), DomainError),
+            ((0.25, -0.25, inf), DomainError),
+            ([0.25, -0.25, None], DomainError),
+            ({0.25, -0.25, 0.5}, DomainError),
+        ],
+        ids=["two-for-three", "four-for-three", "bool", "str", "complex", "inf", "none", "set"],
+    )
+    def test_coefficients_are_one_real_per_entry(self, a, error):
+        # c = (-2, -3, 1) at p = 7: (0.25, -0.25) was read as its first two entries
+        with pytest.raises(error):
+            log2_leading_term(7, build_c((-2, -3, 1)), a)
+
     def test_huge_entries_take_constant_time(self, time_limit):
         cv = build_c((10**12 + 1, -(10**12)))
         with time_limit(2):
             lead = log2_leading_term(1.5, cv, (-0.25, 0.25))
         # about (2 * 10^12) * log2(1/4) = -4e12, far below any float margin
         assert -4.1e12 < lead < -3.9e12
+
+
+def fraction_log2_leading_term(p, cv, a):
+    """`log2_leading_term` with p/2 as a Fraction throughout: the reference for its float path."""
+
+    def log_abs_gamma(x):
+        if x >= Fraction(1, 2):
+            return lgamma(x)
+        return log(pi) - log(abs(sin(pi * (x - round(x))))) - lgamma(1 - x)
+
+    def negative_factors(j):
+        return max(0, j - Fraction(p) // 2 - 1)
+
+    if is_even_exponent(p) or (negative_factors(cv.m_minus) + negative_factors(cv.m_plus)) % 2 == 0:
+        return -inf
+    w = [x + y for x, y in zip(cv.c_plus, cv.c_minus)]
+    if sum(e for x, e in zip(a, w) if x < 0) % 2 == 0:
+        return -inf
+    half = Fraction(p) / 2
+    try:
+        log_coef = sum(
+            lgamma(half + 1) - log_abs_gamma(half - sum(e) + 1) - sum(lgamma(x + 1) for x in e)
+            for e in (cv.c_minus, cv.c_plus)
+        )
+        return 2.0 + log_coef / log(2) + sum(e * log2(abs(float(x))) for x, e in zip(a, w) if e)
+    except (OverflowError, ValueError):
+        return -inf
+
+
+def parity_corpus(seed, count):
+    """Seeded (p, cv, a): p inside and around each violation interval, within 2^-40
+    of its even ends (next to a pole of Gamma), odd p at and above 2^52, ints,
+    Fractions, and a subnormal p."""
+    rng = random.Random(seed)
+    huge = [(2**51 + 3, -(2**51 + 2)), (2**53 + 1, -(2**53)), (2**52 + 1, -(2**52 - 1), 1)]
+    for i in range(count):
+        if i % 50 == 0:
+            cv = build_c(huge[(i // 50) % len(huge)])
+        else:
+            cv = build_c(tuple(rng.randint(-40, 40) or 1 for _ in range(rng.randint(2, 5))))
+        lo = 2 * cv.m_plus - 4
+        p = rng.choice(
+            [
+                rng.uniform(max(lo, 0), lo + 2),
+                lo + rng.choice([1, -1]) * 2.0 ** rng.randint(-52, -40),
+                lo + 2 + rng.choice([1, -1]) * 2.0 ** rng.randint(-52, -40),
+                float(lo + 1),
+                lo + 1,
+                Fraction(rng.randint(1, 8 * max(lo, 0) + 16), 8),
+                rng.uniform(0.01, 4 * cv.m_plus),
+                5e-324,
+            ]
+        )
+        if p <= 0 or is_even_exponent(p):
+            continue
+        a = [rng.choice([0.25, 0.125, 0.3, 1e-3]) * rng.choice([1, -1]) for _ in cv.c]
+        yield p, cv, a
+
+
+class TestFloatPath:
+    """An int or float p takes p/2 in floats; the result is the Fraction one, bit for bit."""
+
+    def test_equals_the_fraction_reference(self):
+        finite = huge = 0
+        for p, cv, a in parity_corpus(2026, 4000):
+            got = log2_leading_term(p, cv, a)
+            assert got == fraction_log2_leading_term(p, cv, a), (p, cv.c, a)
+            finite += got > -inf
+            huge += got > -inf and p >= 2**52
+        assert finite > 500 and huge > 0
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # p/2 - |c+| + 1 lies 2^-50 above and below the poles at -1 and 0
+            4 + 2.0**-49,
+            6 - 2.0**-49,
+            Fraction(4) + Fraction(1, 2**60),
+            # an odd float above 2^52, inside (2^52 + 2, 2^52 + 4)
+            2.0**52 + 3,
+        ],
+    )
+    def test_next_to_a_pole_and_beyond_2_to_52(self, p):
+        cv = build_c((2**51 + 3, -(2**51 + 2))) if p > 2**52 else build_c((4, -3))
+        a = tuple(-0.25 if x % 2 else 0.25 for x in cv.c)  # each c has one odd entry
+        got = log2_leading_term(p, cv, a)
+        assert -inf < got == fraction_log2_leading_term(p, cv, a)
 
 
 class TestPInterval:
