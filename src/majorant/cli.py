@@ -21,9 +21,10 @@ from .constructions import (
     SCAN_BUDGET,
     STREAM_BUDGET,
     Certificate,
+    _certify,
+    _choose_certificates,
+    _choose_moment,
     classify,
-    construct_certificates,
-    construct_moment,
     emit_plot_data,
     verify_certificate,
 )
@@ -64,7 +65,11 @@ def _emit(doc: Any) -> None:
 
 
 def _write_plot(path: str, cert: Certificate, samples: int, cfg: EvalConfig) -> None:
-    """Write the plot CSV; callers do this before printing, so a rejected plot prints nothing."""
+    """Write the plot CSV; callers do this before printing, so a rejected plot prints nothing.
+
+    Callers plot a chosen certificate before they certify it: the plot's
+    ladder takes its p_tested, which certification then reuses.
+    """
     rows = emit_plot_data(cert, samples, cfg)
     try:
         with open(path, "w", newline="") as fh:
@@ -86,9 +91,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = FrequencySet.from_json(_load_json(args.input))
     cfg = _eval_config(args)
-    certs = construct_certificates(g, args.count, cfg, args.scan_budget, args.stream_budget)
+    chosen = _choose_certificates(g, args.count, cfg, args.scan_budget, args.stream_budget)
     if args.plot:
-        _write_plot(args.plot, certs[0], args.plot_samples, cfg)
+        _write_plot(args.plot, chosen[0].cert, args.plot_samples, cfg)
+    certs = [_certify(c) for c in chosen]
     infinite = g.is_structurally_infinite()
     _emit([c.to_json() for c in certs] if infinite else certs[0].to_json())
     # a note on the count only once the plot and the JSON are out: a failure stays one line
@@ -121,10 +127,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_moment(args: argparse.Namespace) -> int:
     cfg = _eval_config(args)
-    cert = construct_moment(args.d, args.p, cfg)
+    chosen = _choose_moment(args.d, args.p, cfg)
     if args.plot:
-        _write_plot(args.plot, cert, args.plot_samples, cfg)
-    _emit(cert.to_json())
+        _write_plot(args.plot, chosen.cert, args.plot_samples, cfg)
+    _emit(_certify(chosen).to_json())
     return 0
 
 

@@ -23,20 +23,26 @@ constructed certificate is `verified` exactly when `verify_certificate` with
 the same settings returns True; construction skips the evaluation when the
 term is below the floor, where that cannot happen.
 
-Within one process `verify_certificate` reuses its last evaluation, kept
-by a one-entry `functools.lru_cache`, when every input of it matches
-(frequencies, coefficients, p and settings), so verifying the certificate
-just constructed, or its JSON round trip, passes over no grid again; the
-judgment always reruns.  A new interpreter always evaluates.
+Construction takes two steps: choosing a certificate, which evaluates
+nothing, and certifying it.  The command line plots a chosen certificate
+between the two, so its certification reuses the plot's ladder.
+
+Within one process the last evaluation is kept for one certificate: its
+checked frequencies, coefficients and settings, and the result at each
+exponent of the last call that evaluated, where that result carries an
+error estimate.  `verify_certificate` and `emit_plot_data` evaluate only the
+exponents it lacks, in one ladder, so verifying the certificate just
+constructed or plotted, or its JSON round trip, passes over no grid again;
+the judgment always reruns.  A new interpreter always evaluates.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
-from math import inf, isfinite, log2
-from typing import Any, NamedTuple, Sequence
+from functools import cached_property
+from math import inf, isfinite, isnan, log2
+from typing import Any, Collection, NamedTuple, Sequence
 
 from .cvector import (
     CVector,
@@ -69,6 +75,7 @@ from .lp_engine import (
     EvalConfig,
     PairedDifference,
     _check_freqs,
+    _check_slice_sums,
     _check_real_coeffs,
     _paired_differences,
     _pass_inputs,
@@ -269,7 +276,14 @@ def _same_json(given: Any, derived: Any) -> bool:
     return _typed(given, int) and given == derived
 
 
-def _certify(
+class _Chosen(NamedTuple):
+    """A certificate chosen but not evaluated, and log2 of its leading term."""
+
+    cert: Certificate
+    log2_lead: float
+
+
+def _choose(
     theorem_tag: str,
     freqs: Sequence[Vec],
     cv: CVector,
@@ -277,15 +291,11 @@ def _certify(
     cfg: EvalConfig,
     reduction: dict[str, Any] | None = None,
     note_prefix: str = "",
-) -> Certificate:
-    """Certificate at MAGNITUDE, verified exactly when `verify_certificate` says True.
+) -> _Chosen:
+    """The certificate at MAGNITUDE that `_certify` certifies, with no measured field.
 
-    A leading term below LEAD_FLOOR cannot certify, so it is not evaluated;
-    otherwise the candidate is verified with `cfg`, the settings it records,
-    and takes its measured fields from the result, unless the engine finds a
-    mean of |sum|^p beyond floating-point range; its message is then the note.
-    `cv`, the relation of `freqs`, is the certificate's `cvector`: it is not
-    derived again.
+    It records `cfg` and notes `note_prefix`.  `cv`, the relation of
+    `freqs`, is the certificate's `cvector`: it is not derived again.
     """
     coeffs = assign_signs(cv, MAGNITUDE)
     log2_lead = log2_leading_term(p, cv, coeffs)
@@ -301,14 +311,27 @@ def _certify(
         error_estimate=None,
         grid_points_per_axis=None,
         eval_config=cfg,
+        note=note_prefix,
         reduction=reduction,
     )
-    _holding(cert, cv)
+    return _Chosen(_holding(cert, cv), log2_lead)
+
+
+def _certify(chosen: _Chosen) -> Certificate:
+    """The chosen certificate, verified exactly when `verify_certificate` says True.
+
+    A leading term below LEAD_FLOOR cannot certify, so it is not evaluated;
+    otherwise the certificate is verified with the settings it records and
+    takes its measured fields from the result, unless the engine finds a
+    mean of |sum|^p beyond floating-point range; its message is then the
+    note, after the chosen one.
+    """
+    cert, log2_lead = chosen
     measured: dict[str, Any] = {}
     note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
     if log2_lead >= log2(LEAD_FLOOR):
         try:
-            res = verify_certificate(cert, cfg)
+            res = verify_certificate(cert, cert.eval_config)
         except BudgetError as exc:
             note = str(exc)
         else:
@@ -317,8 +340,8 @@ def _certify(
             note = f"margin {res.margin:.3g} does not certify against error "
             note += f"{res.error_estimate:.3g} and leading term 2^{log2_lead:.1f}"
     note = "" if measured.get("verified") else note
-    note = "; ".join(x for x in (note_prefix, note) if x)
-    return _holding(replace(cert, note=note, **measured), cv)
+    note = "; ".join(x for x in (cert.note, note) if x)
+    return _holding(replace(cert, note=note, **measured), cert.cvector)
 
 
 def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Certificate:
@@ -331,7 +354,11 @@ def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Cer
     certificate is made at the odd midpoint 2 m_plus - 3 of the violation
     interval.
     """
-    cfg = cfg or EvalConfig()
+    return _certify(_choose_independent(g, cfg or EvalConfig()))
+
+
+def _choose_independent(g: FrequencySet, cfg: EvalConfig) -> _Chosen:
+    """`construct_independent`'s certificate, chosen."""
     if g.is_structurally_infinite():
         raise HypothesisError("set is structurally infinite; use construct_abundant")
     work = _sample(g)
@@ -354,7 +381,7 @@ def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Cer
             break
     translated = tuple(tuple(x - y for x, y in zip(q, bullet)) for q in chosen)
     cv = build_c(build_v(translated))
-    return _certify("independent", translated, cv, 2 * cv.m_plus - 3, cfg, reduction_rec)
+    return _choose("independent", translated, cv, 2 * cv.m_plus - 3, cfg, reduction_rec)
 
 
 def construct_abundant(
@@ -382,18 +409,18 @@ def construct_abundant(
         raise BudgetError(
             "abundance scan inconclusive within budget; raise scan_budget"
         )
-    return _abundant_family(g, scan, how_many, cfg, stream_budget)
+    return [_certify(c) for c in _choose_family(g, scan, how_many, cfg, stream_budget)]
 
 
-def _abundant_family(
+def _choose_family(
     g: FrequencySet, scan: AbundanceScan, how_many: int, cfg: EvalConfig, stream_budget: int
-) -> list[Certificate]:
-    """`construct_abundant`'s certificates from a scan that found `g` abundant."""
+) -> list[_Chosen]:
+    """`construct_abundant`'s certificates, chosen, from a scan that found `g` abundant."""
     assert scan.witness is not None and scan.dtuple is not None
     bullet = next(q for q in scan.witness if q not in scan.dtuple)
     anchor = tuple(tuple(x - y for x, y in zip(q, bullet)) for q in scan.dtuple)
     skip = set(scan.dtuple) | {bullet}
-    certs: list[Certificate] = []
+    certs: list[_Chosen] = []
     last_m = 1
     for n0 in g.stream(stream_budget):
         if n0 in skip:
@@ -406,7 +433,7 @@ def _abundant_family(
         cv = build_c(v)
         if cv.m_plus <= last_m:  # sum(v) != 0 and last_m >= 1: c unbalanced, m_plus >= 2
             continue
-        certs.append(_certify("abundant", freqs, cv, 2 * cv.m_plus - 3, cfg))
+        certs.append(_choose("abundant", freqs, cv, 2 * cv.m_plus - 3, cfg))
         last_m = cv.m_plus
         if len(certs) == how_many:
             return certs
@@ -429,19 +456,26 @@ def construct_certificates(
     its finite sample (the whole set when it is finite), which raises
     HypothesisError when the sample is affinely independent.
     """
+    chosen = _choose_certificates(g, how_many, cfg or EvalConfig(), scan_budget, stream_budget)
+    return [_certify(c) for c in chosen]
+
+
+def _choose_certificates(
+    g: FrequencySet, how_many: int, cfg: EvalConfig, scan_budget: int, stream_budget: int
+) -> list[_Chosen]:
+    """`construct_certificates`'s certificates, chosen."""
     _integer(how_many, "how_many", 1)
     _integer(stream_budget, "stream budget", 1)
-    scan = abundance_scan(g, scan_budget)
-    return _certificates(g, scan, how_many, cfg or EvalConfig(), stream_budget)
+    return _choices(g, abundance_scan(g, scan_budget), how_many, cfg, stream_budget)
 
 
-def _certificates(
+def _choices(
     g: FrequencySet, scan: AbundanceScan, how_many: int, cfg: EvalConfig, stream_budget: int
-) -> list[Certificate]:
+) -> list[_Chosen]:
     """An abundant set's escalating family, up to `how_many`, else the one of `_sample(g)`."""
     if scan.status is Abundance.YES:
-        return _abundant_family(g, scan, how_many, cfg, stream_budget)
-    return [construct_independent(_sample(g), cfg)]
+        return _choose_family(g, scan, how_many, cfg, stream_budget)
+    return [_choose_independent(_sample(g), cfg)]
 
 
 def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certificate:
@@ -451,12 +485,16 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
     entries above p/2 in absolute value; the violation interval is then the
     whole even-to-even gap around p.
     """
-    cfg = cfg or EvalConfig()
+    return _certify(_choose_moment(d, p, cfg or EvalConfig()))
+
+
+def _choose_moment(d: int, p: Real, cfg: EvalConfig) -> _Chosen:
+    """`construct_moment`'s certificate, chosen."""
     if is_even_exponent(_exponent(p)):
         raise DomainError("even integer exponents admit no strict violation")
     k, cv = smallest_admissible_k(d, p)
     freqs = tuple(gamma_point(d, k + i) for i in range(d + 1))
-    return _certify("moment_curve", freqs, cv, p, cfg, note_prefix=f"curve offset k={k}")
+    return _choose("moment_curve", freqs, cv, p, cfg, note_prefix=f"curve offset k={k}")
 
 
 class VerifyResult(NamedTuple):
@@ -481,12 +519,43 @@ class VerifyResult(NamedTuple):
         return self._asdict()
 
 
-@lru_cache(maxsize=1)
-def _evaluation(
-    freqs: tuple[Vec, ...], coeffs: tuple[float, ...], p: float, cfg: EvalConfig
-) -> PairedDifference:
-    """`verify_certificate`'s paired evaluation of its checked inputs."""
-    return paired_difference(freqs, coeffs, p, cfg)
+# The last evaluation: one certificate's checked (frequencies, coefficients,
+# settings) and its result at each exponent that carries an error estimate.
+# It is replaced whole, so a thread reads one consistent pair.
+_last: tuple[Any, dict[float, PairedDifference]] = (None, {})
+
+
+def _evaluations(
+    freqs: tuple[Vec, ...],
+    coeffs: tuple[float, ...],
+    ps: Sequence[float],
+    cfg: EvalConfig,
+    estimated: Collection[float] | None = None,
+) -> list[PairedDifference]:
+    """The paired evaluation of the checked inputs at each exponent of `ps`.
+
+    The last evaluation's results are reused where every input matches, and
+    the exponents it lacks are evaluated in one ladder: a lone one through
+    `paired_difference`, more through `_paired_differences`, which estimates
+    the error of those in `estimated` (of all when it is None) and of the
+    others only where a grid doubles.  An evaluation that raises changes
+    nothing; one that succeeds becomes the last evaluation, with the results
+    at `ps` that carry an error estimate.
+    """
+    global _last
+    key = freqs, coeffs, cfg
+    last_key, known = _last
+    if last_key != key:
+        known = {}
+    missing = [p for p in dict.fromkeys(ps) if p not in known]
+    if missing:
+        if len(missing) == 1:
+            found = [paired_difference(freqs, coeffs, missing[0], cfg)]
+        else:
+            found = _paired_differences(freqs, coeffs, missing, cfg, estimated)
+        known = {**known, **dict(zip(missing, found))}
+        _last = key, {p: known[p] for p in ps if not isnan(known[p].error_estimate)}
+    return [known[p] for p in ps]
 
 
 def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> VerifyResult:
@@ -505,15 +574,18 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     never the certificate's.  Raises BudgetError when a mean of |sum|^p is
     beyond floating-point range.
 
-    Within one process the last evaluation, kept by a one-entry
-    `functools.lru_cache`, is reused when its inputs, the checked
-    frequencies, the coefficients and p as floats and `cfg`, all equal this
-    call's; the judgment below always reruns, and an evaluation that raised
-    was never kept.  A new interpreter always evaluates.
+    Within one process the last evaluation (see `_evaluations`) is reused
+    when its inputs, the checked frequencies, the coefficients as floats and
+    `cfg`, all equal this call's and it holds p as a float: that of the
+    last verification, or of the last plot of this certificate, which takes
+    p_tested.  Otherwise p is evaluated alone, by `paired_difference`, and
+    becomes the last evaluation.  The judgment below always reruns, and an
+    evaluation that raised was never kept.  A new interpreter always
+    evaluates.
     """
     cfg = cfg or EvalConfig()
     freqs, coeffs, [p] = _pass_inputs(cert.frequencies, cert.coefficients, [cert.p_tested])
-    res = _evaluation(freqs, coeffs, p, cfg)
+    [res] = _evaluations(freqs, coeffs, [p], cfg)
     log2_lead = -inf
     if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
         with suppress(MajorantError):  # the frequencies determine no c
@@ -536,14 +608,35 @@ def emit_plot_data(
 
     A request for zero samples returns an empty table.  As in verification,
     the settings are `cfg` or the defaults, and BudgetError is raised when a
-    mean of |sum|^p at a sample is beyond floating-point range.
+    mean of |sum|^p at a sample is beyond floating-point range.  BudgetError
+    also refuses, before any sample is formed, a request whose passes would
+    keep more slice sums (samples and p_tested, times two rows, times the
+    finest grid's first-axis slices) than the quadrature's point budget.
+
+    The samples and the certificate's own p_tested (inside the interval)
+    share one ladder, less what the last evaluation already holds (see
+    `_evaluations`), and p_tested's error is estimated even where the start
+    grid cannot double, so a verification of `cert` with `cfg` right after
+    the plot passes over no grid.  Should p_tested alone be beyond
+    floating-point range, the samples are evaluated without it.
     """
     _integer(p_samples, "p_samples", 0)
     cfg = cfg or EvalConfig()
     lo, hi = cert.p_interval
+    if not p_samples:
+        return []
+    freqs, coeffs, _ = _pass_inputs(cert.frequencies, cert.coefficients, ())
+    _check_slice_sums(len(freqs[0]), p_samples + 1, 2, cfg)
     span = hi - lo
     ps = [lo + span * (i + 1) / (p_samples + 1) for i in range(p_samples)]
-    results = _paired_differences(cert.frequencies, cert.coefficients, ps, cfg) if ps else []
+    tested = cert.p_tested
+    extra = [float(tested)] if _typed(tested, Real) and lo < tested < hi else []
+    try:
+        results = _evaluations(freqs, coeffs, ps + extra, cfg, extra)
+    except BudgetError:
+        if not extra or extra[0] in ps:
+            raise
+        results = _evaluations(freqs, coeffs, ps, cfg)
     return [
         {"p": p, "lhs": res.lhs, "rhs": res.rhs, "difference": res.difference}
         for p, res in zip(ps, results)
@@ -586,7 +679,7 @@ def classify(
     if not with_certificate:
         return report
     try:
-        cert = _certificates(g, scan, 1, cfg, STREAM_BUDGET)[0]
+        cert = _certify(_choices(g, scan, 1, cfg, STREAM_BUDGET)[0])
         report["certificate"] = cert.to_json()
     except MajorantError as exc:
         report["note"] = f"certificate construction failed: {exc}"

@@ -23,12 +23,15 @@ buffer (1.5 MiB at that chunk size), so a pass allocates nothing of a
 chunk's size.  It covers half of a tensor grid (|F| is even) with matrix
 products of per-axis phase tables, in every dimension: a 1-D grid is the
 A x B grid of x = a + A b.  Exponents double grid by grid, so each grid is
-passed over once per call.  Rows are scaled by a power of two, so |F|^2
-neither under- nor overflows for any coefficient size.  A pass over a half
-grid of at least 2^17 points splits its chunks between the calling thread
-and one pooled thread (one thread on a single CPU); each slice's arithmetic
-depends on neither the chunk size nor our or BLAS's thread count, so the
-results are bit for bit the same.
+passed over once per call.  The start grid's pass also gives the n//2 grid
+of the first error estimates; where the start grid cannot double, those
+estimates are all its n//2 grid serves, and it is read only for the
+exponents whose estimate the caller keeps.  Rows are scaled by a power of
+two, so |F|^2 neither under- nor overflows for any coefficient size.  A
+pass over a half grid of at least 2^17 points splits its chunks between the
+calling thread and one pooled thread (one thread on a single CPU); each
+slice's arithmetic depends on neither the chunk size nor our or BLAS's
+thread count, so the results are bit for bit the same.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,7 +268,11 @@ def _beyond_range(p: float) -> BudgetError:
 
 
 def _grid_means(
-    freqs: Sequence[Vec], rows: list[list[float]], n: int, ps: list[float], half: bool = False
+    freqs: Sequence[Vec],
+    rows: list[list[float]],
+    n: int,
+    ps: list[float],
+    half: bool | Sequence[int] = False,
 ) -> list[list[list[float]]]:
     """Means of |sum|^p over the n^d grid per exponent and row, from one pass.
 
@@ -274,11 +281,13 @@ def _grid_means(
     first-axis indices 0..A//2 of the A-point first axis are visited: real
     coefficients give F(-x) = conj F(x), so the slice at i stands for itself
     where 2i = 0 mod A and for two slices elsewhere.  With `half` (where the
-    n//2 grid's first axis is half as wide) its means come back too, read
-    from the even first-axis slices of the same powers, at the even points
-    of the later axes that n//2 halves; with two or more later axes (d >= 3)
-    they are copied contiguous, to add as one run in the order of a pass
-    over n//2.  Returns means per grid, exponent and row.
+    n//2 grid's first axis is half as wide) the n//2 grid's means come back
+    too, for every exponent when it is True and else for those at the
+    indices of `ps` it lists, in its order.  They are read from the even
+    first-axis slices of the same powers, at the even points of the later
+    axes that n//2 halves; with two or more later axes (d >= 3) they are
+    copied contiguous, to add as one run in the order of a pass over n//2.
+    Returns means per grid, exponent and row.
 
     The powers of a chunk are held in its thread's spent field buffer (see
     `_tensor_squares`), so a pass allocates per-slice sums, not powers.  A
@@ -295,8 +304,10 @@ def _grid_means(
     coeffs = np.array(rows, dtype=float)
     chunks, squares_of = _tensor_pass(freqs, coeffs, n)
     slices = widths[0] // 2 + 1
+    listed = range(len(ps)) if half is True else half or ()
+    halved = {i: k for k, i in enumerate(listed)}  # index in ps: index in the n//2 means
     sums = np.zeros((len(ps), len(coeffs), slices))
-    halves = np.zeros((len(ps), len(coeffs), (slices + 1) // 2))
+    halves = np.zeros((len(halved), len(coeffs), (slices + 1) // 2))
     steps = [w // v for w, v in zip(widths[1:], _axes(d, n // 2)[1:])]
 
     def work(mine) -> None:
@@ -311,8 +322,8 @@ def _grid_means(
                     # the powers are >= 0: a sum beyond range (or NaN) puts the mean there too
                     if not sums[i, :, lo:hi].max() < math.inf:
                         raise _beyond_range(p)
-                    if half:
-                        add_even_subgrid(i, lo, powers)
+                    if i in halved:
+                        add_even_subgrid(halved[i], lo, powers)
 
     def add_even_subgrid(i: int, lo: int, powers: np.ndarray) -> None:
         thin = (slice(lo % 2, None, 2), *(slice(None, None, step) for step in steps))
@@ -325,13 +336,18 @@ def _grid_means(
     else:
         work(chunks)
     out = []
-    grids = [(widths[0], n, sums)] + ([(widths[0] // 2, n // 2, halves)] if half else [])
-    for first, size, grid in grids:
+    grids = [(widths[0], n, sums, ps)]
+    if half is not False:
+        grids.append((widths[0] // 2, n // 2, halves, [ps[i] for i in halved]))
+    for first, size, grid, grid_ps in grids:
         weights = np.where(2 * np.arange(grid.shape[2]) % first == 0, 1.0, 2.0)
         blocks = [slice(k, k + _BLOCK_POINTS) for k in range(0, len(weights), _BLOCK_POINTS)]
-        weighted = [[sum(float(weights[b] @ s[b]) for b in blocks) for s in by_p] for by_p in grid]
+        with np.errstate(over="ignore"):  # finite slice sums can weigh past range: refused below
+            weighted = [
+                [sum(float(weights[b] @ s[b]) for b in blocks) for s in by_p] for by_p in grid
+            ]
         out.append([[x / size**d for x in by_p] for by_p in weighted])
-        for p, means in zip(ps, out[-1]):
+        for p, means in zip(grid_ps, out[-1]):
             if not all(map(math.isfinite, means)):
                 raise _beyond_range(p)
     return out
@@ -355,12 +371,47 @@ class QuadResult(NamedTuple):
     grid_points_per_axis: int
 
 
+def _ladder_grids(d: int, cfg: EvalConfig) -> tuple[int, int]:
+    """The start grid of a ladder in d dimensions and the finest grid it can reach.
+
+    The start grid is the configured one, lifted to 8 and halved while it
+    exceeds the point budget, but never below 8 points per axis; where 8^d
+    exceeds the budget, BudgetError.  Doubling it while the budget allows
+    gives the finest grid.
+    """
+    n, budget = max(8, cfg.grid_points_per_axis), QUAD_POINT_BUDGET
+    while n**d > budget:
+        if n == 8:
+            raise BudgetError(f"the 8^{d} grid exceeds the quadrature budget of {budget} points")
+        n = max(8, n // 2)
+    finest = n
+    while (2 * finest) ** d <= budget:
+        finest *= 2
+    return n, finest
+
+
+def _check_slice_sums(d: int, exponents: int, rows: int, cfg: EvalConfig) -> None:
+    """BudgetError when a pass of the ladder keeps more slice sums than the point budget.
+
+    A pass keeps a sum per exponent, row and first-axis slice, and the
+    finest grid has the most slices; the check builds nothing.
+    """
+    n = _ladder_grids(d, cfg)[1]
+    sums = exponents * rows * (_axes(d, n)[0] // 2 + 1)
+    if sums > QUAD_POINT_BUDGET:
+        raise BudgetError(
+            f"{exponents} exponents keep {sums} slice sums in a pass over the {n}^{d} grid, "
+            f"beyond the quadrature budget of {QUAD_POINT_BUDGET}"
+        )
+
+
 def _refine(
     freqs: Sequence[Vec],
     coeffs: Sequence[Real],
     ps: Sequence[Real],
     cfg: EvalConfig,
     paired: bool,
+    estimated: Collection[float] | None = None,
 ) -> list[tuple[list[float], float, int]]:
     """Means of |sum|^p on doubling grids until the tracked quantity settles.
 
@@ -378,25 +429,25 @@ def _refine(
     means and the error come back multiplied by 2^(shift p); BudgetError
     beyond float range.
 
-    The start grid is the configured one, lifted to 8 and halved while it
-    exceeds the point budget, but never below 8 points per axis; where 8^d
-    exceeds the budget, BudgetError before any pass.  Every exponent is
-    checked before any grid work; those still doubling share one pass per
-    grid.  The start grid's pass gives the n//2 grid of the first error
-    estimate where that grid's slices are its even ones, whole (1-D, as at
-    256) or at even columns of a multiple of 16: only there does each column
-    fall in the same kind of OpenBLAS column group (4 wide, or the rest) as
-    in a pass over n//2.  A pass whose half grid has at least 2^17 points
-    runs on two threads (see `_grid_means`), with the same result as on one.
-    Returns (means, err, n).
+    The start grid is that of `_ladder_grids`; where 8^d exceeds the budget,
+    BudgetError before any pass.  Every exponent is checked before any grid
+    work; those still doubling share one pass per grid.  The start grid's
+    pass gives the n//2 grid of the first error estimate where that grid's
+    slices are its even ones, whole (1-D, as at 256) or at even columns of a
+    multiple of 16: only there does each column fall in the same kind of
+    OpenBLAS column group (4 wide, or the rest) as in a pass over n//2.  A
+    start grid that cannot double ((2n)^d over the budget: 3-D at 128, 4-D
+    at 32) ends every ladder, so the n//2 grid serves only the error
+    estimates: it is read, or passed over, only for the exponents in
+    `estimated` (every one when it is None), and the others come back with
+    a NaN estimate.  An exponent's results do not depend on the others in
+    the call.  A pass whose half grid has at least 2^17 points runs on two
+    threads (see `_grid_means`), with the same result as on one.  Returns
+    (means, err, n).
     """
     vecs, coeff_row, pfs = _pass_inputs(freqs, coeffs, ps)
     d = len(vecs[0])
-    n, budget = max(8, cfg.grid_points_per_axis), QUAD_POINT_BUDGET
-    while n**d > budget:
-        if n == 8:
-            raise BudgetError(f"the 8^{d} grid exceeds the quadrature budget of {budget} points")
-        n = max(8, n // 2)
+    n, budget = _ladder_grids(d, cfg)[0], QUAD_POINT_BUDGET
     shift = math.frexp(max(map(abs, coeff_row)))[1] - 1
     row = [math.ldexp(x, -shift) for x in coeff_row]
     rows = [row, [abs(x) for x in row]] if paired else [row]
@@ -408,13 +459,20 @@ def _refine(
         floor = _FLOOR_ULPS * math.ulp(max(map(abs, row_means)))
         return step <= cfg.backend_agreement_tol or step <= floor
 
+    cannot_double = (2 * n) ** d > budget
+    kept = [
+        i for i, p in enumerate(pfs) if not cannot_double or estimated is None or p in estimated
+    ]
     wide, narrow = _axes(d, n), _axes(d, n // 2)
     if 2 * narrow[0] == wide[0] and (narrow[1:] == wide[1:] or n % 16 == 0):
-        means, coarse = _grid_means(freqs, rows, n, pfs, half=True)
+        means, coarse = _grid_means(freqs, rows, n, pfs, half=kept)
     else:  # the coarse grid gets a pass of its own
-        [means], [coarse] = _grid_means(freqs, rows, n, pfs), _grid_means(freqs, rows, n // 2, pfs)
+        [means] = _grid_means(freqs, rows, n, pfs)
+        coarse = _grid_means(freqs, rows, n // 2, [pfs[i] for i in kept])[0] if kept else []
     values = [tracked(m) for m in means]
-    errs = [abs(v - tracked(c)) for v, c in zip(values, coarse)]
+    errs = [math.nan] * len(pfs)
+    for i, c in zip(kept, coarse):
+        errs[i] = abs(values[i] - tracked(c))
     grids = [n] * len(pfs)
     while (2 * n) ** d <= budget:
         active = [i for i, err in enumerate(errs) if not settled(err, means[i])]
@@ -426,7 +484,11 @@ def _refine(
             means[i], grids[i] = m, n
             values[i], errs[i] = tracked(m), abs(tracked(m) - values[i])
     return [
-        ([_scaled_back(x, shift, pf) for x in m], _scaled_back(err, shift, pf), grid)
+        (
+            [_scaled_back(x, shift, pf) for x in m],
+            err if math.isnan(err) else _scaled_back(err, shift, pf),
+            grid,
+        )
         for m, err, grid, pf in zip(means, errs, grids, pfs)
     ]
 
@@ -448,12 +510,20 @@ class PairedDifference(NamedTuple):
 
 
 def _paired_differences(
-    freqs: Sequence[Vec], signed: Sequence[Real], ps: Sequence[Real], cfg: EvalConfig
+    freqs: Sequence[Vec],
+    signed: Sequence[Real],
+    ps: Sequence[Real],
+    cfg: EvalConfig,
+    estimated: Collection[float] | None = None,
 ) -> list[PairedDifference]:
-    """`paired_difference` at each exponent of `ps`, sharing grid passes."""
+    """`paired_difference` at each exponent of `ps`, sharing grid passes.
+
+    As in `_refine`, an exponent outside `estimated` may come back with a
+    NaN error estimate, where the start grid cannot double.
+    """
     return [
         PairedDifference(lhs, rhs, rhs - lhs, err, n)
-        for (rhs, lhs), err, n in _refine(freqs, signed, ps, cfg, paired=True)
+        for (rhs, lhs), err, n in _refine(freqs, signed, ps, cfg, True, estimated)
     ]
 
 

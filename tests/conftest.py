@@ -13,9 +13,11 @@ from majorant import constructions, lp_engine
 
 @pytest.fixture(autouse=True)
 def forget_evaluation():
-    """Empties `verify_certificate`'s memo before each test; call it to empty it again."""
+    """Empties the last evaluation before each test; call it to empty it again."""
 
-    forget = constructions._evaluation.cache_clear
+    def forget():
+        constructions._last = (None, {})
+
     forget()
     return forget
 

@@ -20,10 +20,18 @@ from hypothesis import strategies as st
 
 from majorant import constructions
 from majorant.cli import _build_parser, main
-from majorant.constructions import construct_independent
+from majorant.constructions import (
+    Certificate,
+    construct_certificates,
+    construct_independent,
+    construct_moment,
+    emit_plot_data,
+    verify_certificate,
+)
 from majorant.cvector import build_c
 from majorant.errors import DomainError
 from majorant.exact_lattice import FrequencySet
+from majorant.lp_engine import EvalConfig, paired_difference
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -48,6 +56,24 @@ MOMENT_GEN_SET = {
     "points": [],
     "generator": {"kind": "moment_curve", "params": {}},
 }
+# abundant sets whose first certificates verify: 3-D ones at the 128 start grid, which
+# cannot double within the point budget, and a 2-D one whose ladders start at 256
+MOMENT_GEN_3D = {
+    "dim": 3,
+    "points": [],
+    "generator": {"kind": "moment_curve", "params": {"t_start": 7}},
+}
+PROGRESSION_3D = {
+    "dim": 3,
+    "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+    "generator": {"kind": "arith_progression", "params": {"start": [1, 1, 1], "step": [1, 2, -1]}},
+}
+PROGRESSION_2D = {
+    "dim": 2,
+    "points": [[0, 0], [1, 0], [0, 1]],
+    "generator": {"kind": "arith_progression", "params": {"start": [2, 1], "step": [1, 1]}},
+}
+UNIT_SQUARE = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 WEAK_QUERY = {
     "d": 2,
     "p": 3,
@@ -187,6 +213,100 @@ class TestConstruct:
         assert err == "inconclusive: stream budget exhausted before any certificate was found\n"
 
 
+class TestPlotThenCertify:
+    """`construct --plot` and `moment --plot` choose, plot the first certificate,
+    then certify: its certification reuses the plot's ladder, which takes p_tested."""
+
+    @staticmethod
+    def plotted(capsys, tmp_path, grid_passes, argv):
+        """(certificates, CSV rows, grid passes) of one CLI request with --plot."""
+        plot = tmp_path / "rows.csv"
+        grid_passes.clear()
+        code, out, _ = run(capsys, *argv, "--plot", str(plot))
+        assert code == 0
+        with open(plot, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        docs = json.loads(out)
+        return (docs if isinstance(docs, list) else [docs]), rows, list(grid_passes)
+
+    @staticmethod
+    def assert_as_separate_calls(docs, expected, rows, forget):
+        """The JSON is what the constructor gives after a forgotten memo, the CSV what
+        `paired_difference` gives sample by sample, and so is p_tested's error."""
+        forget()
+        assert [c.to_json() for c in expected()] == docs
+        first = Certificate.from_json(docs[0])
+        for p, key in [(first.p_tested, None)] + [(float(row["p"]), row) for row in rows]:
+            forget()
+            res = paired_difference(first.frequencies, first.coefficients, p, EvalConfig())
+            if key is None:
+                assert res.error_estimate == docs[0]["error_estimate"]
+            else:
+                got = [float(key[k]) for k in ("lhs", "rhs", "difference")]
+                assert got == [res.lhs, res.rhs, res.difference]
+
+    @pytest.mark.parametrize("points", [MOMENT_GEN_3D, PROGRESSION_3D], ids=["moment", "prog"])
+    def test_a_3d_family_makes_one_pass(
+        self, tmp_path, capsys, grid_passes, forget_evaluation, points
+    ):
+        inp = write_json(tmp_path / "g.json", points)
+        argv = ["construct", "--input", inp, "--count", "1"]
+        docs, rows, passes = self.plotted(capsys, tmp_path, grid_passes, argv)
+        assert passes == [128]
+        assert len(rows) == 9 and docs[0]["verified"] is True
+        g = FrequencySet.from_json(points)
+        self.assert_as_separate_calls(
+            docs, lambda: construct_certificates(g, 1), rows, forget_evaluation
+        )
+
+    @pytest.mark.parametrize(
+        "argv, samples, sampled",
+        [
+            (["construct", "--input", "GEN", "--count", "3"], 9, True),
+            # p_tested is no sample: the plot's ladder takes it besides them
+            (["construct", "--input", "GEN", "--plot-samples", "4"], 4, False),
+            (["moment", "--d", "2", "--p", "3.25"], 9, False),
+        ],
+        ids=["count-3", "samples-4", "moment"],
+    )
+    def test_the_first_certificate_takes_one_ladder(
+        self, tmp_path, capsys, grid_passes, forget_evaluation, argv, samples, sampled
+    ):
+        inp = write_json(tmp_path / "g.json", PROGRESSION_2D)
+        argv = [inp if a == "GEN" else a for a in argv]
+        docs, rows, passes = self.plotted(capsys, tmp_path, grid_passes, argv)
+        first = Certificate.from_json(docs[0])
+        assert len(rows) == samples and all(doc["verified"] for doc in docs)
+        assert (first.p_tested in [float(row["p"]) for row in rows]) is sampled
+        # the plot's ladder, then a ladder for each later certificate
+        grid_passes.clear()
+        forget_evaluation()
+        emit_plot_data(first, samples)
+        for doc in docs[1:]:
+            forget_evaluation()
+            verify_certificate(Certificate.from_json(doc))
+        assert passes == grid_passes
+        if argv[0] == "moment":
+            expected = lambda: [construct_moment(2, 3.25)]
+        else:
+            count = int(argv[argv.index("--count") + 1]) if "--count" in argv else 1
+            expected = lambda: construct_certificates(FrequencySet.from_json(PROGRESSION_2D), count)
+        self.assert_as_separate_calls(docs, expected, rows, forget_evaluation)
+
+    def test_a_plot_beyond_the_slice_sum_budget_exits_two(self, tmp_path, capsys, time_limit):
+        # 10^8 samples on two rows of the 2048 grid's 1025 slices: a pass would
+        # keep 2 x 10^11 slice sums; neither the samples nor any array is built
+        inp = write_json(tmp_path / "sq.json", UNIT_SQUARE)
+        plot = tmp_path / "f.csv"
+        argv = ["construct", "--input", inp, "--plot-samples", "100000000", "--plot", str(plot)]
+        with time_limit(5):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("inconclusive: 100000001 exponents keep ")
+        assert err.endswith(" beyond the quadrature budget of 4194304\n") and err.count("\n") == 1
+        assert not plot.exists()
+
+
 class TestVerify:
     @pytest.mark.parametrize("points", [LINE_SET, SPACE_SET], ids=["line", "space"])
     def test_pipeline_round_trip(self, tmp_path, capsys, points):
@@ -269,6 +389,27 @@ class TestMoment:
             cert_path = write_json(tmp_path / "c.json", json.loads(out))
             code, out, err = run(capsys, "verify", "--input", cert_path)
         assert (code, out, err) == (2, "", message)
+
+    def test_a_weighted_sum_beyond_range_exits_two_with_one_line(self, tmp_path, capsys):
+        # at p = 1259.6 each slice sum is finite and their weighted sum is not
+        plot = tmp_path / "f.csv"
+        code, out, err = run(capsys, "moment", "--d", "2", "--p", "1258.5", "--plot", str(plot))
+        assert (code, out) == (2, "")
+        assert err == "inconclusive: the mean of |sum|^1259.6 is beyond floating-point range\n"
+        assert not plot.exists()
+
+    def test_p_tested_beyond_range_leaves_the_plot_as_it_was(self, tmp_path, capsys):
+        # the sample 1259 is within range; p_tested 1259.75, which the plot's
+        # ladder takes besides it, is not, and construction never evaluates it
+        plot = tmp_path / "f.csv"
+        argv = ["moment", "--d", "2", "--p", "1259.75", "--plot", str(plot), "--plot-samples", "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, f"wrote 1 plot rows to {plot}\n")
+        cert = json.loads(out)
+        assert cert["margin"] is None and cert["note"].endswith("below numerical resolution")
+        with open(plot, newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert float(row["p"]) == 1259.0
 
     def test_plane_cubic(self, capsys):
         code, out, _ = run(capsys, "moment", "--d", "2", "--p", "3")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
@@ -473,12 +474,14 @@ class TestLastEvaluation:
         verify_certificate(certs[0])
         assert grid_passes
 
-    def test_plot_data_and_the_engine_stay_uncached(self, grid_passes):
+    def test_plot_data_is_reused_and_the_engine_stays_uncached(self, grid_passes):
         cert = construct_independent(LINE)
-        for _ in range(2):
-            grid_passes.clear()
-            emit_plot_data(cert, 2)
-            assert grid_passes
+        grid_passes.clear()
+        rows = emit_plot_data(cert, 2)  # the two samples; p_tested is construction's
+        assert grid_passes
+        grid_passes.clear()
+        assert emit_plot_data(cert, 2) == rows
+        assert grid_passes == []
         for _ in range(2):
             grid_passes.clear()
             paired_difference(cert.frequencies, cert.coefficients, cert.p_tested, EvalConfig())
@@ -502,6 +505,34 @@ class TestLastEvaluation:
             runs = list(pool.map(alternate, (0, 1)))
         for start, results in zip((0, 1), runs):
             assert results == [fresh[(start + i) % 2] for i in range(20)]
+
+    def test_threads_mixing_plots_and_verifications_get_fresh_results(self, forget_evaluation):
+        square = FrequencySet(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
+        certs = [construct_independent(LINE), construct_independent(square)]
+        fresh = []
+        for cert in certs:
+            forget_evaluation()
+            verdict = verify_certificate(cert)
+            forget_evaluation()
+            fresh.append((verdict, emit_plot_data(cert, 3)))
+
+        def mix(start: int) -> list:
+            out = []
+            for i in range(12):
+                cert = certs[(start + i // 2) % 2]
+                out.append(emit_plot_data(cert, 3) if i % 2 else verify_certificate(cert))
+            return out
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(mix, start) for start in (0, 1, 0, 1)]
+                runs = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for start, results in zip((0, 1, 0, 1), runs):
+            assert results == [fresh[(start + i // 2) % 2][i % 2] for i in range(12)]
 
 
 class TestEmitPlotData:
@@ -533,6 +564,46 @@ class TestEmitPlotData:
         start = EvalConfig().grid_points_per_axis
         assert start % 2 == 0 and start in shared
         assert start // 2 not in shared + grid_passes
+
+    @pytest.mark.parametrize(
+        "make, samples, start_grid_doubles",
+        [
+            (lambda: construct_independent(SPACE_SET), 9, False),
+            (lambda: construct_independent(SPACE_SET), 4, False),  # p_tested is no sample
+            (lambda: construct_moment(2, 3.25), 9, True),
+        ],
+        ids=["space", "space-4", "moment"],
+    )
+    def test_the_plot_takes_p_tested_and_verification_reuses_it(
+        self, grid_passes, forget_evaluation, make, samples, start_grid_doubles
+    ):
+        cert = make()
+        forget_evaluation()
+        fresh = verify_certificate(cert)
+        forget_evaluation()
+        grid_passes.clear()
+        rows = emit_plot_data(cert, samples)
+        plotted = list(grid_passes)
+        assert plotted and (start_grid_doubles or plotted == [128])
+        assert verify_certificate(cert) == fresh
+        assert grid_passes == plotted
+        for row in rows:
+            res = paired_difference(cert.frequencies, cert.coefficients, row["p"], EvalConfig())
+            assert (row["lhs"], row["rhs"], row["difference"]) == (res.lhs, res.rhs, res.difference)
+        # a sample's result is kept where it carries an error estimate: where
+        # the start grid doubles, every sample's does
+        grid_passes.clear()
+        verify_certificate(replace(cert, p_tested=rows[0]["p"]))
+        assert bool(grid_passes) is not start_grid_doubles
+
+    def test_a_plot_beyond_the_slice_sum_budget_makes_no_pass(self, grid_passes):
+        # 1-D ladders reach 2^22 points, whose passes keep 32 769 slice sums a
+        # row: 63 samples and p_tested on two rows exceed the 2^22 budget
+        cert = construct_independent(LINE)
+        grid_passes.clear()
+        with pytest.raises(BudgetError, match="64 exponents keep 4194432 slice sums"):
+            emit_plot_data(cert, 63)
+        assert grid_passes == []
 
     def test_zero_samples_give_empty_table(self, cert):
         assert emit_plot_data(cert, 0) == []

@@ -684,6 +684,45 @@ class TestHalfGridKernel:
             assert mean == pytest.approx(1.0, rel=1e-15)
 
 
+class TestKeptEstimates:
+    """A start grid that cannot double ends every ladder, so its n//2 grid serves
+    only the error estimates the caller keeps."""
+
+    @pytest.mark.parametrize("d, n, own_pass", [(3, 128, False), (4, 32, False), (6, 8, True)])
+    def test_only_kept_exponents_read_the_half_grid(self, grid_passes, d, n, own_pass):
+        freqs, rows = random_case(d, d)
+        ps = [1.5, 2.5, 3.5]
+        every = _paired_differences(freqs, rows[0], ps, EvalConfig())
+        assert grid_passes == ([n, n // 2] if own_pass else [n])
+        grid_passes.clear()
+        kept = _paired_differences(freqs, rows[0], ps, EvalConfig(), estimated={2.5})
+        assert grid_passes == ([n, n // 2] if own_pass else [n])
+        assert kept[1] == every[1]
+        for res, alone in zip(kept[::2], every[::2]):
+            assert math.isnan(res.error_estimate)
+            assert res._replace(error_estimate=0) == alone._replace(error_estimate=0)
+        grid_passes.clear()
+        none = _paired_differences(freqs, rows[0], ps, EvalConfig(), estimated=())
+        assert all(math.isnan(res.error_estimate) for res in none)
+        assert grid_passes == [n]  # nor is the n//2 grid passed over
+
+    def test_a_start_grid_that_doubles_estimates_every_exponent(self):
+        freqs, signed = ((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.9, 0.8, 0.7)
+        ps = [1.5, 2.5, 3.5]
+        every = _paired_differences(freqs, signed, ps, TIGHT)
+        assert _paired_differences(freqs, signed, ps, TIGHT, estimated=()) == every
+
+    @pytest.mark.parametrize("d, slices", [(1, 32769), (2, 1025), (3, 65), (4, 17)])
+    def test_slice_sums_are_counted_at_the_finest_grid(self, d, slices):
+        # 2^22 points in 1-D (65 536 x 64), 2048 in 2-D, 128 in 3-D, 32 in 4-D
+        fit = lp_engine.QUAD_POINT_BUDGET // (2 * slices)
+        lp_engine._check_slice_sums(d, fit, 2, EvalConfig())
+        with pytest.raises(BudgetError, match=f"{fit + 1} exponents keep"):
+            lp_engine._check_slice_sums(d, fit + 1, 2, EvalConfig())
+        # the nine default plot samples and p_tested fit with room to spare
+        lp_engine._check_slice_sums(d, 10, 2, EvalConfig(grid_points_per_axis=8))
+
+
 class TestSharedSquares:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_bad_exponent_refused_before_any_grid(self, grid_passes, bad):
