@@ -28,12 +28,12 @@ nothing, and certifying it.  The command line plots a chosen certificate
 between the two, so its certification reuses the plot's ladder.
 
 Within one process the last evaluation is kept for one certificate: its
-checked frequencies, coefficients and settings, and the result at each
-exponent of the last call that evaluated, where that result carries an
-error estimate.  `verify_certificate` and `emit_plot_data` evaluate only the
-exponents it lacks, in one ladder, so verifying the certificate just
-constructed or plotted, or its JSON round trip, passes over no grid again;
-the judgment always reruns.  A new interpreter always evaluates.
+checked frequencies, coefficients and settings, and the result, with its
+error estimate, at each exponent of the last call that evaluated.
+`verify_certificate` and `emit_plot_data` evaluate only the exponents it
+lacks, in one ladder, so verifying the certificate just constructed or
+plotted, or its JSON round trip, passes over no grid again; the judgment
+always reruns.  A new interpreter always evaluates.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from math import inf, isfinite, isnan, log2
-from typing import Any, Collection, NamedTuple, Sequence
+from math import inf, isfinite, log2
+from typing import Any, NamedTuple, Sequence
 
 from .cvector import (
     CVector,
@@ -520,7 +520,7 @@ class VerifyResult(NamedTuple):
 
 
 # The last evaluation: one certificate's checked (frequencies, coefficients,
-# settings) and its result at each exponent that carries an error estimate.
+# settings) and its result at each exponent of the last call that evaluated.
 # It is replaced whole, so a thread reads one consistent pair.
 _last: tuple[Any, dict[float, PairedDifference]] = (None, {})
 
@@ -530,17 +530,14 @@ def _evaluations(
     coeffs: tuple[float, ...],
     ps: Sequence[float],
     cfg: EvalConfig,
-    estimated: Collection[float] | None = None,
 ) -> list[PairedDifference]:
     """The paired evaluation of the checked inputs at each exponent of `ps`.
 
     The last evaluation's results are reused where every input matches, and
     the exponents it lacks are evaluated in one ladder: a lone one through
-    `paired_difference`, more through `_paired_differences`, which estimates
-    the error of those in `estimated` (of all when it is None) and of the
-    others only where a grid doubles.  An evaluation that raises changes
-    nothing; one that succeeds becomes the last evaluation, with the results
-    at `ps` that carry an error estimate.
+    `paired_difference`, more through `_paired_differences`.  Every result
+    carries its error estimate.  An evaluation that raises changes nothing;
+    one that succeeds becomes the last evaluation, with the results at `ps`.
     """
     global _last
     key = freqs, coeffs, cfg
@@ -552,9 +549,9 @@ def _evaluations(
         if len(missing) == 1:
             found = [paired_difference(freqs, coeffs, missing[0], cfg)]
         else:
-            found = _paired_differences(freqs, coeffs, missing, cfg, estimated)
+            found = _paired_differences(freqs, coeffs, missing, cfg)
         known = {**known, **dict(zip(missing, found))}
-        _last = key, {p: known[p] for p in ps if not isnan(known[p].error_estimate)}
+        _last = key, {p: known[p] for p in ps}
     return [known[p] for p in ps]
 
 
@@ -577,8 +574,8 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     Within one process the last evaluation (see `_evaluations`) is reused
     when its inputs, the checked frequencies, the coefficients as floats and
     `cfg`, all equal this call's and it holds p as a float: that of the
-    last verification, or of the last plot of this certificate, which takes
-    p_tested.  Otherwise p is evaluated alone, by `paired_difference`, and
+    last verification, or any sample or p_tested of the last plot of this
+    certificate.  Otherwise p is evaluated alone, by `paired_difference`, and
     becomes the last evaluation.  The judgment below always reruns, and an
     evaluation that raised was never kept.  A new interpreter always
     evaluates.
@@ -615,10 +612,10 @@ def emit_plot_data(
 
     The samples and the certificate's own p_tested (inside the interval)
     share one ladder, less what the last evaluation already holds (see
-    `_evaluations`), and p_tested's error is estimated even where the start
-    grid cannot double, so a verification of `cert` with `cfg` right after
-    the plot passes over no grid.  Should p_tested alone be beyond
-    floating-point range, the samples are evaluated without it.
+    `_evaluations`), and each carries its error estimate, so a verification
+    of `cert` with `cfg` at p_tested or at any sample right after the plot
+    passes over no grid.  Should p_tested alone be beyond floating-point
+    range, the samples are evaluated without it.
     """
     _integer(p_samples, "p_samples", 0)
     cfg = cfg or EvalConfig()
@@ -632,7 +629,7 @@ def emit_plot_data(
     tested = cert.p_tested
     extra = [float(tested)] if _typed(tested, Real) and lo < tested < hi else []
     try:
-        results = _evaluations(freqs, coeffs, ps + extra, cfg, extra)
+        results = _evaluations(freqs, coeffs, ps + extra, cfg)
     except BudgetError:
         if not extra or extra[0] in ps:
             raise

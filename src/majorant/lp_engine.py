@@ -24,14 +24,13 @@ chunk's size.  It covers half of a tensor grid (|F| is even) with matrix
 products of per-axis phase tables, in every dimension: a 1-D grid is the
 A x B grid of x = a + A b.  Exponents double grid by grid, so each grid is
 passed over once per call.  The start grid's pass also gives the n//2 grid
-of the first error estimates; where the start grid cannot double, those
-estimates are all its n//2 grid serves, and it is read only for the
-exponents whose estimate the caller keeps.  Rows are scaled by a power of
-two, so |F|^2 neither under- nor overflows for any coefficient size.  A
-pass over a half grid of at least 2^17 points splits its chunks between the
-calling thread and one pooled thread (one thread on a single CPU); each
-slice's arithmetic depends on neither the chunk size nor our or BLAS's
-thread count, so the results are bit for bit the same.
+of the first error estimates, so every exponent a ladder evaluates carries
+its estimate.  Rows are scaled by a power of two, so |F|^2 neither under-
+nor overflows for any coefficient size.  A pass over a half grid of at
+least 2^17 points splits its chunks between the calling thread and one
+pooled thread (one thread on a single CPU); each slice's arithmetic depends
+on neither the chunk size nor our or BLAS's thread count, so the results
+are bit for bit the same.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import add
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,11 +267,7 @@ def _beyond_range(p: float) -> BudgetError:
 
 
 def _grid_means(
-    freqs: Sequence[Vec],
-    rows: list[list[float]],
-    n: int,
-    ps: list[float],
-    half: bool | Sequence[int] = False,
+    freqs: Sequence[Vec], rows: list[list[float]], n: int, ps: list[float], half: bool = False
 ) -> list[list[list[float]]]:
     """Means of |sum|^p over the n^d grid per exponent and row, from one pass.
 
@@ -281,13 +276,11 @@ def _grid_means(
     first-axis indices 0..A//2 of the A-point first axis are visited: real
     coefficients give F(-x) = conj F(x), so the slice at i stands for itself
     where 2i = 0 mod A and for two slices elsewhere.  With `half` (where the
-    n//2 grid's first axis is half as wide) the n//2 grid's means come back
-    too, for every exponent when it is True and else for those at the
-    indices of `ps` it lists, in its order.  They are read from the even
-    first-axis slices of the same powers, at the even points of the later
-    axes that n//2 halves; with two or more later axes (d >= 3) they are
-    copied contiguous, to add as one run in the order of a pass over n//2.
-    Returns means per grid, exponent and row.
+    n//2 grid's first axis is half as wide) its means come back too, read
+    from the even first-axis slices of the same powers, at the even points
+    of the later axes that n//2 halves; with two or more later axes (d >= 3)
+    they are copied contiguous, to add as one run in the order of a pass
+    over n//2.  Returns means per grid, exponent and row.
 
     The powers of a chunk are held in its thread's spent field buffer (see
     `_tensor_squares`), so a pass allocates per-slice sums, not powers.  A
@@ -304,10 +297,8 @@ def _grid_means(
     coeffs = np.array(rows, dtype=float)
     chunks, squares_of = _tensor_pass(freqs, coeffs, n)
     slices = widths[0] // 2 + 1
-    listed = range(len(ps)) if half is True else half or ()
-    halved = {i: k for k, i in enumerate(listed)}  # index in ps: index in the n//2 means
     sums = np.zeros((len(ps), len(coeffs), slices))
-    halves = np.zeros((len(halved), len(coeffs), (slices + 1) // 2))
+    halves = np.zeros((len(ps), len(coeffs), (slices + 1) // 2))
     steps = [w // v for w, v in zip(widths[1:], _axes(d, n // 2)[1:])]
 
     def work(mine) -> None:
@@ -322,8 +313,8 @@ def _grid_means(
                     # the powers are >= 0: a sum beyond range (or NaN) puts the mean there too
                     if not sums[i, :, lo:hi].max() < math.inf:
                         raise _beyond_range(p)
-                    if i in halved:
-                        add_even_subgrid(halved[i], lo, powers)
+                    if half:
+                        add_even_subgrid(i, lo, powers)
 
     def add_even_subgrid(i: int, lo: int, powers: np.ndarray) -> None:
         thin = (slice(lo % 2, None, 2), *(slice(None, None, step) for step in steps))
@@ -336,10 +327,8 @@ def _grid_means(
     else:
         work(chunks)
     out = []
-    grids = [(widths[0], n, sums, ps)]
-    if half is not False:
-        grids.append((widths[0] // 2, n // 2, halves, [ps[i] for i in halved]))
-    for first, size, grid, grid_ps in grids:
+    grids = [(widths[0], n, sums)] + ([(widths[0] // 2, n // 2, halves)] if half else [])
+    for first, size, grid in grids:
         weights = np.where(2 * np.arange(grid.shape[2]) % first == 0, 1.0, 2.0)
         blocks = [slice(k, k + _BLOCK_POINTS) for k in range(0, len(weights), _BLOCK_POINTS)]
         with np.errstate(over="ignore"):  # finite slice sums can weigh past range: refused below
@@ -347,7 +336,7 @@ def _grid_means(
                 [sum(float(weights[b] @ s[b]) for b in blocks) for s in by_p] for by_p in grid
             ]
         out.append([[x / size**d for x in by_p] for by_p in weighted])
-        for p, means in zip(grid_ps, out[-1]):
+        for p, means in zip(ps, out[-1]):
             if not all(map(math.isfinite, means)):
                 raise _beyond_range(p)
     return out
@@ -411,7 +400,6 @@ def _refine(
     ps: Sequence[Real],
     cfg: EvalConfig,
     paired: bool,
-    estimated: Collection[float] | None = None,
 ) -> list[tuple[list[float], float, int]]:
     """Means of |sum|^p on doubling grids until the tracked quantity settles.
 
@@ -435,15 +423,12 @@ def _refine(
     pass gives the n//2 grid of the first error estimate where that grid's
     slices are its even ones, whole (1-D, as at 256) or at even columns of a
     multiple of 16: only there does each column fall in the same kind of
-    OpenBLAS column group (4 wide, or the rest) as in a pass over n//2.  A
-    start grid that cannot double ((2n)^d over the budget: 3-D at 128, 4-D
-    at 32) ends every ladder, so the n//2 grid serves only the error
-    estimates: it is read, or passed over, only for the exponents in
-    `estimated` (every one when it is None), and the others come back with
-    a NaN estimate.  An exponent's results do not depend on the others in
-    the call.  A pass whose half grid has at least 2^17 points runs on two
-    threads (see `_grid_means`), with the same result as on one.  Returns
-    (means, err, n).
+    OpenBLAS column group (4 wide, or the rest) as in a pass over n//2.
+    Every exponent carries its error estimate, also where the start grid
+    cannot double ((2n)^d over the budget: 3-D at 128, 4-D at 32), and its
+    results do not depend on the others in the call.  A pass whose half grid
+    has at least 2^17 points runs on two threads (see `_grid_means`), with
+    the same result as on one.  Returns (means, err, n).
     """
     vecs, coeff_row, pfs = _pass_inputs(freqs, coeffs, ps)
     d = len(vecs[0])
@@ -459,20 +444,13 @@ def _refine(
         floor = _FLOOR_ULPS * math.ulp(max(map(abs, row_means)))
         return step <= cfg.backend_agreement_tol or step <= floor
 
-    cannot_double = (2 * n) ** d > budget
-    kept = [
-        i for i, p in enumerate(pfs) if not cannot_double or estimated is None or p in estimated
-    ]
     wide, narrow = _axes(d, n), _axes(d, n // 2)
     if 2 * narrow[0] == wide[0] and (narrow[1:] == wide[1:] or n % 16 == 0):
-        means, coarse = _grid_means(freqs, rows, n, pfs, half=kept)
+        means, coarse = _grid_means(freqs, rows, n, pfs, half=True)
     else:  # the coarse grid gets a pass of its own
-        [means] = _grid_means(freqs, rows, n, pfs)
-        coarse = _grid_means(freqs, rows, n // 2, [pfs[i] for i in kept])[0] if kept else []
+        [means], [coarse] = _grid_means(freqs, rows, n, pfs), _grid_means(freqs, rows, n // 2, pfs)
     values = [tracked(m) for m in means]
-    errs = [math.nan] * len(pfs)
-    for i, c in zip(kept, coarse):
-        errs[i] = abs(values[i] - tracked(c))
+    errs = [abs(v - tracked(c)) for v, c in zip(values, coarse)]
     grids = [n] * len(pfs)
     while (2 * n) ** d <= budget:
         active = [i for i, err in enumerate(errs) if not settled(err, means[i])]
@@ -484,11 +462,7 @@ def _refine(
             means[i], grids[i] = m, n
             values[i], errs[i] = tracked(m), abs(tracked(m) - values[i])
     return [
-        (
-            [_scaled_back(x, shift, pf) for x in m],
-            err if math.isnan(err) else _scaled_back(err, shift, pf),
-            grid,
-        )
+        ([_scaled_back(x, shift, pf) for x in m], _scaled_back(err, shift, pf), grid)
         for m, err, grid, pf in zip(means, errs, grids, pfs)
     ]
 
@@ -510,20 +484,12 @@ class PairedDifference(NamedTuple):
 
 
 def _paired_differences(
-    freqs: Sequence[Vec],
-    signed: Sequence[Real],
-    ps: Sequence[Real],
-    cfg: EvalConfig,
-    estimated: Collection[float] | None = None,
+    freqs: Sequence[Vec], signed: Sequence[Real], ps: Sequence[Real], cfg: EvalConfig
 ) -> list[PairedDifference]:
-    """`paired_difference` at each exponent of `ps`, sharing grid passes.
-
-    As in `_refine`, an exponent outside `estimated` may come back with a
-    NaN error estimate, where the start grid cannot double.
-    """
+    """`paired_difference` at each exponent of `ps`, sharing grid passes."""
     return [
         PairedDifference(lhs, rhs, rhs - lhs, err, n)
-        for (rhs, lhs), err, n in _refine(freqs, signed, ps, cfg, True, estimated)
+        for (rhs, lhs), err, n in _refine(freqs, signed, ps, cfg, paired=True)
     ]
 
 

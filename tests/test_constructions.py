@@ -13,7 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
-from math import inf, log2, nextafter, ulp
+from math import inf, isfinite, log2, nextafter, ulp
 from pathlib import Path
 
 import jsonschema
@@ -566,16 +566,17 @@ class TestEmitPlotData:
         assert start // 2 not in shared + grid_passes
 
     @pytest.mark.parametrize(
-        "make, samples, start_grid_doubles",
+        "make, samples, start_grid",
         [
-            (lambda: construct_independent(SPACE_SET), 9, False),
-            (lambda: construct_independent(SPACE_SET), 4, False),  # p_tested is no sample
-            (lambda: construct_moment(2, 3.25), 9, True),
+            (lambda: construct_independent(SPACE_SET), 9, 128),
+            (lambda: construct_independent(SPACE_SET), 4, 128),  # p_tested is no sample
+            (lambda: construct_independent(unit_vectors_and_diagonal(4)), 9, 32),
+            (lambda: construct_moment(2, 3.25), 9, None),  # the start grid doubles
         ],
-        ids=["space", "space-4", "moment"],
+        ids=["space", "space-4", "four-dim", "moment"],
     )
     def test_the_plot_takes_p_tested_and_verification_reuses_it(
-        self, grid_passes, forget_evaluation, make, samples, start_grid_doubles
+        self, grid_passes, forget_evaluation, make, samples, start_grid
     ):
         cert = make()
         forget_evaluation()
@@ -584,17 +585,19 @@ class TestEmitPlotData:
         grid_passes.clear()
         rows = emit_plot_data(cert, samples)
         plotted = list(grid_passes)
-        assert plotted and (start_grid_doubles or plotted == [128])
+        assert plotted and (start_grid is None or plotted == [start_grid])
         assert verify_certificate(cert) == fresh
         assert grid_passes == plotted
         for row in rows:
             res = paired_difference(cert.frequencies, cert.coefficients, row["p"], EvalConfig())
             assert (row["lhs"], row["rhs"], row["difference"]) == (res.lhs, res.rhs, res.difference)
-        # a sample's result is kept where it carries an error estimate: where
-        # the start grid doubles, every sample's does
+        # every sample's result carries its error estimate, so a copy tested at
+        # any sample verifies from the plot's ladder
         grid_passes.clear()
-        verify_certificate(replace(cert, p_tested=rows[0]["p"]))
-        assert bool(grid_passes) is not start_grid_doubles
+        for row in rows:
+            res = verify_certificate(replace(cert, p_tested=row["p"]))
+            assert isfinite(res.error_estimate)
+        assert grid_passes == []
 
     def test_a_plot_beyond_the_slice_sum_budget_makes_no_pass(self, grid_passes):
         # 1-D ladders reach 2^22 points, whose passes keep 32 769 slice sums a

@@ -685,32 +685,25 @@ class TestHalfGridKernel:
 
 
 class TestKeptEstimates:
-    """A start grid that cannot double ends every ladder, so its n//2 grid serves
-    only the error estimates the caller keeps."""
+    """Every exponent a ladder evaluates keeps its error estimate, also where a
+    start grid that cannot double ends every ladder and its n//2 grid serves
+    only the estimates."""
 
     @pytest.mark.parametrize("d, n, own_pass", [(3, 128, False), (4, 32, False), (6, 8, True)])
-    def test_only_kept_exponents_read_the_half_grid(self, grid_passes, d, n, own_pass):
+    def test_a_start_grid_that_cannot_double_reads_its_half_once(self, grid_passes, d, n, own_pass):
+        freqs, rows = random_case(d, d)
+        _paired_differences(freqs, rows[0], [1.5, 2.5, 3.5], EvalConfig())
+        assert grid_passes == ([n, n // 2] if own_pass else [n])
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 2])  # 3-D 128, 4-D 32, 6-D 8; 2-D 256 doubles
+    def test_every_exponent_has_a_finite_estimate_of_its_own(self, d):
         freqs, rows = random_case(d, d)
         ps = [1.5, 2.5, 3.5]
-        every = _paired_differences(freqs, rows[0], ps, EvalConfig())
-        assert grid_passes == ([n, n // 2] if own_pass else [n])
-        grid_passes.clear()
-        kept = _paired_differences(freqs, rows[0], ps, EvalConfig(), estimated={2.5})
-        assert grid_passes == ([n, n // 2] if own_pass else [n])
-        assert kept[1] == every[1]
-        for res, alone in zip(kept[::2], every[::2]):
-            assert math.isnan(res.error_estimate)
-            assert res._replace(error_estimate=0) == alone._replace(error_estimate=0)
-        grid_passes.clear()
-        none = _paired_differences(freqs, rows[0], ps, EvalConfig(), estimated=())
-        assert all(math.isnan(res.error_estimate) for res in none)
-        assert grid_passes == [n]  # nor is the n//2 grid passed over
-
-    def test_a_start_grid_that_doubles_estimates_every_exponent(self):
-        freqs, signed = ((0, 0), (1, 1), (2, 4), (3, 9)), (1.0, -0.9, 0.8, 0.7)
-        ps = [1.5, 2.5, 3.5]
-        every = _paired_differences(freqs, signed, ps, TIGHT)
-        assert _paired_differences(freqs, signed, ps, TIGHT, estimated=()) == every
+        shared = _paired_differences(freqs, rows[0], ps, EvalConfig())
+        assert all(math.isfinite(res.error_estimate) for res in shared)
+        assert shared == [paired_difference(freqs, rows[0], p, EvalConfig()) for p in ps]
+        if d == 2:
+            assert {res.grid_points_per_axis for res in shared} != {256}
 
     @pytest.mark.parametrize("d, slices", [(1, 32769), (2, 1025), (3, 65), (4, 17)])
     def test_slice_sums_are_counted_at_the_finest_grid(self, d, slices):
