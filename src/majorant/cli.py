@@ -29,7 +29,7 @@ from .constructions import (
     verify_certificate,
 )
 from .errors import BudgetError, DomainError, MajorantError
-from .exact_lattice import FrequencySet, affine_dimension
+from .exact_lattice import Abundance, FrequencySet, abundance_scan
 from .lp_engine import EvalConfig
 from .moment_curve import weak_majorant_bound, weak_majorant_ratio
 
@@ -60,15 +60,19 @@ def _eval_config(args: argparse.Namespace) -> EvalConfig:
 
 
 def _emit(doc: Any) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Print `doc` as JSON, formed whole first: one that cannot be printed prints nothing."""
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise DomainError(f"cannot print the result: {exc}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _write_plot(path: str, cert: Certificate, samples: int, cfg: EvalConfig) -> None:
     """Write the plot CSV; callers do this before printing, so a rejected plot prints nothing.
 
-    Callers plot a chosen certificate before they certify it: the plot's
-    ladder takes its p_tested, which certification then reuses.
+    Callers plot a chosen, unmeasured certificate before they certify it: the
+    plot's ladder takes its p_tested, which certification then reuses.
     """
     rows = emit_plot_data(cert, samples, cfg)
     try:
@@ -91,9 +95,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = FrequencySet.from_json(_load_json(args.input))
     cfg = _eval_config(args)
-    chosen = _choose_certificates(g, args.count, cfg, args.scan_budget, args.stream_budget)
+    scan = abundance_scan(g, args.scan_budget)
+    chosen = _choose_certificates(g, scan, args.count, cfg, args.stream_budget)
     if args.plot:
-        _write_plot(args.plot, chosen[0].cert, args.plot_samples, cfg)
+        _write_plot(args.plot, chosen[0], args.plot_samples, cfg)
     certs = [_certify(c) for c in chosen]
     infinite = g.is_structurally_infinite()
     _emit([c.to_json() for c in certs] if infinite else certs[0].to_json())
@@ -102,9 +107,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         found = f"found {len(certs)} of {args.count} certificates"
         if not infinite:
             note = f"a finite set gives one certificate; --count {args.count} ignored"
-        elif certs[0].theorem_tag == "abundant":
+        elif scan.status is Abundance.YES:
             note = f"{found} within --stream-budget {args.stream_budget}"
-        elif affine_dimension(g) < g.dim:  # exactly when an infinite set is not abundant
+        elif scan.status is Abundance.NO:
             note = f"{found}: the set is not affinely abundant"
         else:
             note = f"{found}: abundance scan inconclusive within --scan-budget {args.scan_budget}"
@@ -129,7 +134,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     cfg = _eval_config(args)
     chosen = _choose_moment(args.d, args.p, cfg)
     if args.plot:
-        _write_plot(args.plot, chosen.cert, args.plot_samples, cfg)
+        _write_plot(args.plot, chosen, args.plot_samples, cfg)
     _emit(_certify(chosen).to_json())
     return 0
 

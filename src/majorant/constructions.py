@@ -23,8 +23,9 @@ constructed certificate is `verified` exactly when `verify_certificate` with
 the same settings returns True; construction skips the evaluation when the
 term is below the floor, where that cannot happen.
 
-Construction takes two steps: choosing a certificate, which evaluates
-nothing, and certifying it.  The command line plots a chosen certificate
+Construction takes two steps: choosing a certificate, unmeasured, which
+evaluates nothing, and certifying it, whose gate reads the leading term at
+p_tested as verification does.  The command line plots a chosen certificate
 between the two, so its certification reuses the plot's ladder.
 
 Within one process the last evaluation is kept for one certificate: its
@@ -276,13 +277,6 @@ def _same_json(given: Any, derived: Any) -> bool:
     return _typed(given, int) and given == derived
 
 
-class _Chosen(NamedTuple):
-    """A certificate chosen but not evaluated, and log2 of its leading term."""
-
-    cert: Certificate
-    log2_lead: float
-
-
 def _choose(
     theorem_tag: str,
     freqs: Sequence[Vec],
@@ -291,14 +285,15 @@ def _choose(
     cfg: EvalConfig,
     reduction: dict[str, Any] | None = None,
     note_prefix: str = "",
-) -> _Chosen:
-    """The certificate at MAGNITUDE that `_certify` certifies, with no measured field.
+) -> Certificate:
+    """The unmeasured certificate at MAGNITUDE, tested at p as a float, for `_certify`.
 
     It records `cfg` and notes `note_prefix`.  `cv`, the relation of
     `freqs`, is the certificate's `cvector`: it is not derived again.
+    BudgetError when p_tested lies outside the certificate's own interval (p
+    beyond float precision), as `Certificate.from_json` would say.
     """
     coeffs = assign_signs(cv, MAGNITUDE)
-    log2_lead = log2_leading_term(p, cv, coeffs)
     cert = Certificate(
         theorem_tag=theorem_tag,
         frequencies=((0,) * len(freqs[0]), *freqs),
@@ -314,19 +309,23 @@ def _choose(
         note=note_prefix,
         reduction=reduction,
     )
-    return _Chosen(_holding(cert, cv), log2_lead)
+    interval = _holding(cert, cv).p_interval
+    if not interval.contains(cert.p_tested):
+        raise BudgetError(f"p_tested {cert.p_tested:g} is not inside {list(interval)}")
+    return cert
 
 
-def _certify(chosen: _Chosen) -> Certificate:
-    """The chosen certificate, verified exactly when `verify_certificate` says True.
+def _certify(cert: Certificate) -> Certificate:
+    """The chosen, unmeasured `cert`, verified exactly when `verify_certificate` says True.
 
-    A leading term below LEAD_FLOOR cannot certify, so it is not evaluated;
-    otherwise the certificate is verified with the settings it records and
-    takes its measured fields from the result, unless the engine finds a
-    mean of |sum|^p beyond floating-point range; its message is then the
-    note, after the chosen one.
+    A leading term at p_tested (`_log2_lead`, as verification reads it)
+    below LEAD_FLOOR cannot certify, so it is not evaluated; otherwise the
+    certificate is verified with the settings it records and takes its
+    measured fields from the result, unless the engine finds a mean of
+    |sum|^p beyond floating-point range; its message is then the note,
+    after the chosen one.
     """
-    cert, log2_lead = chosen
+    log2_lead = _log2_lead(cert)
     measured: dict[str, Any] = {}
     note = f"leading term 2^{log2_lead:.1f} is below numerical resolution"
     if log2_lead >= log2(LEAD_FLOOR):
@@ -357,7 +356,7 @@ def construct_independent(g: FrequencySet, cfg: EvalConfig | None = None) -> Cer
     return _certify(_choose_independent(g, cfg or EvalConfig()))
 
 
-def _choose_independent(g: FrequencySet, cfg: EvalConfig) -> _Chosen:
+def _choose_independent(g: FrequencySet, cfg: EvalConfig) -> Certificate:
     """`construct_independent`'s certificate, chosen."""
     if g.is_structurally_infinite():
         raise HypothesisError("set is structurally infinite; use construct_abundant")
@@ -399,28 +398,48 @@ def construct_abundant(
     larger m_plus than everything before them are kept, so the violation
     intervals march off to infinity without overlapping.
     """
-    cfg = cfg or EvalConfig()
-    _integer(how_many, "how_many", 1)
-    _integer(stream_budget, "stream budget", 1)
     scan = abundance_scan(g, scan_budget)
     if scan.status is Abundance.NO:
         raise HypothesisError("set is not affinely abundant; no escalating family exists")
     if scan.status is Abundance.INCONCLUSIVE:
-        raise BudgetError(
-            "abundance scan inconclusive within budget; raise scan_budget"
-        )
-    return [_certify(c) for c in _choose_family(g, scan, how_many, cfg, stream_budget)]
+        raise BudgetError("abundance scan inconclusive within budget; raise scan_budget")
+    chosen = _choose_certificates(g, scan, how_many, cfg or EvalConfig(), stream_budget)
+    return [_certify(c) for c in chosen]
 
 
-def _choose_family(
+def construct_certificates(
+    g: FrequencySet,
+    how_many: int = 1,
+    cfg: EvalConfig | None = None,
+    scan_budget: int = SCAN_BUDGET,
+    stream_budget: int = STREAM_BUDGET,
+) -> list[Certificate]:
+    """The certificates `classify` attaches to `g`, up to `how_many` of them.
+
+    An abundant set gives up to `how_many` members of its escalating family,
+    as `construct_abundant` does; any other set gives the one certificate of
+    its finite sample (the whole set when it is finite), which raises
+    HypothesisError when the sample is affinely independent.
+    """
+    scan = abundance_scan(g, scan_budget)
+    chosen = _choose_certificates(g, scan, how_many, cfg or EvalConfig(), stream_budget)
+    return [_certify(c) for c in chosen]
+
+
+def _choose_certificates(
     g: FrequencySet, scan: AbundanceScan, how_many: int, cfg: EvalConfig, stream_budget: int
-) -> list[_Chosen]:
-    """`construct_abundant`'s certificates, chosen, from a scan that found `g` abundant."""
+) -> list[Certificate]:
+    """The unmeasured certificates `scan`, the abundance scan of `g`, chooses: up to
+    `how_many` of an abundant set's escalating family, else the one of `_sample(g)`."""
+    _integer(how_many, "how_many", 1)
+    _integer(stream_budget, "stream budget", 1)
+    if scan.status is not Abundance.YES:
+        return [_choose_independent(_sample(g), cfg)]
     assert scan.witness is not None and scan.dtuple is not None
     bullet = next(q for q in scan.witness if q not in scan.dtuple)
     anchor = tuple(tuple(x - y for x, y in zip(q, bullet)) for q in scan.dtuple)
     skip = set(scan.dtuple) | {bullet}
-    certs: list[_Chosen] = []
+    certs: list[Certificate] = []
     last_m = 1
     for n0 in g.stream(stream_budget):
         if n0 in skip:
@@ -442,42 +461,6 @@ def _choose_family(
     return certs
 
 
-def construct_certificates(
-    g: FrequencySet,
-    how_many: int = 1,
-    cfg: EvalConfig | None = None,
-    scan_budget: int = SCAN_BUDGET,
-    stream_budget: int = STREAM_BUDGET,
-) -> list[Certificate]:
-    """The certificates `classify` attaches to `g`, up to `how_many` of them.
-
-    An abundant set gives up to `how_many` members of its escalating family,
-    as `construct_abundant` does; any other set gives the one certificate of
-    its finite sample (the whole set when it is finite), which raises
-    HypothesisError when the sample is affinely independent.
-    """
-    chosen = _choose_certificates(g, how_many, cfg or EvalConfig(), scan_budget, stream_budget)
-    return [_certify(c) for c in chosen]
-
-
-def _choose_certificates(
-    g: FrequencySet, how_many: int, cfg: EvalConfig, scan_budget: int, stream_budget: int
-) -> list[_Chosen]:
-    """`construct_certificates`'s certificates, chosen."""
-    _integer(how_many, "how_many", 1)
-    _integer(stream_budget, "stream budget", 1)
-    return _choices(g, abundance_scan(g, scan_budget), how_many, cfg, stream_budget)
-
-
-def _choices(
-    g: FrequencySet, scan: AbundanceScan, how_many: int, cfg: EvalConfig, stream_budget: int
-) -> list[_Chosen]:
-    """An abundant set's escalating family, up to `how_many`, else the one of `_sample(g)`."""
-    if scan.status is Abundance.YES:
-        return _choose_family(g, scan, how_many, cfg, stream_budget)
-    return [_choose_independent(_sample(g), cfg)]
-
-
 def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certificate:
     """Counterexample at a prescribed non-even exponent on the moment curve.
 
@@ -488,9 +471,9 @@ def construct_moment(d: int, p: Real, cfg: EvalConfig | None = None) -> Certific
     return _certify(_choose_moment(d, p, cfg or EvalConfig()))
 
 
-def _choose_moment(d: int, p: Real, cfg: EvalConfig) -> _Chosen:
-    """`construct_moment`'s certificate, chosen."""
-    if is_even_exponent(_exponent(p)):
+def _choose_moment(d: int, p: Real, cfg: EvalConfig) -> Certificate:
+    """`construct_moment`'s certificate, chosen; p is even when its float, p_tested, is."""
+    if is_even_exponent(float(_exponent(p))):
         raise DomainError("even integer exponents admit no strict violation")
     k, cv = smallest_admissible_k(d, p)
     freqs = tuple(gamma_point(d, k + i) for i in range(d + 1))
@@ -563,10 +546,11 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     is True exactly when this returns True with the same settings.
 
     Trusts nothing but the frequencies, coefficients, and exponent: the
-    leading term takes c from `cert.cvector`, which the frequencies fix, and
-    is -inf, so nothing verifies, unless the origin with coefficient 1 comes
-    first and the rest determine c.  A certificate with its signs stripped,
-    or with frequencies that alias on the grid, therefore does not verify.
+    leading term at p_tested (`_log2_lead`, which construction's gate reads
+    too) takes c from `cert.cvector`, which the frequencies fix, and is -inf,
+    so nothing verifies, unless the origin with coefficient 1 comes first and
+    the rest determine c.  A certificate with its signs stripped, or with
+    frequencies that alias on the grid, therefore does not verify.
     The grid, tolerance and safety factor are `cfg` (defaults when omitted),
     never the certificate's.  Raises BudgetError when a mean of |sum|^p is
     beyond floating-point range.
@@ -583,10 +567,7 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     cfg = cfg or EvalConfig()
     freqs, coeffs, [p] = _pass_inputs(cert.frequencies, cert.coefficients, [cert.p_tested])
     [res] = _evaluations(freqs, coeffs, [p], cfg)
-    log2_lead = -inf
-    if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
-        with suppress(MajorantError):  # the frequencies determine no c
-            log2_lead = log2_leading_term(cert.p_tested, cert.cvector, cert.coefficients[1:])
+    log2_lead = _log2_lead(cert)
     margin, err = res.difference, res.error_estimate
     verdict: bool | str = "inconclusive"
     above_error = isfinite(margin) and margin > cfg.margin_safety_factor * err
@@ -596,6 +577,16 @@ def verify_certificate(cert: Certificate, cfg: EvalConfig | None = None) -> Veri
     elif isfinite(margin) and err <= cfg.backend_agreement_tol:
         verdict = False
     return VerifyResult(verdict, margin, err, res.grid_points_per_axis, res.lhs, res.rhs)
+
+
+def _log2_lead(cert: Certificate) -> float:
+    """log2 of `cert`'s leading term at p_tested; -inf unless the origin, with
+    coefficient 1, comes first and the rest determine c."""
+    log2_lead = -inf
+    if not any(cert.frequencies[0]) and cert.coefficients[0] == 1.0:
+        with suppress(MajorantError):  # the frequencies determine no c
+            log2_lead = log2_leading_term(cert.p_tested, cert.cvector, cert.coefficients[1:])
+    return log2_lead
 
 
 def emit_plot_data(
@@ -676,7 +667,7 @@ def classify(
     if not with_certificate:
         return report
     try:
-        cert = _certify(_choices(g, scan, 1, cfg, STREAM_BUDGET)[0])
+        cert = _certify(_choose_certificates(g, scan, 1, cfg, STREAM_BUDGET)[0])
         report["certificate"] = cert.to_json()
     except MajorantError as exc:
         report["note"] = f"certificate construction failed: {exc}"

@@ -369,9 +369,10 @@ def _ladder_grids(d: int, cfg: EvalConfig) -> tuple[int, int]:
     gives the finest grid.
     """
     n, budget = max(8, cfg.grid_points_per_axis), QUAD_POINT_BUDGET
+    # 8^d exceeds the budget exactly when 8^min(d, 23) does, a small power at any d
+    if 8 ** min(d, budget.bit_length()) > budget:
+        raise BudgetError(f"the 8^{d} grid exceeds the quadrature budget of {budget} points")
     while n**d > budget:
-        if n == 8:
-            raise BudgetError(f"the 8^{d} grid exceeds the quadrature budget of {budget} points")
         n = max(8, n // 2)
     finest = n
     while (2 * finest) ** d <= budget:

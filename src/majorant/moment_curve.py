@@ -16,7 +16,7 @@ from typing import Sequence
 from .cvector import CVector, Real, _check_real_coeffs, _exponent, build_c
 from .errors import DimensionError, DomainError
 from .exact_lattice import IntMatrix, Vec, _as_vec, _integer, det_exact
-from .lp_engine import EvalConfig, lp_norm_quadrature
+from .lp_engine import EvalConfig, _ladder_grids, lp_norm_quadrature
 
 
 def gamma_point(d: int, t: int) -> Vec:
@@ -102,6 +102,7 @@ def weak_majorant_ratio(
         raise DomainError("majorant coefficients must not all vanish")
     if any(abs(s) > b for s, b in zip(small, big)):
         raise DomainError("majorant must dominate the coefficients entrywise")
+    _ladder_grids(d, cfg)  # the grid budget refuses d before any curve point is formed
     freqs = [gamma_point(d, t) for t in ts]
     # the ratio is unchanged by a common factor, and at unit scale neither
     # norm power under- or overflows

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from majorant import constructions
+from majorant import constructions, moment_curve
 from majorant.cli import _build_parser, main
 from majorant.constructions import (
     Certificate,
@@ -205,6 +205,16 @@ class TestConstruct:
         assert code == 0
         assert len(json.loads(out)) == 3
         assert err == "found 3 of 6 certificates within --stream-budget 6\n"
+
+    def test_an_exponent_beyond_float_precision_exits_two(self, tmp_path, capsys):
+        # m_plus = 10^20, so p = 2 m_plus - 3 rounds to 2e+20, outside (2e20 - 4, 2e20 - 2)
+        inp = write_json(tmp_path / "g.json", {"dim": 1, "points": [[0], [1], [10**20]]})
+        code, out, err = run(capsys, "construct", "--input", inp)
+        assert (code, out) == (2, "")
+        assert err == (
+            "inconclusive: p_tested 2e+20 is not inside "
+            "[199999999999999999996, 199999999999999999998]\n"
+        )
 
     def test_exhausted_stream_budget_is_one_line(self, tmp_path, capsys):
         inp = write_json(tmp_path / "g.json", MOMENT_GEN_SET)
@@ -411,6 +421,13 @@ class TestMoment:
             [row] = list(csv.DictReader(fh))
         assert float(row["p"]) == 1259.0
 
+    def test_an_unprintable_integer_is_one_line_and_no_json(self, capsys, time_limit):
+        # c has an entry of more than 4 300 digits, beyond what Python prints
+        with time_limit(20):
+            code, out, err = run(capsys, "moment", "--d", "85", "--p", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot print the result: ") and err.count("\n") == 1
+
     def test_plane_cubic(self, capsys):
         code, out, _ = run(capsys, "moment", "--d", "2", "--p", "3")
         assert code == 0
@@ -499,6 +516,20 @@ class TestWeakMajorant:
         code, out, err = run(capsys, "weak-majorant", "--input", write_json(tmp_path / "w.json", query))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("d", [8, 1_000_000, 10**9])
+    def test_the_grid_budget_refuses_d_before_any_curve_point(
+        self, tmp_path, capsys, monkeypatch, d
+    ):
+        def no_point(d, t):
+            raise AssertionError("a curve point was formed")
+
+        monkeypatch.setattr(moment_curve, "gamma_point", no_point)
+        inp = write_json(tmp_path / "q.json", {**WEAK_QUERY, "d": d})
+        code, out, err = run(capsys, "weak-majorant", "--input", inp)
+        assert (code, out) == (2, "")
+        message = f"the 8^{d} grid exceeds the quadrature budget of 4194304 points"
+        assert err == f"inconclusive: {message}\n"
 
     def test_missing_key_rejected(self, tmp_path, capsys):
         inp = write_json(tmp_path / "w.json", {"d": 2, "p": 3})

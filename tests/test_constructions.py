@@ -25,6 +25,7 @@ from majorant.constructions import (
     assign_signs,
     classify,
     construct_abundant,
+    construct_certificates,
     construct_independent,
     construct_moment,
     emit_plot_data,
@@ -66,6 +67,16 @@ ZERO_STEP = FrequencySet.from_json(
     }
 )
 LINE = FrequencySet(1, ((0,), (1,), (2,)))
+# {0, e1, e2} with a progression tail from (2, 1) by (1, 1): abundant
+PROGRESSION_2D = FrequencySet.from_json(
+    {
+        "dim": 2,
+        "points": [[0, 0], [1, 0], [0, 1]],
+        "generator": {"kind": "arith_progression", "params": {"start": [2, 1], "step": [1, 1]}},
+    }
+)
+# {0, 1, 10^20}: m_plus is 10^20, so p = 2 m_plus - 3 rounds to the even float 2e+20
+HUGE_LINE = FrequencySet(1, ((0,), (1,), (10**20,)))
 
 
 def affine_basis_calls(monkeypatch) -> list[tuple]:
@@ -235,6 +246,10 @@ class TestConstructAbundant:
         with pytest.raises(HypothesisError):
             construct_abundant(FrequencySet(1, ((0,), (1,), (2,))), 1)
 
+    def test_the_status_is_checked_before_the_count(self):
+        with pytest.raises(HypothesisError):
+            construct_abundant(COLLINEAR_GEN, 0)
+
 
 class TestConstructMoment:
     def test_plane_cubic_instance(self):
@@ -309,7 +324,9 @@ class TestOneRule:
             construct_independent(FrequencySet(2, ((0, 0), (1, 0), (0, 1), (1, 1))), cfg),
             construct_independent(SPACE_SET, cfg),
             construct_moment(2, 3, cfg),
+            construct_moment(2, Fraction(11, 3), cfg),
             *construct_abundant(MOMENT_GEN, 2, cfg),
+            construct_abundant(PROGRESSION_2D, 1, cfg)[0],
         ]
         for cert in certs:
             assert cert.margin is not None
@@ -1152,3 +1169,75 @@ class TestConstructMomentExponent:
     def test_non_finite_exponent_rejected(self, p):
         with pytest.raises(DomainError):
             construct_moment(2, p)
+
+
+class TestOneLeadingTerm:
+    """Construction's gate and verification read one leading term, at the float p_tested."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: construct_moment(2, Fraction(11, 3)),
+            lambda: construct_abundant(MOMENT_GEN, 1)[0],
+        ],
+        ids=["moment-fraction", "abundant"],
+    )
+    def test_every_call_takes_p_tested(self, monkeypatch, make):
+        calls: list = []
+        real = constructions.log2_leading_term
+
+        def spy(p, cv, a):
+            calls.append(p)
+            return real(p, cv, a)
+
+        monkeypatch.setattr(constructions, "log2_leading_term", spy)
+        cert = make()
+        assert verify_certificate(cert).verdict is cert.verified is True
+        assert len(calls) >= 2
+        assert all(type(p) is float and p == cert.p_tested for p in calls), calls
+
+
+class TestBeyondFloatPrecision:
+    """A certificate whose float p_tested leaves its own interval is refused, never emitted."""
+
+    def test_the_largest_exact_exponent_is_kept(self):
+        cert = construct_independent(FrequencySet(1, ((0,), (1,), (2**52 + 1,))))
+        assert cert.p_tested == 2**53 - 1
+        assert Certificate.from_json(cert.to_json()) == cert
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: construct_independent(HUGE_LINE),
+            lambda: construct_independent(FrequencySet(1, ((0,), (1,), (2**52 + 2,)))),
+            lambda: construct_certificates(
+                FrequencySet.from_json(
+                    {
+                        "dim": 1,
+                        "points": [[0], [1]],
+                        "generator": {
+                            "kind": "arith_progression",
+                            "params": {"start": [10**20], "step": [10**20]},
+                        },
+                    }
+                ),
+                2,
+            ),
+        ],
+        ids=["ten-to-twenty", "two-to-fifty-two-plus-two", "family"],
+    )
+    def test_a_rounded_exponent_is_a_budget_error(self, make):
+        with pytest.raises(BudgetError, match=r"^p_tested \S+ is not inside \["):
+            make()
+
+    def test_classify_notes_the_refusal(self):
+        report = classify(HUGE_LINE)
+        assert report["certificate"] is None
+        assert report["note"] == (
+            "certificate construction failed: p_tested 2e+20 is not inside "
+            "[199999999999999999996, 199999999999999999998]"
+        )
+
+    def test_a_moment_exponent_is_even_when_its_float_is(self):
+        with pytest.raises(DomainError, match="even"):
+            construct_moment(2, 2**53 + 1)
