@@ -143,19 +143,25 @@ def is_even_exponent(p: Real) -> bool:
     return 0 < p < inf and p % 2 == 0  # exact for floats too: fmod rounds nothing
 
 
+def _half_binomials(p: Real, k_max: int) -> list[Fraction]:
+    """(p/2 choose k) for every k <= k_max, exactly, from one running product:
+    each entry is the last times (p/2 - k) / (k + 1)."""
+    half = Fraction(p) / 2
+    out = [Fraction(1)]
+    for k in range(k_max):
+        out.append(out[-1] * (half - k) / (k + 1))
+    return out
+
+
 def gen_binom(p: Real, j: int) -> Real:
     """Generalized binomial coefficient (p/2 choose j).
 
-    Computed as prod_{l<j} (p - 2l) / (2^j j!) in exact rational arithmetic;
-    the return type follows the input (float in, float out).  For even p the
-    product hits zero once j exceeds p/2, exactly.
+    Read from the running product of `_half_binomials`, in exact rational
+    arithmetic; the return type follows the input (float in, float out).
+    For even p the product hits zero once j exceeds p/2, exactly.
     """
     _integer(j, "index", 0)
-    q = Fraction(_exponent(p))
-    num = Fraction(1)
-    for l in range(j):
-        num *= q - 2 * l
-    value = num / (2**j * factorial(j))
+    value = _half_binomials(_exponent(p), j)[j]
     return float(value) if isinstance(p, float) else value
 
 

@@ -3,7 +3,8 @@
 Everything in this module is computed with arbitrary-precision Python
 integers; nothing here rounds.  One fraction-free Bareiss elimination gives
 every rank and determinant, a Euclidean sweep of row swaps and row additions
-gives the triangular factorization, and affine data of a frequency set is
+gives the triangular factorization and, through it, a basis of the integer
+relations of a list of vectors, and affine data of a frequency set is
 read off its lifted points (1, n) and its difference vectors.  Every
 structural answer reads a set through one finite sample (`_sample`) and that
 sample's greedy affine basis (`_hull`).
@@ -93,8 +94,16 @@ class IntMatrix:
         return cls(tuple(zip(*_vectors(cols, "column"))))
 
     @classmethod
+    def _computed(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
+        """Rows this module computed from checked integers, kept without
+        re-checking each entry; the public constructors check every one."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", tuple(map(tuple, rows)))
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._computed([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -212,7 +221,22 @@ def hnf(m: IntMatrix) -> HnfResult:
             r += 1
             if r == n:
                 break
-    return HnfResult(IntMatrix.from_rows(e), IntMatrix.from_rows(w))
+    return HnfResult(IntMatrix._computed(e), IntMatrix._computed(w))
+
+
+def _relations(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
+    """A basis of the integer relations R = {r in Z^m : sum_j r_j n_j = 0} of
+    the m checked vectors n_j, m - rank of them.
+
+    hnf factors the rows (n_j | e_j) as e . b; b = e^-1 (n | I) is echelon,
+    so its rows whose first d entries vanish come last, and their tails are
+    the rows of the unimodular e^-1 that take the n_j to zero.  Those rows
+    form a basis of R, and a rank-1 R gets its primitive generator.
+    """
+    d = len(vectors[0])
+    rows = [(*n, *e) for n, e in zip(vectors, IntMatrix.identity(len(vectors)).entries)]
+    echelon = hnf(IntMatrix._computed(rows)).b.entries
+    return tuple(row[d:] for row in echelon if not any(row[:d]))
 
 
 # ---------------- Frequency sets ----------------
@@ -380,10 +404,10 @@ def reduce_full_dim(g: FrequencySet) -> Reduction:
     if not diffs:
         reduced = FrequencySet(dim=0, points=((),))
         return Reduction(n_star, None, reduced)
-    e, echelon = hnf(IntMatrix.from_rows(diffs))
+    e, echelon = hnf(IntMatrix._computed(diffs))
     # distinct points give a nonzero difference, so at least one row survives
     basis_rows = [row for row in echelon.entries if any(x != 0 for x in row)]
-    basis = IntMatrix.from_columns(basis_rows)
+    basis = IntMatrix._computed(zip(*basis_rows))
     r = len(basis_rows)
     reduced = FrequencySet(dim=r, points=((0,) * r, *(row[:r] for row in e.entries)))
     return Reduction(n_star, basis, reduced)

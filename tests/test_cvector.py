@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import ceil, comb, factorial, inf, lgamma, log, log2, pi, sin
+from math import ceil, comb, factorial, inf, lgamma, log, log2, pi, prod, sin
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from majorant.cvector import (
     OpenInterval,
+    _half_binomials,
     build_c,
     build_v,
     gen_binom,
@@ -166,6 +167,19 @@ class TestGenBinom:
     def test_even_exponent_vanishes_beyond_half(self):
         for j in range(3, 10):
             assert gen_binom(4, j) == 0
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(5, 3), 3, 4, 1.5, 0.1])
+    def test_one_running_product_gives_every_order(self, p):
+        # the product prod_{l<j} (p - 2l) / (2^j j!), formed anew for each j
+        q = Fraction(p)
+        closed = [
+            prod((q - 2 * l for l in range(j)), start=Fraction(1)) / (2**j * factorial(j))
+            for j in range(13)
+        ]
+        assert _half_binomials(p, 12) == closed
+        assert [gen_binom(p, j) for j in range(13)] == [
+            float(x) if isinstance(p, float) else x for x in closed
+        ]
 
 
 @pytest.mark.parametrize(

@@ -412,6 +412,79 @@ class TestTaylor:
         with time_limit(1), pytest.raises(BudgetError):
             lp_norm_taylor(freqs, [Fraction(1, 100)] * 20, Fraction(1, 2), EvalConfig())
 
+    def test_a_pruned_walk_answers_what_the_cutoff_refused(self, time_limit):
+        # e_1..e_16 have no relation: the walk stops at order 6, C(22, 6) = 74 613
+        # multi-indices, where the cutoff's C(28, 12), about 3.0e7, exceeds the budget
+        assert math.comb(16 + 12, 16) > ENUM_BUDGET >= math.comb(16 + 6, 16)
+        freqs = tuple(tuple(int(i == j) for j in range(16)) for i in range(16))
+        with time_limit(2):
+            res = lp_norm_taylor(freqs, [Fraction(1, 100)] * 16, Fraction(1, 2), EvalConfig())
+        assert res.converged
+
+    def test_half_the_cutoff_is_refused_before_reading_relations(self, monkeypatch):
+        monkeypatch.setattr(lp_engine, "ENUM_BUDGET", math.comb(3 + 6, 3) - 1)
+
+        def relations(vectors):
+            raise AssertionError("relations read before the budget check")
+
+        monkeypatch.setattr(lp_engine, "_relations", relations)
+        freqs = ((1, 0), (0, 1), (1, 1))
+        with pytest.raises(BudgetError, match=r"C\(3 \+ 6, 3\)"):
+            lp_norm_taylor(freqs, [Fraction(1, 8)] * 3, Fraction(1, 2), EvalConfig())
+
+    def test_pair_depth_walk_equals_the_cutoff_walk(self, monkeypatch):
+        # ranks 0, 1 and 2 or more, a zero frequency and relations with P = M
+        cases = [
+            ((1, 0), (0, 1)),  # rank 0
+            ((1,), (2,)),  # c = (2, -1)
+            ((0, 1), (1, 1), (2, 1)),  # c = (1, -2, 1): P = M
+            ((1,), (-1,)),  # c = (1, 1)
+            ((0, 0), (1, 2)),  # the zero frequency is a relation alone
+            ((1,), (2,), (3,)),  # rank 2
+            ((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0)),  # P + M = 77 > 12
+        ]
+        rng = random.Random(2029)
+        while len(cases) < 60:
+            m, d = rng.randint(1, 4), rng.randint(1, 3)
+            freqs = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(m)}
+            cases.append(tuple(sorted(freqs)))
+        runs = []
+        for i, freqs in enumerate(cases):
+            b = [Fraction(rng.randint(-4, 4), 16) for _ in freqs]
+            if i % 5 == 4:
+                b = [float(x) for x in b]
+            p = rng.choice([Fraction(1, 2), Fraction(5, 3), Fraction(3), 1.5, 4])
+            runs.append((freqs, b, p, EvalConfig(series_total_degree_cutoff=i % 13)))
+        pruned = [lp_norm_taylor(*run) for run in runs]
+        cutoffs = [run[3].series_total_degree_cutoff for run in runs]
+        depths = [lp_engine._pair_depth(freqs, k) for freqs, k in zip(cases, cutoffs)]
+        assert {len(lp_engine._relations(freqs)) for freqs in cases} >= {0, 1, 2}
+        assert sum(depth < k for depth, k in zip(depths, cutoffs)) > 20
+        monkeypatch.setattr(lp_engine, "_pair_depth", lambda freqs, cutoff: cutoff)
+        for run, res in zip(runs, pruned):
+            full = lp_norm_taylor(*run)
+            assert res == full and type(res.value) is type(full.value)
+
+    def test_found_tuple_walks_to_order_six(self, monkeypatch):
+        # c = (17, 29, -22, -9): |c+| + |c-| = 77 exceeds the cutoff 12, so
+        # only beta = gamma pairs, and the walk visits C(4 + 6, 4) = 210 of the
+        # C(4 + 12, 4) = 1 820 multi-indices up to the cutoff
+        freqs = ((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0))
+        b = [Fraction(1, 8), Fraction(-1, 9), Fraction(1, 10), Fraction(1, 7)]
+        walked = []
+        groups = lp_engine._frequency_groups
+
+        def spy(freqs, u, max_order):
+            walked.append(max_order)
+            return groups(freqs, u, max_order)
+
+        monkeypatch.setattr(lp_engine, "_frequency_groups", spy)
+        res = lp_norm_taylor(freqs, b, Fraction(3, 2), EvalConfig())
+        assert walked == [6]
+        monkeypatch.setattr(lp_engine, "_pair_depth", lambda freqs, cutoff: cutoff)
+        assert res == lp_norm_taylor(freqs, b, Fraction(3, 2), EvalConfig())
+        assert walked == [6, 12]
+
     def test_float_path_tracks_quadrature(self):
         freqs = ((1,), (3,))
         b = (0.1, -0.15)
