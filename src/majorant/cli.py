@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One subcommand per process; the JSON result goes to stdout, diagnostics to
-stderr.  Exit codes: 0 success, 1 for hypothesis or domain failures (the
-mathematics rules the request out, or a verification came back false), 2 when
-numerics were inconclusive (`verify`: no certifying margin, error above tol).
+stderr.  Exit codes: 0 success, 1 for usage errors and hypothesis or domain
+failures (the mathematics rules the request out, or a verification came back
+false), 2 when numerics were inconclusive (`verify`: no certifying margin,
+error above tol).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from .constructions import (
     PLOT_SAMPLES,
@@ -172,9 +173,16 @@ def _cmd_weak_majorant(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises DomainError on a usage error; `add_subparsers` gives subcommands this class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise DomainError(f"{self.prog}: {message}")
+
+
 @cache  # one parser per process: building it costs as much as a small request
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="majorant",
         description="Classify frequency sets for the strict majorant property "
         "and build certified counterexamples.",
@@ -231,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except BudgetError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

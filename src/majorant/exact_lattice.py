@@ -3,8 +3,7 @@
 Everything in this module is computed with arbitrary-precision Python
 integers; nothing here rounds.  One fraction-free Bareiss elimination gives
 every rank and determinant, a Euclidean sweep of row swaps and row additions
-gives the triangular factorization and, through it, a basis of the integer
-relations of a list of vectors, and affine data of a frequency set is
+gives the triangular factorization, and affine data of a frequency set is
 read off its lifted points (1, n) and its difference vectors.  Every
 structural answer reads a set through one finite sample (`_sample`) and that
 sample's greedy affine basis (`_hull`).
@@ -222,21 +221,6 @@ def hnf(m: IntMatrix) -> HnfResult:
             if r == n:
                 break
     return HnfResult(IntMatrix._computed(e), IntMatrix._computed(w))
-
-
-def _relations(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
-    """A basis of the integer relations R = {r in Z^m : sum_j r_j n_j = 0} of
-    the m checked vectors n_j, m - rank of them.
-
-    hnf factors the rows (n_j | e_j) as e . b; b = e^-1 (n | I) is echelon,
-    so its rows whose first d entries vanish come last, and their tails are
-    the rows of the unimodular e^-1 that take the n_j to zero.  Those rows
-    form a basis of R, and a rank-1 R gets its primitive generator.
-    """
-    d = len(vectors[0])
-    rows = [(*n, *e) for n, e in zip(vectors, IntMatrix.identity(len(vectors)).entries)]
-    echelon = hnf(IntMatrix._computed(rows)).b.entries
-    return tuple(row[d:] for row in echelon if not any(row[:d]))
 
 
 # ---------------- Frequency sets ----------------

@@ -2,20 +2,21 @@
 
 Backends: tensor-grid quadrature (any p > 0), exact rational values at even
 integer p, and a series truncated at a total order around a dominant
-constant term.  The two exact backends read one expansion, every
-multi-index up to an order grouped by its frequency, and share its budget
-check, which counts the multi-indices walked.  The series walks only to the
-depth its pairs of equal frequency can reach, read from the frequencies'
-integer relations.  The quadrature rule is the rectangle rule per axis,
-which on the torus is the trapezoid rule and converges spectrally for
-smooth integrands; error estimates come from comparing two successive grid
-doublings.  Grids double until that step is within the absolute tolerance
-or, since a step at float64's rounding floor cannot shrink by doubling,
-within 4 ulps of the largest mean (which stops a ladder early only for
-means of 2^21, about 2e6, and above, where 4 ulps exceed the default
-tolerance of 1e-9); the estimate is the step either way.  The point budget
-is the quadrature's one limit: a grid of any dimension runs when it fits at
-8 or more points per axis, and BudgetError refuses one that does not.
+constant term.  The two exact backends read one expansion, every multi-index
+up to an order grouped by its frequency, and share its budget check, which
+counts the multi-indices walked.  The series walks only to the depth its
+pairs of equal frequency can reach, read from the frequencies' affine
+dependence and, with one relation, its cofactor vector.  The quadrature rule
+is the rectangle rule per axis, which on the torus is the trapezoid rule and
+converges spectrally for smooth integrands; error estimates come from
+comparing two successive grid doublings.  Grids double until that step is
+within the absolute tolerance or, since a step at float64's rounding floor
+cannot shrink by doubling, within 4 ulps of the largest mean (which stops a
+ladder early only for means of 2^21, about 2e6, and above, where 4 ulps
+exceed the default tolerance of 1e-9); the estimate is the step either way.
+The point budget is the quadrature's one limit: a grid of any dimension runs
+when it fits at 8 or more points per axis, and BudgetError refuses one that
+does not.
 
 The quadrature streams: one pass over a grid builds |F|^2 a chunk of
 about 2^16 values (points times rows) at a time, raises it to every
@@ -55,9 +56,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cvector import Real, _check_real_coeffs, _exponent, _half_binomials, is_even_exponent
+from .cvector import (
+    Real,
+    _check_real_coeffs,
+    _exponent,
+    _half_binomials,
+    build_c,
+    build_v,
+    is_even_exponent,
+)
 from .errors import BudgetError, ConvergenceError, DomainError
-from .exact_lattice import Vec, _integer, _relations, _typed, _vectors
+from .exact_lattice import Vec, _eliminate, _integer, _typed, _vectors
 
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation, the quadrature's one limit
 _CHUNK_VALUES = 1 << 16  # |F|^2 values (points x rows) per chunk of a grid pass
@@ -510,15 +519,6 @@ def _numerators(coeffs: Sequence[Real]) -> tuple[list[int], int]:
     return [x.numerator * (w // x.denominator) for x in exact], w
 
 
-def _check_walk(m: int, max_order: int) -> None:
-    """BudgetError when the C(m + max_order, m) multi-indices of m frequencies
-    up to max_order exceed ENUM_BUDGET."""
-    if math.comb(m + max_order, m) > ENUM_BUDGET:
-        raise BudgetError(
-            f"C({m} + {max_order}, {m}) multi-indices exceed the budget of {ENUM_BUDGET}"
-        )
-
-
 def _frequency_groups(
     freqs: Sequence[Vec], u: Sequence[int], max_order: int
 ) -> dict[Vec, dict[int, list[int]]]:
@@ -534,7 +534,10 @@ def _frequency_groups(
     exceed ENUM_BUDGET.
     """
     m = len(freqs)
-    _check_walk(m, max_order)
+    if math.comb(m + max_order, m) > ENUM_BUDGET:
+        raise BudgetError(
+            f"C({m} + {max_order}, {m}) multi-indices exceed the budget of {ENUM_BUDGET}"
+        )
     groups: dict[Vec, dict[int, list[int]]] = {}
     # (next index j, order, frequency and weight of the entries before j)
     stack = [(0, 0, (0,) * len(freqs[0]), 1)]
@@ -560,19 +563,23 @@ def _pair_depth(freqs: Sequence[Vec], cutoff: int) -> int:
     r = beta - gamma is an integer relation of the frequencies, and with
     delta = min(beta, gamma) the pair is (delta + r+, delta + r-), so
     2|delta| + |r+| + |r-| <= cutoff bounds its larger order by
-    (cutoff + | |r+| - |r-| |) / 2.  With no relation that is cutoff // 2;
-    with the multiples k c of one primitive relation, P = |c+| and M = |c-|,
-    it grows with k up to cutoff // (P + M); with two or more, the cutoff.
+    (cutoff + | |r+| - |r-| |) / 2.  When the lifts (1, n_j) keep the rank of
+    the n_j, every relation is affine (|r+| = |r-|): cutoff // 2.  Else, with
+    the multiples k c of one primitive relation c (`build_c` of the n_j's
+    cofactors on coordinates that keep their rank), P = |c+| and M = |c-|, it
+    grows with k up to cutoff // (P + M); with two or more, the cutoff.
     """
-    relations = _relations(freqs)
-    if len(relations) > 1:
-        return cutoff
-    if not relations:
+    rank = _eliminate(freqs)[0]
+    if _eliminate([(1, *n) for n in freqs])[0] == rank:
         return cutoff // 2
-    (c,) = relations
-    plus = sum(x for x in c if x > 0)
-    minus = plus - sum(c)
-    return (cutoff + cutoff // (plus + minus) * abs(plus - minus)) // 2
+    if not 0 < rank == len(freqs) - 1:  # two or more relations, or a zero frequency alone
+        return cutoff
+    coords = list(zip(*freqs))
+    for i in reversed(range(len(coords))):
+        if len(coords) > rank and _eliminate(coords[:i] + coords[i + 1 :])[0] == rank:
+            del coords[i]
+    cv = build_c(build_v(list(zip(*coords))))  # m_plus, m_minus: max(P, M), min(P, M)
+    return (cutoff + cutoff // (cv.m_plus + cv.m_minus) * (cv.m_plus - cv.m_minus)) // 2
 
 
 def lp_norm_even_exact(freqs: Sequence[Vec], coeffs: Sequence[Real], s: int) -> Fraction:
@@ -609,10 +616,9 @@ def lp_norm_taylor(
     the configured cutoff whose frequency sums agree, summed group by group
     from the grouped expansion shared with lp_norm_even_exact, for dependent
     and independent frequencies alike.  The expansion walks only to the pair
-    depth (`_pair_depth`), read from the frequencies' integer relations: no
-    deeper multi-index has a partner within the cutoff.  Raises BudgetError
-    when C(m + depth, m), the multi-indices walked, exceeds ENUM_BUDGET, and
-    at once, before reading any relation, when C(m + cutoff // 2, m) does.
+    depth (`_pair_depth`): no deeper multi-index has a partner within the
+    cutoff.  Raises BudgetError, before walking, when C(m + depth, m), the
+    multi-indices it would walk, exceeds ENUM_BUDGET.
 
     The sum is exact for the inputs: a Fraction when p and every b_j are
     rational (not float), else rounded to float.  The reported tail estimate
@@ -625,7 +631,6 @@ def lp_norm_taylor(
     if max(map(abs, row)) >= 1.0:
         raise ConvergenceError("series requires every |b_i| < 1")
     k_max = cfg.series_total_degree_cutoff
-    _check_walk(len(freqs), k_max // 2)  # every walk reaches cutoff // 2
     u, w = _numerators(b)
     # (p/2 choose k) / w^k = g[k] / den: every term becomes an integer over den^2
     g, den = _numerators([x / w**k for k, x in enumerate(_half_binomials(p, k_max))])

@@ -48,15 +48,17 @@ def c_closed_form(d: int, k: int) -> CVector:
 def smallest_admissible_k(d: int, p: Real) -> tuple[int, CVector]:
     """Smallest k >= 1 with every |c_i(k)| > p/2, plus its certificate vector.
 
-    No entry shrinks as k grows and every |c_i(k)| >= k, so k = floor(p/2) + 1
-    always qualifies and a bisection on [1, floor(p/2) + 1] finds the
-    smallest k in O(log p) closed-form evaluations.
+    |c_i(k)| = C(k+i-1, i) C(k+d, d-i) is log-concave in i and |c_d| < |c_0|, so
+    the least entry is C(k+d-1, d), which grows with k and is at least k: a
+    bisection on [1, floor(p/2) + 1] finds the smallest k with 2 C(k+d-1, d) > p,
+    and the closed form is evaluated once, at it.
     """
     pf = Fraction(_exponent(p))
+    _integer(d, "dimension", 1, DimensionError)
     lo, hi = 1, pf // 2 + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if all(2 * abs(x) > pf for x in c_closed_form(d, mid).c):
+        if 2 * comb(mid + d - 1, d) > pf:
             hi = mid
         else:
             lo = mid + 1

@@ -7,7 +7,6 @@ implementations never certify themselves.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from majorant.constructions import classify
-from majorant.cvector import build_c, build_v
 from majorant.errors import DimensionError, DomainError, HypothesisError
 from majorant.exact_lattice import (
     Abundance,
@@ -26,7 +24,6 @@ from majorant.exact_lattice import (
     IntMatrix,
     PointGenerator,
     _affine_basis,
-    _relations,
     abundance_scan,
     affine_dimension,
     det_exact,
@@ -263,55 +260,6 @@ class TestHnf:
         for factor in hnf(IntMatrix.from_rows(rows)):
             assert factor == IntMatrix.from_rows(factor.entries)
             assert all(type(x) is int for row in factor.entries for x in row)
-
-
-def random_vectors(rng: random.Random, m: int, d: int) -> list[tuple[int, ...]]:
-    """m vectors in Z^d with entries in [-3, 3]; repeats and zeros allowed."""
-    return [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(m)]
-
-
-class TestRelations:
-    def test_seeded_corpus_is_a_basis_of_the_relations(self):
-        rng = random.Random(2027)
-        ranks = set()
-        for _ in range(300):
-            m, d = rng.randint(1, 6), rng.randint(1, 3)
-            vectors = random_vectors(rng, m, d)
-            relations = _relations(vectors)
-            assert len(relations) == m - rank_rational([list(n) for n in vectors])
-            for r in relations:
-                assert len(r) == m
-                assert all(sum(x * n[i] for x, n in zip(r, vectors)) == 0 for i in range(d))
-            k = len(relations)
-            ranks.add(min(k, 2))
-            if k:
-                # independent, and saturated: the k x k minors have gcd 1,
-                # so they span every integer relation, not a sublattice
-                columns = list(zip(*relations))
-                minors = [
-                    det_cofactor([list(columns[j]) for j in cols])
-                    for cols in combinations(range(m), k)
-                ]
-                assert gcd(*minors) == 1
-        assert ranks == {0, 1, 2}
-
-    def test_one_relation_is_the_primitive_null_vector(self):
-        rng = random.Random(2028)
-        seen = 0
-        while seen < 100:
-            d = rng.randint(1, 4)
-            vectors = random_vectors(rng, d + 1, d)
-            if rank_rational([list(n) for n in vectors]) < d:
-                continue
-            c = build_c(build_v(vectors)).c
-            assert _relations(vectors) in ((c,), (tuple(-x for x in c),))
-            seen += 1
-
-    def test_hand_values(self):
-        assert _relations(((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0))) == ((17, 29, -22, -9),)
-        assert _relations(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == ()
-        assert _relations(((0, 0), (1, 2))) == ((1, 0),)  # a zero vector is a relation alone
-        assert _relations(((1,), (2,), (3,))) == ((1, -2, 1), (0, 3, -2))
 
 
 class TestFrequencySet:

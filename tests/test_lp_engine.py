@@ -42,6 +42,7 @@ from majorant.errors import (
     DimensionError,
     DomainError,
 )
+from majorant.exact_lattice import IntMatrix, rank_exact
 from majorant.lp_engine import (
     ENUM_BUDGET,
     EvalConfig,
@@ -421,26 +422,35 @@ class TestTaylor:
             res = lp_norm_taylor(freqs, [Fraction(1, 100)] * 16, Fraction(1, 2), EvalConfig())
         assert res.converged
 
-    def test_half_the_cutoff_is_refused_before_reading_relations(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "freqs, depth",
+        [
+            (((1, 0), (0, 1), (2, -1)), 6),  # relation (2, -1, -1), affine
+            (((1, 0), (0, 1), (1, 1)), 8),  # c = (1, 1, -1): (12 + 4 * 1) // 2
+        ],
+    )
+    def test_half_the_cutoff_is_refused_before_any_walk(self, monkeypatch, freqs, depth):
+        # every depth is at least cutoff // 2, so the walk's one check refuses
+        # whatever C(m + cutoff // 2, m) exceeds, before a multi-index is formed
         monkeypatch.setattr(lp_engine, "ENUM_BUDGET", math.comb(3 + 6, 3) - 1)
 
-        def relations(vectors):
-            raise AssertionError("relations read before the budget check")
+        def step(*args):
+            raise AssertionError("a multi-index was walked")
 
-        monkeypatch.setattr(lp_engine, "_relations", relations)
-        freqs = ((1, 0), (0, 1), (1, 1))
-        with pytest.raises(BudgetError, match=r"C\(3 \+ 6, 3\)"):
+        monkeypatch.setattr(lp_engine, "add", step)  # the walk's one frequency sum
+        with pytest.raises(BudgetError, match=rf"C\(3 \+ {depth}, 3\)"):
             lp_norm_taylor(freqs, [Fraction(1, 8)] * 3, Fraction(1, 2), EvalConfig())
 
     def test_pair_depth_walk_equals_the_cutoff_walk(self, monkeypatch):
-        # ranks 0, 1 and 2 or more, a zero frequency and relations with P = M
+        # 0, 1 and 2 or more relations, a zero frequency and relations with P = M
         cases = [
-            ((1, 0), (0, 1)),  # rank 0
+            ((1, 0), (0, 1)),  # none
             ((1,), (2,)),  # c = (2, -1)
             ((0, 1), (1, 1), (2, 1)),  # c = (1, -2, 1): P = M
             ((1,), (-1,)),  # c = (1, 1)
             ((0, 0), (1, 2)),  # the zero frequency is a relation alone
-            ((1,), (2,), (3,)),  # rank 2
+            ((1,), (2,), (3,)),  # two
+            ((1, 0), (0, 1), (2, -1), (-1, 2)),  # two, both affine
             ((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0)),  # P + M = 77 > 12
         ]
         rng = random.Random(2029)
@@ -458,18 +468,26 @@ class TestTaylor:
         pruned = [lp_norm_taylor(*run) for run in runs]
         cutoffs = [run[3].series_total_degree_cutoff for run in runs]
         depths = [lp_engine._pair_depth(freqs, k) for freqs, k in zip(cases, cutoffs)]
-        assert {len(lp_engine._relations(freqs)) for freqs in cases} >= {0, 1, 2}
+        assert {min(relation_count(freqs), 2) for freqs in cases} == {0, 1, 2}
         assert sum(depth < k for depth, k in zip(depths, cutoffs)) > 20
         monkeypatch.setattr(lp_engine, "_pair_depth", lambda freqs, cutoff: cutoff)
         for run, res in zip(runs, pruned):
             full = lp_norm_taylor(*run)
             assert res == full and type(res.value) is type(full.value)
 
-    def test_found_tuple_walks_to_order_six(self, monkeypatch):
-        # c = (17, 29, -22, -9): |c+| + |c-| = 77 exceeds the cutoff 12, so
-        # only beta = gamma pairs, and the walk visits C(4 + 6, 4) = 210 of the
-        # C(4 + 12, 4) = 1 820 multi-indices up to the cutoff
-        freqs = ((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0))
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            # c = (17, 29, -22, -9): |c+| + |c-| = 77 exceeds the cutoff 12, so
+            # only beta = gamma pairs, and the walk visits C(4 + 6, 4) = 210 of
+            # the C(4 + 12, 4) = 1 820 multi-indices up to the cutoff
+            ((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0)),
+            # two relations, both affine (on the line x + y = 1): C(4 + 6, 4) again
+            ((1, 0), (0, 1), (2, -1), (-1, 2)),
+        ],
+        ids=["found-tuple", "affine-plane"],
+    )
+    def test_walks_to_order_six(self, monkeypatch, freqs):
         b = [Fraction(1, 8), Fraction(-1, 9), Fraction(1, 10), Fraction(1, 7)]
         walked = []
         groups = lp_engine._frequency_groups
@@ -501,6 +519,71 @@ class TestTaylor:
         res = lp_norm_taylor(((1,),), (0.9,), 1.0, EvalConfig(series_total_degree_cutoff=4))
         assert not res.converged
         assert res.tail_estimate > EvalConfig().backend_agreement_tol
+
+
+def relation_count(freqs):
+    """m - rank: the rank of the integer relations of m frequencies."""
+    return len(freqs) - rank_exact(IntMatrix.from_rows(freqs))
+
+
+def every_relation_is_affine(freqs):
+    """Whether the lifts (1, n) have the rank of the frequencies n."""
+    lifts = [(1, *n) for n in freqs]
+    return rank_exact(IntMatrix.from_rows(lifts)) == rank_exact(IntMatrix.from_rows(freqs))
+
+
+def pair_scan(freqs, cutoffs):
+    """For each cutoff K, the largest order of a multi-index with a partner of
+    equal frequency sum within K, by a scan of every multi-index up to max K."""
+    top = max(cutoffs)
+    orders = {}  # frequency sum: the orders of the multi-indices reaching it
+    for beta in itertools.product(range(top + 1), repeat=len(freqs)):
+        if sum(beta) <= top:
+            orders.setdefault(frequency_sum(freqs, beta), set()).add(sum(beta))
+    return [
+        max(max(k, l) for ks in orders.values() for k in ks for l in ks if k + l <= cutoff)
+        for cutoff in cutoffs
+    ]
+
+
+class TestPairDepth:
+    # (frequencies, relations, whether one of them is not affine)
+    CASES = [
+        (((1, 0), (0, 1)), 0, False),
+        (((3,),), 0, False),
+        (((0, 1), (1, 1), (2, 1)), 1, False),  # c = (1, -2, 1)
+        (((1,), (2,)), 1, True),  # c = (2, -1)
+        (((1,), (-1,)), 1, True),  # c = (1, 1)
+        (((0, 0),), 1, True),  # the zero frequency alone: c = (1,)
+        (((0, 0), (1, 2)), 1, True),
+        (((-2, 1), (1, -3), (3, 2)), 1, True),
+        (((1, 0), (0, 1), (2, -1), (-1, 2)), 2, False),
+        (((0, 1), (1, 1), (2, 1), (3, 1)), 2, False),
+        (((1,), (2,), (3,)), 2, True),
+        (((1, 0), (0, 1), (1, 1), (2, 1)), 2, True),
+        (((1,), (-1,), (2,), (-3,)), 3, True),
+    ]
+
+    def test_depth_is_never_below_a_pair_scan(self):
+        rng = random.Random(2030)
+        cases = [freqs for freqs, _, _ in self.CASES]
+        while len(cases) < 60:
+            m, d = rng.randint(1, 4), rng.randint(1, 2)
+            freqs = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(m)}
+            cases.append(tuple(sorted(freqs)))
+        cutoffs = range(9)
+        for freqs in cases:
+            affine = every_relation_is_affine(freqs)
+            for k, scanned in zip(cutoffs, pair_scan(freqs, cutoffs)):
+                depth = lp_engine._pair_depth(freqs, k)
+                assert depth >= scanned, (freqs, k)
+                if affine:  # every pair is balanced: cutoff // 2 is exact
+                    assert depth == scanned == k // 2, (freqs, k)
+
+    @pytest.mark.parametrize("freqs, relations, unbalanced", CASES)
+    def test_cases_cover_every_kind(self, freqs, relations, unbalanced):
+        assert relation_count(freqs) == relations
+        assert every_relation_is_affine(freqs) is not unbalanced
 
 
 def full_grid_means(freqs, rows, p, n):

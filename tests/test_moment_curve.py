@@ -7,7 +7,7 @@ derivations).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from majorant.cvector import build_c, build_v, is_even_exponent, sign_condition
 from majorant.errors import DimensionError, DomainError
+from majorant import moment_curve
 from majorant.lp_engine import EvalConfig
 from majorant.moment_curve import (
     c_closed_form,
@@ -121,6 +122,34 @@ class TestSmallestAdmissibleK:
         # every |c_i| > p/2 and sum c_i = 1 leave an odd count of negative factors
         _, cv = smallest_admissible_k(d, p)
         assert sign_condition(p, cv)
+
+    def test_least_entry_is_the_last(self):
+        # |c_i(k)| = C(k+i-1, i) C(k+d, d-i) is log-concave in i and |c_d| < |c_0|
+        for d in range(1, 31):
+            for k in range(1, 51):
+                assert min(abs(x) for x in c_closed_form(d, k).c) == comb(k + d - 1, d)
+
+    def test_equals_the_all_entries_search(self):
+        exponents = [Fraction(1, 3), 0.5, 0.999, 1, 3, 5.5, Fraction(41, 2), 41.5, 99, 123.25]
+        for d in range(1, 9):
+            for p in exponents:
+                k = 1
+                while not all(2 * abs(x) > p for x in c_closed_form(d, k).c):
+                    k += 1
+                assert smallest_admissible_k(d, p) == (k, c_closed_form(d, k))
+
+    def test_one_closed_form_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(d, k):
+            calls.append(k)
+            return c_closed_form(d, k)
+
+        monkeypatch.setattr(moment_curve, "c_closed_form", counted)
+        for d, p in [(1, 0.5), (2, 3), (3, 300), (12, 41.5), (41, 7)]:
+            calls.clear()
+            k, _ = smallest_admissible_k(d, p)
+            assert calls == [k]
 
     @pytest.mark.parametrize("d, p", [(2, 10**15 + 1), (3, Fraction(2 * 10**18 + 1, 2))])
     def test_huge_exponent_is_found_by_bisection(self, time_limit, d, p):

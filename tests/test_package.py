@@ -197,6 +197,7 @@ INTEGERS = [
     ("gamma_point-d", 1, DIM, lambda v: gamma_point(v, 2)),
     ("gamma_point-t", 1, DOM, lambda v: gamma_point(2, v)),
     ("c_closed_form-d", 1, DIM, lambda v: c_closed_form(v, 1)),
+    ("smallest_admissible_k-d", 1, DIM, lambda v: smallest_admissible_k(v, 3)),
     ("c_closed_form-k", 1, DOM, lambda v: c_closed_form(2, v)),
     ("vandermonde_check-d", 1, DIM, lambda v: vandermonde_check(v, 1)),
     ("vandermonde_check-k", 1, DOM, lambda v: vandermonde_check(2, v)),
