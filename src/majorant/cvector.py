@@ -143,25 +143,28 @@ def is_even_exponent(p: Real) -> bool:
     return 0 < p < inf and p % 2 == 0  # exact for floats too: fmod rounds nothing
 
 
-def _half_binomials(p: Real, k_max: int) -> list[Fraction]:
-    """(p/2 choose k) for every k <= k_max, exactly, from one running product:
-    each entry is the last times (p/2 - k) / (k + 1)."""
-    half = Fraction(p) / 2
-    out = [Fraction(1)]
+def _half_binomial_numerators(p: Real, w: int, k_max: int) -> tuple[list[int], int]:
+    """Integers g and one denominator den with g[k] / den = (p/2 choose k) / w^k
+    for every k <= k_max: with p/2 = h/q in lowest terms, den = (q w)^k_max
+    k_max! and each g[k + 1] is g[k] (h - k q) / (q w (k + 1)), exactly."""
+    h, q = (Fraction(p) / 2).as_integer_ratio()
+    g = [(q * w) ** k_max * factorial(k_max)]
     for k in range(k_max):
-        out.append(out[-1] * (half - k) / (k + 1))
-    return out
+        g.append(g[-1] * (h - k * q) // (q * w * (k + 1)))
+    return g, g[0]
 
 
 def gen_binom(p: Real, j: int) -> Real:
     """Generalized binomial coefficient (p/2 choose j).
 
-    Read from the running product of `_half_binomials`, in exact rational
-    arithmetic; the return type follows the input (float in, float out).
-    For even p the product hits zero once j exceeds p/2, exactly.
+    One running Fraction, times (p/2 - k) / (k + 1) at each step; the return
+    type follows the input (float in, float out).  For even p the product
+    hits zero once j exceeds p/2, exactly.
     """
     _integer(j, "index", 0)
-    value = _half_binomials(_exponent(p), j)[j]
+    half, value = Fraction(_exponent(p)) / 2, Fraction(1)
+    for k in range(j):
+        value = value * (half - k) / (k + 1)
     return float(value) if isinstance(p, float) else value
 
 

@@ -2,11 +2,10 @@
 
 Backends: tensor-grid quadrature (any p > 0), exact rational values at even
 integer p, and a series truncated at a total order around a dominant
-constant term.  The two exact backends read one expansion, every multi-index
-up to an order grouped by its frequency, and share its budget check, which
-counts the multi-indices walked.  The series walks only to the depth its
-pairs of equal frequency can reach, read from the frequencies' affine
-dependence and, with one relation, its cofactor vector.  The quadrature rule
+constant term.  The even backend walks every multi-index of its order by
+frequency.  The series sums the pairs of equal frequency over the multiples
+of the frequencies' one relation, a product of univariate series each, or,
+with two or more relations, walks the same multi-indices.  The quadrature rule
 is the rectangle rule per axis, which on the torus is the trapezoid rule and
 converges spectrally for smooth integrands; error estimates come from
 comparing two successive grid doublings.  Grids double until that step is
@@ -47,10 +46,10 @@ import math
 import os
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import accumulate
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -60,7 +59,7 @@ from .cvector import (
     Real,
     _check_real_coeffs,
     _exponent,
-    _half_binomials,
+    _half_binomial_numerators,
     build_c,
     build_v,
     is_even_exponent,
@@ -528,10 +527,10 @@ def _frequency_groups(
     beta of order k reaching F: of the weights multinomial(beta) u^beta, which
     is the coefficient of e(F . x) in (sum_j u_j e(n_j . x))^k, and of their
     sizes.  Summed by order, the pairs formed at one F stay (max_order + 1)^2
-    however many beta reach it.  The series passes its pair depth as
-    max_order (`_pair_depth`), the even backend its s.  Raises BudgetError,
-    before walking, when the C(m + max_order, m) multi-indices it would walk
-    exceed ENUM_BUDGET.
+    however many beta reach it.  The series, with two or more relations,
+    passes its pair depth as max_order (`_pair_depth`), the even backend its
+    s.  Raises BudgetError, before walking, when the C(m + max_order, m)
+    multi-indices it would walk exceed ENUM_BUDGET.
     """
     m = len(freqs)
     if math.comb(m + max_order, m) > ENUM_BUDGET:
@@ -557,29 +556,69 @@ def _frequency_groups(
 
 
 def _pair_depth(freqs: Sequence[Vec], cutoff: int) -> int:
-    """The highest order either multi-index of a pair (beta, gamma) with equal
-    frequency sums and |beta| + |gamma| <= cutoff can have.
-
-    r = beta - gamma is an integer relation of the frequencies, and with
-    delta = min(beta, gamma) the pair is (delta + r+, delta + r-), so
-    2|delta| + |r+| + |r-| <= cutoff bounds its larger order by
-    (cutoff + | |r+| - |r-| |) / 2.  When the lifts (1, n_j) keep the rank of
-    the n_j, every relation is affine (|r+| = |r-|): cutoff // 2.  Else, with
-    the multiples k c of one primitive relation c (`build_c` of the n_j's
-    cofactors on coordinates that keep their rank), P = |c+| and M = |c-|, it
-    grows with k up to cutoff // (P + M); with two or more, the cutoff.
-    """
+    """The depth of the series' walk: cutoff // 2 when the lifts (1, n_j) keep
+    the rank of the n_j, so that every relation r = beta - gamma of a pair is
+    affine (|r+| = |r-|) and neither order exceeds it; else the cutoff."""
     rank = _eliminate(freqs)[0]
-    if _eliminate([(1, *n) for n in freqs])[0] == rank:
-        return cutoff // 2
-    if not 0 < rank == len(freqs) - 1:  # two or more relations, or a zero frequency alone
-        return cutoff
-    coords = list(zip(*freqs))
-    for i in reversed(range(len(coords))):
-        if len(coords) > rank and _eliminate(coords[:i] + coords[i + 1 :])[0] == rank:
-            del coords[i]
-    cv = build_c(build_v(list(zip(*coords))))  # m_plus, m_minus: max(P, M), min(P, M)
-    return (cutoff + cutoff // (cv.m_plus + cv.m_minus) * (cv.m_plus - cv.m_minus)) // 2
+    return cutoff // 2 if _eliminate([(1, *n) for n in freqs])[0] == rank else cutoff
+
+
+def _pair_weights(r: Sequence[int], u: Sequence[int], depth: int) -> list[int]:
+    """D_t(r) = sum over |delta| = t of multinomial(delta + r+) times
+    multinomial(delta + r-) |u|^(2 delta + |r|), for t <= depth, in integers:
+    r+ and r- have disjoint supports, so coordinate i (parts e+, e-) folds the
+    sums B over the earlier ones into sum_j B[s - j] C(s + P, j + e+) C(s +
+    M, j + e-) |u_i|^(2j + e+ + e-), P and M the sizes of r+ and r- so far."""
+    weights, plus, minus, comb = None, 0, 0, math.comb
+    for x, e in zip(u, r):
+        up, down = max(e, 0), max(-e, 0)
+        plus, minus = plus + up, minus + down
+        powers = [abs(x) ** (2 * j + up + down) for j in range(depth + 1)]
+        if weights is None:  # one coordinate: both multinomials are 1
+            weights = powers
+            continue
+        weights = [
+            sum(
+                weights[s - j] * comb(s + plus, j + up) * comb(s + minus, j + down) * powers[j]
+                for j in range(s + 1)
+            )
+            for s in range(depth + 1)
+        ]
+    return weights
+
+
+def _relation_pairs(
+    freqs: Sequence[Vec], u: Sequence[int], cutoff: int
+) -> list[tuple[int, int, int, int]] | None:
+    """`lp_norm_taylor`'s pairs over the multiples r = k c of the frequencies'
+    one primitive relation c (0 with none, (1,) for the zero frequency alone,
+    else `build_c` of the cofactors on coordinates that keep the rank), or
+    None with two or more.  A pair is (delta + r+, delta + r-), of orders
+    (t + kP, t + kM) for t = |delta|, P = |c+| and M = |c-|; those of one t
+    weigh sigma(r) D_t(r) (`_pair_weights`), sigma(r) = prod sign(u_i)^|r_i|.
+    BudgetError, before any product, when the products' m (T_k + 1)^2 steps
+    (T_k = (cutoff - k (P + M)) // 2) exceed ENUM_BUDGET."""
+    rank = _eliminate(freqs)[0]
+    if rank < len(freqs) - 1:
+        return None
+    c: Vec = (0,) * rank or (1,)  # no relation, or the zero frequency alone
+    if 0 < rank < len(freqs):
+        coords = list(zip(*freqs))
+        for i in reversed(range(len(coords))):
+            if len(coords) > rank and _eliminate(coords[:i] + coords[i + 1 :])[0] == rank:
+                del coords[i]
+        c = build_c(build_v(list(zip(*coords)))).c
+    norm, plus = sum(map(abs, c)), sum(x for x in c if x > 0)
+    multiples = range(cutoff // norm + 1 if norm else 1)
+    steps = accumulate(len(u) * ((cutoff - k * norm) // 2 + 1) ** 2 for k in multiples)
+    if any(n > ENUM_BUDGET for n in steps):
+        raise BudgetError(f"series products to order {cutoff} exceed the budget of {ENUM_BUDGET}")
+    odd, pairs = sum(abs(x) for x, y in zip(c, u) if y < 0), []  # sigma(k c) = (-1)^(k odd)
+    for k in multiples:
+        for t, weight in enumerate(_pair_weights([k * x for x in c], u, (cutoff - k * norm) // 2)):
+            size = weight if k == 0 else 2 * weight  # -k c weighs as k c
+            pairs.append((t + k * plus, t + k * (norm - plus), (-1) ** (k * odd) * size, size))
+    return pairs
 
 
 def lp_norm_even_exact(freqs: Sequence[Vec], coeffs: Sequence[Real], s: int) -> Fraction:
@@ -613,17 +652,16 @@ def lp_norm_taylor(
 
     Expands both conjugate factors of |1 + g|^p into generalized binomial
     series and keeps the multi-index pairs (beta, gamma) of total order up to
-    the configured cutoff whose frequency sums agree, summed group by group
-    from the grouped expansion shared with lp_norm_even_exact, for dependent
-    and independent frequencies alike.  The expansion walks only to the pair
-    depth (`_pair_depth`): no deeper multi-index has a partner within the
-    cutoff.  Raises BudgetError, before walking, when C(m + depth, m), the
-    multi-indices it would walk, exceeds ENUM_BUDGET.
+    the configured cutoff whose frequency sums agree: over the multiples of
+    the frequencies' one relation (`_relation_pairs`) or, with two or more,
+    from the grouped expansion walked to the pair depth (`_pair_depth`).
+    Each path raises BudgetError before its work exceeds ENUM_BUDGET.
 
     The sum is exact for the inputs: a Fraction when p and every b_j are
-    rational (not float), else rounded to float.  The reported tail estimate
-    is ten times the larger |term| sum of the top two degrees; converged
-    means it is within the configured backend tolerance.
+    rational (not float), else rounded to float (BudgetError beyond float
+    range).  The reported tail estimate is ten times the larger |term| sum
+    of the top two degrees, inf beyond float range; converged means it is
+    within the configured backend tolerance.
     """
     freqs = _check_freqs(freqs)
     row = _check_real_coeffs(b, len(freqs), name="b")
@@ -632,28 +670,37 @@ def lp_norm_taylor(
         raise ConvergenceError("series requires every |b_i| < 1")
     k_max = cfg.series_total_degree_cutoff
     u, w = _numerators(b)
+    # (k, l, sum of x y, sum of |x y|) over pairs of equal frequency of orders k and l
+    pairs = _relation_pairs(freqs, u, k_max)
+    if pairs is None:  # two or more relations: pair the orders of each group of the walk
+        groups = _frequency_groups(freqs, u, _pair_depth(freqs, k_max)).values()
+        pairs = [
+            (k, l, x * y, x_size * y_size)
+            for orders in groups
+            for k, (x, x_size) in orders.items()
+            for l, (y, y_size) in orders.items()
+            if k + l <= k_max
+        ]
     # (p/2 choose k) / w^k = g[k] / den: every term becomes an integer over den^2
-    g, den = _numerators([x / w**k for k, x in enumerate(_half_binomials(p, k_max))])
-    # sums of x y and of the size products over the pairs at one frequency, by orders
-    signed, size = Counter(), Counter()
-    for orders in _frequency_groups(freqs, u, _pair_depth(freqs, k_max)).values():
-        for k, (x, x_size) in orders.items():
-            for l, (y, y_size) in orders.items():
-                if k + l <= k_max:
-                    signed[k, l] += x * y
-                    size[k, l] += x_size * y_size
-    value: Real = Fraction(sum(g[k] * g[l] * x for (k, l), x in signed.items()), den * den)
+    g, den = _half_binomial_numerators(p, w, k_max)
+    value: Real = Fraction(sum(g[k] * g[l] * x for k, l, x, _ in pairs), den * den)
     if isinstance(p, float) or any(isinstance(x, float) for x in b):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise _beyond_range(float(p)) from None
     if is_even_exponent(p) and k_max >= float(p):
         # Every binomial factor beyond order p/2 vanishes, so the cutoff
         # already captured the whole (finite) series.
         return TaylorResult(value, True, 0.0)
     top = [
-        sum(abs(g[k] * g[l]) * x for (k, l), x in size.items() if k + l == n)
+        sum(abs(g[k] * g[l]) * size for k, l, _, size in pairs if k + l == n)
         for n in (k_max - 1, k_max)
     ]
-    tail = 10.0 * float(Fraction(max(top), den * den))
+    try:
+        tail = 10.0 * float(Fraction(max(top), den * den))
+    except OverflowError:  # the tail alone is beyond float range
+        tail = math.inf
     return TaylorResult(value, tail <= cfg.backend_agreement_tol, tail)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from majorant.cvector import (
     OpenInterval,
-    _half_binomials,
+    _half_binomial_numerators,
     build_c,
     build_v,
     gen_binom,
@@ -176,10 +176,18 @@ class TestGenBinom:
             prod((q - 2 * l for l in range(j)), start=Fraction(1)) / (2**j * factorial(j))
             for j in range(13)
         ]
-        assert _half_binomials(p, 12) == closed
+        for w in (1, 35):  # the series' binomials, over w^j and one common denominator
+            g, den = _half_binomial_numerators(p, w, 12)
+            assert den == ((q / 2).denominator * w) ** 12 * factorial(12)
+            assert [Fraction(x, den) for x in g] == [x / w**j for j, x in enumerate(closed)]
         assert [gen_binom(p, j) for j in range(13)] == [
             float(x) if isinstance(p, float) else x for x in closed
         ]
+
+    def test_memory_is_one_running_fraction(self, traced_peak_mb):
+        # a Fraction of some 50 000 bits at j = 4 000; a list of every order held 4.5 MiB
+        assert traced_peak_mb(gen_binom, 3, 4000) < 0.1
+        assert gen_binom(3, 4000) == gen_binom(3, 3999) * (Fraction(3, 2) - 3999) / 4000
 
 
 @pytest.mark.parametrize(

@@ -334,6 +334,19 @@ class TestEvenExact:
         assert lp_norm_even_exact(freqs, nums, s) >= lp_norm_even_exact(freqs, signed, s)
 
 
+# sets with no relation or one: the series sums them over the multiples of the relation
+AT_MOST_ONE_RELATION = [
+    ((1, 0), (0, 1)),  # none
+    tuple(tuple(int(i == j) for j in range(16)) for i in range(16)),  # none, in Z^16
+    ((1,), (2,)),  # c = (2, -1)
+    ((0, 1), (1, 1), (2, 1)),  # c = (1, -2, 1): affine, P = M
+    ((1,), (-1,)),  # c = (1, 1)
+    ((0,),),  # the zero frequency alone: c = (1,)
+    ((0, 0), (1, 2)),  # c = (1, 0)
+    ((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0)),  # c = (17, 29, -22, -9): |c| = 77
+]
+
+
 class TestTaylor:
     def test_hand_expanded_low_order(self):
         # Degree <= 3 pairs for 1 + b0 e(x) + b1 e(2x) at p = 1: the diagonal
@@ -414,8 +427,8 @@ class TestTaylor:
             lp_norm_taylor(freqs, [Fraction(1, 100)] * 20, Fraction(1, 2), EvalConfig())
 
     def test_a_pruned_walk_answers_what_the_cutoff_refused(self, time_limit):
-        # e_1..e_16 have no relation: the walk stops at order 6, C(22, 6) = 74 613
-        # multi-indices, where the cutoff's C(28, 12), about 3.0e7, exceeds the budget
+        # e_1..e_16 have no relation: the series takes one product of 16 factors to
+        # z^6, where the cutoff's C(28, 12) multi-indices, about 3.0e7, exceed the budget
         assert math.comb(16 + 12, 16) > ENUM_BUDGET >= math.comb(16 + 6, 16)
         freqs = tuple(tuple(int(i == j) for j in range(16)) for i in range(16))
         with time_limit(2):
@@ -425,21 +438,93 @@ class TestTaylor:
     @pytest.mark.parametrize(
         "freqs, depth",
         [
-            (((1, 0), (0, 1), (2, -1)), 6),  # relation (2, -1, -1), affine
-            (((1, 0), (0, 1), (1, 1)), 8),  # c = (1, 1, -1): (12 + 4 * 1) // 2
+            (((1,), (2,), (3,)), 12),  # two relations, (1, 1, -1) among them: the cutoff
+            (((1, 0), (0, 1), (2, -1), (-1, 2)), 6),  # two, both affine: cutoff // 2
         ],
     )
-    def test_half_the_cutoff_is_refused_before_any_walk(self, monkeypatch, freqs, depth):
-        # every depth is at least cutoff // 2, so the walk's one check refuses
-        # whatever C(m + cutoff // 2, m) exceeds, before a multi-index is formed
-        monkeypatch.setattr(lp_engine, "ENUM_BUDGET", math.comb(3 + 6, 3) - 1)
+    def test_the_walk_depth_is_refused_before_any_walk(self, monkeypatch, freqs, depth):
+        # with two or more relations the walk's one check refuses the
+        # C(m + depth, m) multi-indices of its depth before one is formed
+        m = len(freqs)
+        monkeypatch.setattr(lp_engine, "ENUM_BUDGET", math.comb(m + depth, m) - 1)
 
         def step(*args):
             raise AssertionError("a multi-index was walked")
 
         monkeypatch.setattr(lp_engine, "add", step)  # the walk's one frequency sum
-        with pytest.raises(BudgetError, match=rf"C\(3 \+ {depth}, 3\)"):
-            lp_norm_taylor(freqs, [Fraction(1, 8)] * 3, Fraction(1, 2), EvalConfig())
+        with pytest.raises(BudgetError, match=rf"C\({m} \+ {depth}, {m}\)"):
+            lp_norm_taylor(freqs, [Fraction(1, 8)] * m, Fraction(1, 2), EvalConfig())
+
+    @pytest.mark.parametrize("freqs", AT_MOST_ONE_RELATION)
+    def test_at_most_one_relation_never_walks(self, monkeypatch, freqs):
+        def walk(*args):
+            raise AssertionError("the multi-indices were walked")
+
+        monkeypatch.setattr(lp_engine, "_frequency_groups", walk)
+        b = [Fraction((-1) ** j, 7 + j) for j in range(len(freqs))]
+        for cutoff in (0, 1, 7, 12):
+            lp_norm_taylor(freqs, b, Fraction(3, 2), EvalConfig(series_total_degree_cutoff=cutoff))
+
+    @pytest.mark.parametrize(
+        "freqs, cutoff",
+        [
+            (((1,), (2,)), 10**9),
+            (((1, 0), (0, 1)), 10**9),
+            (((0,),), 10**9),
+            # 2 (2000 + 1)^2 steps at k = 0 fit the budget; with k = 1 they do not
+            (((1,), (2,)), 4000),
+        ],
+    )
+    def test_an_oversized_cutoff_is_refused_before_any_product(
+        self, monkeypatch, time_limit, freqs, cutoff
+    ):
+        def product(*args):
+            raise AssertionError("a series product was formed")
+
+        monkeypatch.setattr(lp_engine, "_pair_weights", product)
+        cfg = EvalConfig(series_total_degree_cutoff=cutoff)
+        with time_limit(1), pytest.raises(BudgetError, match="budget of"):
+            lp_norm_taylor(freqs, [Fraction(1, 8)] * len(freqs), Fraction(1, 2), cfg)
+
+    def test_the_relation_path_equals_the_walk(self, monkeypatch):
+        # every kind of set with at most one relation, at cutoffs 0-14
+        rng = random.Random(2031)
+        cases = [(freqs, k) for freqs in AT_MOST_ONE_RELATION for k in (0, 1, 2, 5, 12, 13, 14)]
+        while len(cases) < 800:
+            m, d = rng.randint(1, 4), rng.randint(1, 3)
+            freqs = tuple(sorted({tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(m)}))
+            if relation_count(freqs) <= 1:
+                cases.append((freqs, rng.randint(0, 14)))
+        runs = []
+        for i, (freqs, cutoff) in enumerate(cases):
+            b = [Fraction(rng.randint(-7, 7), rng.choice([9, 16, 32])) for _ in freqs]
+            p = rng.choice([Fraction(1, 2), Fraction(5, 3), Fraction(21, 4), 3, 4, 1.5, 0.3])
+            if i % 4 == 3:
+                b = [float(x) for x in b]
+            runs.append((freqs, b, p, EvalConfig(series_total_degree_cutoff=cutoff)))
+        assert {relation_count(freqs) for freqs, _ in cases} == {0, 1}
+        assert {every_relation_is_affine(freqs) for freqs, _ in cases if relation_count(freqs)} == {
+            True,
+            False,
+        }
+        assert any(isinstance(run[2], float) for run in runs)
+        related = [lp_norm_taylor(*run) for run in runs]
+        monkeypatch.setattr(lp_engine, "_relation_pairs", lambda *args: None)
+        for run, res in zip(runs, related):
+            walked = lp_norm_taylor(*run)
+            assert res == walked and type(res.value) is type(walked.value), run
+
+    @pytest.mark.parametrize("b", [(0.5,), (Fraction(1, 2),)])
+    @pytest.mark.parametrize("p", [1e30, Fraction(10**30), 10**30])
+    def test_values_beyond_float_range(self, b, p):
+        # (p/2 choose 6)^2 / 2^12 alone is about 1e341
+        if isinstance(p, float) or isinstance(b[0], float):
+            with pytest.raises(BudgetError, match="beyond floating-point range"):
+                lp_norm_taylor(((1,),), b, p, EvalConfig())
+        else:  # the exact value stands; only its tail has no float
+            res = lp_norm_taylor(((1,),), b, p, EvalConfig())
+            assert isinstance(res.value, Fraction) and res.value > 10**340
+            assert res.tail_estimate == math.inf and not res.converged
 
     def test_pair_depth_walk_equals_the_cutoff_walk(self, monkeypatch):
         # 0, 1 and 2 or more relations, a zero frequency and relations with P = M
@@ -470,25 +555,26 @@ class TestTaylor:
         depths = [lp_engine._pair_depth(freqs, k) for freqs, k in zip(cases, cutoffs)]
         assert {min(relation_count(freqs), 2) for freqs in cases} == {0, 1, 2}
         assert sum(depth < k for depth, k in zip(depths, cutoffs)) > 20
+        # the reference walks every set, whatever its relations, to the cutoff
+        monkeypatch.setattr(lp_engine, "_relation_pairs", lambda *args: None)
         monkeypatch.setattr(lp_engine, "_pair_depth", lambda freqs, cutoff: cutoff)
         for run, res in zip(runs, pruned):
             full = lp_norm_taylor(*run)
             assert res == full and type(res.value) is type(full.value)
 
     @pytest.mark.parametrize(
-        "freqs",
+        "freqs, depth",
         [
-            # c = (17, 29, -22, -9): |c+| + |c-| = 77 exceeds the cutoff 12, so
-            # only beta = gamma pairs, and the walk visits C(4 + 6, 4) = 210 of
-            # the C(4 + 12, 4) = 1 820 multi-indices up to the cutoff
-            ((1, -2, 3), (0, 3, -1), (2, 2, 1), (-3, 1, 0)),
-            # two relations, both affine (on the line x + y = 1): C(4 + 6, 4) again
-            ((1, 0), (0, 1), (2, -1), (-1, 2)),
+            # two relations, (1, 1, -1) unbalanced: the walk goes to the cutoff
+            (((1,), (2,), (3,)), 12),
+            # two relations, both affine (on the line x + y = 1): it visits
+            # C(4 + 6, 4) = 210 of the C(4 + 12, 4) = 1 820 multi-indices up to the cutoff
+            (((1, 0), (0, 1), (2, -1), (-1, 2)), 6),
         ],
-        ids=["found-tuple", "affine-plane"],
+        ids=["two-relations", "affine-plane"],
     )
-    def test_walks_to_order_six(self, monkeypatch, freqs):
-        b = [Fraction(1, 8), Fraction(-1, 9), Fraction(1, 10), Fraction(1, 7)]
+    def test_walk_depth(self, monkeypatch, freqs, depth):
+        b = [Fraction(1, 8), Fraction(-1, 9), Fraction(1, 10), Fraction(1, 7)][: len(freqs)]
         walked = []
         groups = lp_engine._frequency_groups
 
@@ -498,10 +584,10 @@ class TestTaylor:
 
         monkeypatch.setattr(lp_engine, "_frequency_groups", spy)
         res = lp_norm_taylor(freqs, b, Fraction(3, 2), EvalConfig())
-        assert walked == [6]
+        assert walked == [depth]
         monkeypatch.setattr(lp_engine, "_pair_depth", lambda freqs, cutoff: cutoff)
         assert res == lp_norm_taylor(freqs, b, Fraction(3, 2), EvalConfig())
-        assert walked == [6, 12]
+        assert walked == [depth, 12]
 
     def test_float_path_tracks_quadrature(self):
         freqs = ((1,), (3,))
