@@ -22,7 +22,7 @@ from sys import float_info
 from typing import Any, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, HypothesisError
-from .exact_lattice import Vec, _as_vec, _eliminate, _integer, _typed, _vectors
+from .exact_lattice import Vec, _as_vec, _integer, _typed, _vectors
 
 Real = int | float | Fraction  # a types.UnionType: isinstance checks it natively
 # p/2 of a float p at least this is a normal float, so it is exact
@@ -77,13 +77,42 @@ def build_v(freqs: Sequence[Vec]) -> Vec:
     coefficients of the Laplace expansion of det((x, 1-lift of freqs)) along
     the top row.  Consequently (n_0 ... n_d) v = 0 exactly and the entries
     sum to det of the lifted (d+1) x (d+1) matrix.
+
+    One fraction-free Gauss-Jordan pass finds them all: entries stay integer
+    minors, so each division is exact.  At rank d it leaves D times the
+    identity on the pivot columns, D their minor times the sign s of the row
+    swaps; with a_k row k's entry in the free column f, v is (-1)^f s times
+    x_f = D, x_(j_k) = -a_k.  A lower rank makes every minor zero.
     """
     freqs = _vectors(freqs, "frequency")
     d = len(freqs[0])
     if len(freqs) != d + 1:
         raise DimensionError(f"need d+1 = {d + 1} frequency vectors, got {len(freqs)}")
-    # the minors are determinants of row slices: a transpose keeps each one
-    return tuple((-1) ** i * _eliminate([*freqs[:i], *freqs[i + 1 :]])[1] for i in range(d + 1))
+    a = [list(row) for row in zip(*freqs)]
+    rank, sign, prev, free = 0, 1, 1, d
+    for col in range(d + 1):
+        if a[rank][col] == 0:
+            pivot = next((i for i in range(rank + 1, d) if a[i][col] != 0), None)
+            if pivot is None:
+                free = col  # a second such column leaves the rank below d
+                continue
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top, piv = a[rank], a[rank][col]
+        for i, row in enumerate(a):
+            if i != rank:  # each other row: its 2 x 2 cross products with the pivot row
+                f = row[col]
+                a[i] = [(x * piv - f * y) // prev for x, y in zip(row, top)]
+        prev = piv
+        rank += 1
+        if rank == d:
+            break
+    if rank < d:
+        return (0,) * (d + 1)
+    sign *= (-1) ** free  # the pivot columns are the others, in order, one per row
+    v = [-sign * row[free] for row in a]
+    v.insert(free, sign * prev)
+    return tuple(v)
 
 
 class CVector(NamedTuple):

@@ -2,11 +2,11 @@
 
 Everything in this module is computed with arbitrary-precision Python
 integers; nothing here rounds.  One fraction-free Bareiss elimination gives
-every rank and determinant, a Euclidean sweep of row swaps and row additions
-gives the triangular factorization, and affine data of a frequency set is
-read off its lifted points (1, n) and its difference vectors.  Every
-structural answer reads a set through one finite sample (`_sample`) and that
-sample's greedy affine basis (`_hull`).
+every rank and determinant, one Euclidean sweep (`_sweep`) the echelon form
+that `hnf` factors and `reduce_full_dim` solves for coordinates, and affine
+data of a frequency set is read off its lifted points (1, n) and its
+difference vectors.  Every structural answer reads a set through one finite
+sample (`_sample`) and that sample's greedy affine basis (`_hull`).
 
 Each sequence argument of the package passes one of three checks, which take
 lists and tuples only: `_as_vec` (exact integers), `_vectors` (such vectors
@@ -166,60 +166,63 @@ class HnfResult(NamedTuple):
     b: IntMatrix  # upper triangular (echelon for rectangular input)
 
 
-def hnf(m: IntMatrix) -> HnfResult:
-    """Factor m = e . b with e unimodular and b upper triangular.
+def _sweep(w: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Bring the rows `w` to echelon form in place and return its row operations
+    in order: (i, k, q) subtracts q != 0 times row k from row i, (i, k, 0)
+    swaps rows i and k, and (i, i, 0) negates row i.
 
     The sweep works one column at a time: the entry of smallest nonzero
     absolute value (ties: smallest row index) is swapped into the pivot row
     and normalized positive, then multiples of the pivot row are subtracted
     below until the column clears.  Repeating the selection runs Euclid's
     algorithm down the column, so the surviving pivot is the gcd of the
-    entries the sweep saw.  Row operations on the working copy are mirrored
-    by inverse column operations on e, keeping m = e . b exact throughout.
+    entries the sweep saw.  The nonzero rows come first.
     """
-    w = [list(row) for row in m.entries]
-    n, cols = m.rows, m.cols
-    e = [list(row) for row in IntMatrix.identity(n).entries]
-
-    def swap(i: int, k: int) -> None:
-        w[i], w[k] = w[k], w[i]
-        for row in e:
-            row[i], row[k] = row[k], row[i]
-
-    def negate(i: int) -> None:
-        w[i] = [-x for x in w[i]]
-        for row in e:
-            row[i] = -row[i]
-
-    def reduce_row(i: int, k: int, q: int) -> None:
-        # w_i <- w_i - q w_k corresponds to e column k gaining q times column i
-        w[i] = [x - q * y for x, y in zip(w[i], w[k])]
-        for row in e:
-            row[k] += q * row[i]
-
-    r = 0
-    for col in range(cols):
+    ops: list[tuple[int, int, int]] = []
+    n, r = len(w), 0
+    for col in range(len(w[0])):
         while True:
             candidates = [i for i in range(r, n) if w[i][col] != 0]
             if not candidates:
                 break
             pivot = min(candidates, key=lambda i: (abs(w[i][col]), i))
             if pivot != r:
-                swap(r, pivot)
+                w[r], w[pivot] = w[pivot], w[r]
+                ops.append((r, pivot, 0))
             if w[r][col] < 0:
-                negate(r)
+                w[r] = [-x for x in w[r]]
+                ops.append((r, r, 0))
             clean = True
             for i in range(r + 1, n):
                 if w[i][col] != 0:
-                    reduce_row(i, r, w[i][col] // w[r][col])
-                    if w[i][col] != 0:
-                        clean = False
+                    q = w[i][col] // w[r][col]  # nonzero: |w[r][col]| <= |w[i][col]|
+                    w[i] = [x - q * y for x, y in zip(w[i], w[r])]
+                    ops.append((i, r, q))
+                    clean = clean and w[i][col] == 0
             if clean:
                 break
         if any(w[i][col] != 0 for i in range(r, n)):
             r += 1
             if r == n:
                 break
+    return ops
+
+
+def hnf(m: IntMatrix) -> HnfResult:
+    """Factor m = e . b with e unimodular and b upper triangular: b is the
+    echelon `_sweep` leaves, and e replays its row operations on the identity
+    as inverse column operations (row i losing q times row k is column k
+    gaining q times column i), keeping m = e . b exact throughout."""
+    w = [list(row) for row in m.entries]
+    e = [list(row) for row in IntMatrix.identity(m.rows).entries]
+    for i, k, q in _sweep(w):
+        for row in e:
+            if q:
+                row[k] += q * row[i]
+            elif i == k:
+                row[i] = -row[i]
+            else:
+                row[i], row[k] = row[k], row[i]
     return HnfResult(IntMatrix._computed(e), IntMatrix._computed(w))
 
 
@@ -374,12 +377,12 @@ def reduce_full_dim(g: FrequencySet) -> Reduction:
     in Z^d'; a structurally infinite set raises HypothesisError.
 
     The points are those of `_sample(g)`, a zero-step tail's start included,
-    and n_star is the first.  hnf factors the matrix whose rows are the
-    difference vectors as e . b, with the r nonzero rows of b first and
-    zeros below; those rows are the basis columns, which generate the lattice
-    the differences span as e is unimodular.  So a difference's row of e, cut
-    at r, holds its exact lattice coordinates.  Cardinality is preserved and
-    n_star itself maps to the origin.
+    and n_star is the first.  `_sweep` brings the difference vectors to
+    echelon form by unimodular row operations, so its r nonzero rows b_k, the
+    basis columns, generate the lattice the differences span.  Row k is zero
+    left of its pivot column j_k, so a difference d has the unique coordinates
+    y_k = (d[j_k] - sum_{l<k} y_l b_l[j_k]) / b_k[j_k], every division exact.
+    Cardinality is preserved and n_star itself maps to the origin.
     """
     if g.is_structurally_infinite():
         raise HypothesisError("set is structurally infinite; only a finite set reduces")
@@ -388,12 +391,20 @@ def reduce_full_dim(g: FrequencySet) -> Reduction:
     if not diffs:
         reduced = FrequencySet(dim=0, points=((),))
         return Reduction(n_star, None, reduced)
-    e, echelon = hnf(IntMatrix._computed(diffs))
+    echelon = [list(d) for d in diffs]
+    _sweep(echelon)
     # distinct points give a nonzero difference, so at least one row survives
-    basis_rows = [row for row in echelon.entries if any(x != 0 for x in row)]
+    basis_rows = [row for row in echelon if any(row)]
+    pivots = [(b, next(j for j, x in enumerate(b) if x)) for b in basis_rows]
+    coords = []
+    for d in diffs:
+        y: list[int] = []
+        for b, j in pivots:
+            y.append((d[j] - sum(yl * bl[j] for yl, bl in zip(y, basis_rows))) // b[j])
+        coords.append(tuple(y))
     basis = IntMatrix._computed(zip(*basis_rows))
     r = len(basis_rows)
-    reduced = FrequencySet(dim=r, points=((0,) * r, *(row[:r] for row in e.entries)))
+    reduced = FrequencySet(dim=r, points=((0,) * r, *coords))
     return Reduction(n_star, basis, reduced)
 
 

@@ -89,6 +89,43 @@ class TestBuildV:
         assert sum(v) == det_exact(IntMatrix.from_columns([(1, *f) for f in freqs]))
 
 
+def seeded_tuples(seed: int, count: int) -> list[list[tuple[int, ...]]]:
+    """d + 1 frequency vectors in Z^d, d 1-5; a third are integer combinations
+    of fewer than d vectors, so their rank falls below d."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        d = rng.randint(1, 5)
+        if i % 3 == 0:
+            spans = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(0, d - 1))]
+            combos = [[rng.randint(-2, 2) for _ in spans] for _ in range(d + 1)]
+            freqs = [tuple(sum(a * s[j] for a, s in zip(x, spans)) for j in range(d)) for x in combos]
+        else:
+            freqs = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d + 1)]
+        out.append(freqs)
+    return out
+
+
+def signed_minors(freqs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """(-1)^i det of the frequency matrix less column i, for each i."""
+    return tuple(
+        (-1) ** i * det_exact(IntMatrix.from_columns(freqs[:i] + freqs[i + 1 :]))
+        for i in range(len(freqs))
+    )
+
+
+class TestBuildVAgainstMinors:
+    def test_seeded_corpus(self):
+        tuples = seeded_tuples(87, 1500)
+        assert sum(not any(signed_minors(f)) for f in tuples) >= 400
+        for freqs in tuples:
+            assert build_v(freqs) == signed_minors(freqs)
+
+    def test_moment_tuple(self):
+        freqs = [tuple(t**i for i in range(1, 9)) for t in range(1, 10)]
+        assert build_v(freqs) == signed_minors(freqs)
+
+
 class TestBuildC:
     def test_primitive_and_parts(self):
         cv = build_c((6, -6, 2))

@@ -7,6 +7,8 @@ implementations never certify themselves.
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +25,7 @@ from majorant.exact_lattice import (
     FrequencySet,
     IntMatrix,
     PointGenerator,
+    Reduction,
     _affine_basis,
     abundance_scan,
     affine_dimension,
@@ -589,6 +592,68 @@ class TestReduceFullDim:
         diffs = red.reduced.points[1:]
         minors = [det_exact(IntMatrix.from_rows(rows)) for rows in combinations(diffs, r)]
         assert gcd(*minors) == 1
+
+
+def reduce_by_hnf(g: FrequencySet) -> Reduction:
+    """Reference reduction read off hnf's factors of the difference rows: the
+    nonzero echelon rows are the basis, and a difference's row of e, cut at
+    the rank r, holds its coordinates."""
+    n_star, *rest = g.stream(len(g.points) + g.dim + 2)
+    if not rest:
+        return Reduction(n_star, None, FrequencySet(0, ((),)))
+    e, b = hnf(IntMatrix.from_rows([[x - y for x, y in zip(p, n_star)] for p in rest]))
+    rows = [row for row in b.entries if any(row)]
+    r = len(rows)
+    coords = ((0,) * r, *(row[:r] for row in e.entries))
+    return Reduction(n_star, IntMatrix.from_columns(rows), FrequencySet(r, coords))
+
+
+def seeded_finite_sets(seed: int, count: int) -> list[FrequencySet]:
+    """Finite sets n* + M . x in Z^1 .. Z^10 for an integer map M of 0-5
+    columns (rank may fall short), 1-40 points; every fifth set has a
+    zero-step tail, whose start is one more point."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        dim = rng.randint(1, 10)
+        cols = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(0, min(5, dim)))]
+        base = [rng.randint(-9, 9) for _ in range(dim)]
+        xs = [[rng.randint(-4, 4) for _ in cols] for _ in range(rng.randint(1, 40))]
+        points = {
+            tuple(n + sum(a * col[j] for a, col in zip(x, cols)) for j, n in enumerate(base))
+            for x in xs
+        }
+        tail = None
+        if i % 5 == 0:
+            start = [n + rng.randint(-1, 1) for n in base]
+            tail = PointGenerator("arith_progression", {"start": start, "step": [0] * dim})
+            points = points - {tuple(start)} or {tuple(n + 1 for n in start)}
+        out.append(FrequencySet(dim, tuple(sorted(points)), tail))
+    return out
+
+
+class TestReduceAgainstHnf:
+    """reduce_full_dim solves for coordinates on the echelon that hnf shares."""
+
+    @pytest.mark.parametrize("g", seeded_finite_sets(30, 300))
+    def test_equals_the_hnf_construction(self, g):
+        assert reduce_full_dim(g) == reduce_by_hnf(g)
+
+    def test_thousand_points_in_z6_stay_small(self):
+        # reduce_by_hnf peaks at about 16 MiB on this set: its factor e is 999 x 999
+        rng = random.Random(6)
+        points: set[tuple[int, ...]] = set()
+        while len(points) < 1000:
+            points.add(tuple(rng.randint(-9, 9) for _ in range(6)))
+        g = FrequencySet(6, tuple(sorted(points)))
+        tracemalloc.start()
+        try:
+            red = reduce_full_dim(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert red.reduced.dim == 6 and len(red.reduced.points) == 1000
+        assert peak < 4 * 2**20
 
 
 class TestAbundance:
