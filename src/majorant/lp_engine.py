@@ -32,7 +32,8 @@ nor overflows for any coefficient size.  A pass over a half grid of at
 least 2^17 points splits its chunks between the calling thread and one
 pooled thread (one thread on a single CPU); each slice's arithmetic depends
 on neither the chunk size nor our or BLAS's thread count, so the results
-are bit for bit the same.
+are bit for bit the same.  The kernel imports numpy at its first pass: the
+exact backends form no grid, so a process that runs only them never loads it.
 
 Signed-versus-majorant differences are always evaluated pairwise on the same
 grid: the two integrands share all sign-even spectral content, so the
@@ -51,9 +52,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate
 from operator import add
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cvector import (
     Real,
@@ -66,6 +65,9 @@ from .cvector import (
 )
 from .errors import BudgetError, ConvergenceError, DomainError
 from .exact_lattice import Vec, _eliminate, _integer, _typed, _vectors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 QUAD_POINT_BUDGET = 1 << 22  # total tensor-grid points per evaluation, the quadrature's one limit
 _CHUNK_VALUES = 1 << 16  # |F|^2 values (points x rows) per chunk of a grid pass
@@ -138,6 +140,8 @@ def _phases(residues: np.ndarray, indices: np.ndarray, modulus: int) -> np.ndarr
 
     Each phase is taken at k i mod modulus: exact for integers of any size.
     """
+    import numpy as np
+
     phases = (2j * np.pi / modulus) * np.remainder(np.outer(residues, indices), modulus)
     return np.exp(phases, out=phases)
 
@@ -152,6 +156,8 @@ def _tensor_pass(freqs: Sequence[Vec], coeffs: np.ndarray, n: int):
     only read by every thread; a chunk builds its own slices' first-axis
     phases, so no table spans the first axis (in 1-D, n / 64 wide).
     """
+    import numpy as np
+
     d, widths = len(freqs[0]), _axes(len(freqs[0]), n)
     residues = [
         np.array([f[min(axis, d - 1)] % modulus for f in freqs], dtype=np.int64)
@@ -177,6 +183,8 @@ def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
     Both are kept between passes and hold at least `_CHUNK_VALUES` entries,
     so the passes of a ladder share them; only a larger chunk replaces them.
     """
+    import numpy as np
+
     kept = getattr(_kept, "buffers", None)
     if kept is None or len(kept[1]) < size:
         size = max(size, _CHUNK_VALUES)
@@ -200,6 +208,8 @@ def _tensor_squares(
     taken the field is spent, and the powers are written over it.  So a
     chunk allocates nothing of its size.
     """
+    import numpy as np
+
     m, last = len(first), tables[-1].shape[1]
     fields, kept_squares = _workspace(size)
     for lo, hi in chunks:
@@ -303,6 +313,8 @@ def _grid_means(
     The powers are nonnegative: a chunk whose sums are not finite raises
     BudgetError at once.
     """
+    import numpy as np
+
     d, widths = len(freqs[0]), _axes(len(freqs[0]), n)
     coeffs = np.array(rows, dtype=float)
     chunks, squares_of = _tensor_pass(freqs, coeffs, n)
@@ -568,8 +580,10 @@ def _pair_weights(r: Sequence[int], u: Sequence[int], depth: int) -> list[int]:
     multinomial(delta + r-) |u|^(2 delta + |r|), for t <= depth, in integers:
     r+ and r- have disjoint supports, so coordinate i (parts e+, e-) folds the
     sums B over the earlier ones into sum_j B[s - j] C(s + P, j + e+) C(s +
-    M, j + e-) |u_i|^(2j + e+ + e-), P and M the sizes of r+ and r- so far."""
-    weights, plus, minus, comb = None, 0, 0, math.comb
+    M, j + e-) |u_i|^(2j + e+ + e-), P and M the sizes of r+ and r- so far.
+    Each binomial C(n, k) is `math.comb` at j = 0 and steps to C(n, k + 1) =
+    C(n, k) (n - k) / (k + 1), an exact division."""
+    weights, plus, minus = None, 0, 0
     for x, e in zip(u, r):
         up, down = max(e, 0), max(-e, 0)
         plus, minus = plus + up, minus + down
@@ -577,13 +591,15 @@ def _pair_weights(r: Sequence[int], u: Sequence[int], depth: int) -> list[int]:
         if weights is None:  # one coordinate: both multinomials are 1
             weights = powers
             continue
-        weights = [
-            sum(
-                weights[s - j] * comb(s + plus, j + up) * comb(s + minus, j + down) * powers[j]
-                for j in range(s + 1)
-            )
-            for s in range(depth + 1)
-        ]
+        folded = []
+        for s in range(depth + 1):
+            a, b, total = math.comb(s + plus, up), math.comb(s + minus, down), 0
+            for j in range(s + 1):
+                total += weights[s - j] * a * b * powers[j]
+                a = a * (s + plus - j - up) // (j + up + 1)
+                b = b * (s + minus - j - down) // (j + down + 1)
+            folded.append(total)
+        weights = folded
     return weights
 
 

@@ -514,6 +514,40 @@ class TestTaylor:
             walked = lp_norm_taylor(*run)
             assert res == walked and type(res.value) is type(walked.value), run
 
+    @staticmethod
+    def comb_pair_weights(r, u, depth):
+        """Reference: `_pair_weights` with every binomial taken by `math.comb`."""
+        weights, plus, minus = None, 0, 0
+        for x, e in zip(u, r):
+            up, down = max(e, 0), max(-e, 0)
+            plus, minus = plus + up, minus + down
+            powers = [abs(x) ** (2 * j + up + down) for j in range(depth + 1)]
+            if weights is None:
+                weights = powers
+                continue
+            weights = [
+                sum(
+                    weights[s - j]
+                    * math.comb(s + plus, j + up)
+                    * math.comb(s + minus, j + down)
+                    * powers[j]
+                    for j in range(s + 1)
+                )
+                for s in range(depth + 1)
+            ]
+        return weights
+
+    def test_pair_weights_equal_the_comb_form(self):
+        rng = random.Random(2033)
+        cases = [((0, 0), (3, -5), 200), ((2, -1), (1, 1), 0)]
+        for _ in range(400):
+            m = rng.randint(1, 5)
+            r = [rng.randint(-3, 3) for _ in range(m)]
+            cases.append((r, [rng.randint(-9, 9) for _ in range(m)], rng.randint(0, 30)))
+        assert {depth for *_, depth in cases} >= set(range(31))
+        for case in cases:
+            assert lp_engine._pair_weights(*case) == self.comb_pair_weights(*case), case
+
     @pytest.mark.parametrize("b", [(0.5,), (Fraction(1, 2),)])
     @pytest.mark.parametrize("p", [1e30, Fraction(10**30), 10**30])
     def test_values_beyond_float_range(self, b, p):

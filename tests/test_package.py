@@ -1,12 +1,16 @@
 """The package namespace: every exported name exists, once, every module
 uses the names it imports, every entry point rejects a scalar argument of
-the wrong type with the error it raises for one out of range, and every
+the wrong type with the error it raises for one out of range, every
 sequence argument rejects anything but a list or tuple with the error of
-its site."""
+its site, and the exact paths run without loading numpy."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -307,3 +311,42 @@ def test_sequence_argument_refuses_other_containers(call, value, error):
 @pytest.mark.parametrize("call, value", [pytest.param(c, v, id=n) for n, v, _, c in SEQUENCES])
 def test_sequence_table_calls_are_valid(call, value):
     call(value)
+
+
+# the exact paths of a fresh interpreter, then one grid pass
+EXACT_PATHS = """\
+import json, sys
+import majorant as mj
+import majorant.cli
+
+assert mj.classify(mj.FrequencySet(2, ((0, 0), (1, 0), (0, 1))))["affinely_independent"]
+family = mj.PointGenerator("arith_progression", {"start": [2, 1], "step": [1, 1]})
+report = mj.classify(mj.FrequencySet(2, ((0, 0), (1, 0), (0, 1)), family), with_certificate=False)
+assert report["smp_status"] == "violated_with_certificate" and report["certificate"] is None
+assert mj.reduce_full_dim(mj.FrequencySet(3, ((0, 0, 0), (1, 1, 0), (2, 2, 0), (1, 0, 0)))).reduced.dim == 2
+mj.lp_norm_taylor(((1, 0), (0, 1), (1, 1)), (0.25, -0.25, 0.25), 3, mj.EvalConfig())
+mj.lp_norm_even_exact(((0,), (1,), (2,)), (1, -1, 1), 3)
+with open(sys.argv[1]) as fh:
+    data = json.load(fh)
+assert mj.Certificate.from_json(data).to_json() == data
+print("numpy" in sys.modules)
+mj.paired_difference(((0,), (1,), (2,)), (1.0, -0.5, 0.5), 3, mj.EvalConfig(grid_points_per_axis=16))
+print("numpy" in sys.modules)
+"""
+
+
+def test_exact_paths_leave_numpy_unloaded(tmp_path):
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(line_certificate().to_json()))
+    env = {**os.environ}
+    src = str(Path(majorant.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", EXACT_PATHS, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\nTrue\n"
